@@ -90,6 +90,7 @@
 // Attacks: dense, unequal, wrongcopy, guessing, zero, fixed (mounted by
 // party 0, which is marked corrupt).
 #include <atomic>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -231,6 +232,23 @@ bool complain_number(const std::string& key, const std::string& value) {
                   value.c_str(), key.c_str());
 }
 
+/// The run-shape bounds shared by the live parser and replay: n in [3, 32],
+/// kappa in [1, 32], receiver < n (an unset receiver defaults to n - 1).
+/// `prefix` names where the values came from ("--" flags or "config."
+/// fields of a recording) in the diagnostic.
+bool check_shape(Options& opt, const char* prefix) {
+  if (opt.n < 3 || opt.n > 32)
+    return complain("%sn must be in [3, 32] (got %zu)", prefix, opt.n);
+  if (opt.kappa < 1 || opt.kappa > 32)
+    return complain("%skappa must be in [1, 32] (got %zu)", prefix,
+                    opt.kappa);
+  if (opt.receiver == SIZE_MAX) opt.receiver = opt.n - 1;
+  if (opt.receiver >= opt.n)
+    return complain("%sreceiver %zu is out of range for %sn %zu", prefix,
+                    opt.receiver, prefix, opt.n);
+  return true;
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return complain("missing command");
   opt.command = argv[1];
@@ -364,14 +382,7 @@ bool parse(int argc, char** argv, Options& opt) {
       return complain("unknown option '%s'", key.c_str());
     }
   }
-  if (opt.n < 3 || opt.n > 32)
-    return complain("--n must be in [3, 32] (got %zu)", opt.n);
-  if (opt.kappa < 1 || opt.kappa > 32)
-    return complain("--kappa must be in [1, 32] (got %zu)", opt.kappa);
-  if (opt.receiver == SIZE_MAX) opt.receiver = opt.n - 1;
-  if (opt.receiver >= opt.n)
-    return complain("--receiver %zu is out of range for --n %zu",
-                    opt.receiver, opt.n);
+  if (!check_shape(opt, "--")) return false;
   if (opt.faulty > opt.sessions)
     return complain("--faulty (%zu) exceeds --sessions (%zu)", opt.faulty,
                     opt.sessions);
@@ -962,14 +973,25 @@ bool options_from_config(const json::Value& c, Options& opt,
     const json::Value* v = c.find(key);
     return v && v->is_string() ? &v->as_string() : nullptr;
   };
-  const json::Value* num;
+  // Counts must be non-negative integers; anything else (negative,
+  // fractional, beyond 2^53) is rejected before the bounds check.
+  const auto count = [&](const char* key, std::size_t& out) {
+    const json::Value* v = c.find(key);
+    if (!v) return true;
+    const double d = v->is_number() ? v->as_double() : -1.0;
+    if (!(d >= 0.0 && d <= 9007199254740992.0) || d != std::floor(d))
+      return false;
+    out = static_cast<std::size_t>(d);
+    return true;
+  };
   if (const auto* s = str("command")) opt.command = *s;
   else { *error = "config.command"; return false; }
-  if ((num = c.find("n")) && num->is_number()) opt.n = num->as_u64();
-  else { *error = "config.n"; return false; }
-  if ((num = c.find("kappa")) && num->is_number()) opt.kappa = num->as_u64();
-  if ((num = c.find("receiver")) && num->is_number())
-    opt.receiver = num->as_u64();
+  if (!c.find("n") || !count("n", opt.n)) { *error = "config.n"; return false; }
+  if (!count("kappa", opt.kappa)) { *error = "config.kappa"; return false; }
+  if (!count("receiver", opt.receiver)) {
+    *error = "config.receiver";
+    return false;
+  }
   if (const auto* s = str("scheme")) {
     if (*s == "rb") opt.scheme = vss::SchemeKind::kRB;
     else if (*s == "bgw") opt.scheme = vss::SchemeKind::kBGW;
@@ -988,6 +1010,10 @@ bool options_from_config(const json::Value& c, Options& opt,
     if (!v) { *error = "config.fault_seed"; return false; }
     opt.fault_seed = *v;
     opt.fault_seed_set = true;
+  }
+  if (!check_shape(opt, "config.")) {
+    *error = "run shape (n, kappa, receiver)";
+    return false;
   }
   return true;
 }

@@ -92,6 +92,10 @@ void dump_into(const Value& v, int indent, int depth, std::string& out) {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted (every document the tools
+  /// write nests a handful of levels).
+  static constexpr std::size_t kMaxDepth = 256;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   std::optional<Value> run() {
@@ -176,6 +180,36 @@ class Parser {
     return std::nullopt;  // unterminated
   }
 
+  std::optional<Value> parse_array_body() {
+    Value arr = Value::array();
+    skip_ws();
+    if (eat(']')) return arr;
+    for (;;) {
+      auto v = parse_value();
+      if (!v) return std::nullopt;
+      arr.push_back(std::move(*v));
+      if (eat(']')) return arr;
+      if (!eat(',')) return std::nullopt;
+    }
+  }
+
+  std::optional<Value> parse_object_body() {
+    Value obj = Value::object();
+    skip_ws();
+    if (eat('}')) return obj;
+    for (;;) {
+      if (!eat('"')) return std::nullopt;
+      auto key = parse_string_body();
+      if (!key) return std::nullopt;
+      if (!eat(':')) return std::nullopt;
+      auto v = parse_value();
+      if (!v) return std::nullopt;
+      obj.set(std::move(*key), std::move(*v));
+      if (eat('}')) return obj;
+      if (!eat(',')) return std::nullopt;
+    }
+  }
+
   std::optional<Value> parse_value() {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
@@ -189,35 +223,15 @@ class Parser {
       if (!s) return std::nullopt;
       return Value(std::move(*s));
     }
-    if (c == '[') {
+    if (c == '[' || c == '{') {
+      // Containers recurse; past kMaxDepth the document is rejected
+      // instead of exhausting the stack.
+      if (depth_ == kMaxDepth) return std::nullopt;
       ++pos_;
-      Value arr = Value::array();
-      skip_ws();
-      if (eat(']')) return arr;
-      for (;;) {
-        auto v = parse_value();
-        if (!v) return std::nullopt;
-        arr.push_back(std::move(*v));
-        if (eat(']')) return arr;
-        if (!eat(',')) return std::nullopt;
-      }
-    }
-    if (c == '{') {
-      ++pos_;
-      Value obj = Value::object();
-      skip_ws();
-      if (eat('}')) return obj;
-      for (;;) {
-        if (!eat('"')) return std::nullopt;
-        auto key = parse_string_body();
-        if (!key) return std::nullopt;
-        if (!eat(':')) return std::nullopt;
-        auto v = parse_value();
-        if (!v) return std::nullopt;
-        obj.set(std::move(*key), std::move(*v));
-        if (eat('}')) return obj;
-        if (!eat(',')) return std::nullopt;
-      }
+      ++depth_;
+      auto v = c == '[' ? parse_array_body() : parse_object_body();
+      --depth_;
+      return v;
     }
     // number
     const std::size_t start = pos_;
@@ -237,6 +251,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

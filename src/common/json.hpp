@@ -79,8 +79,8 @@ class Value {
   /// Serializes; indent < 0 means compact single-line output.
   std::string dump(int indent = -1) const;
 
-  /// Strict parse of a complete document; nullopt on any syntax error or
-  /// trailing garbage.
+  /// Strict parse of a complete document; nullopt on any syntax error,
+  /// trailing garbage, or array/object nesting deeper than 256 levels.
   static std::optional<Value> parse(std::string_view text);
 
   bool operator==(const Value& o) const;

@@ -24,6 +24,12 @@ std::optional<std::size_t> dec(Fld f, std::size_t bound) {
   return static_cast<std::size_t>(v);
 }
 
+// Values per parallel_for index in the reconstruction decoders: large
+// enough that the pool's shared cursor is touched a few times per call,
+// not once per value, small enough that a call splits into many more
+// chunks than lanes.
+constexpr std::size_t kDecodeChunk = 2048;
+
 }  // namespace
 
 BivariateEngine::BivariateEngine(net::Network& net, EngineProfile profile)
@@ -711,7 +717,8 @@ Fld BivariateEngine::committed_value(const LinComb& v) const {
 
 std::vector<Fld> BivariateEngine::decode_received(
     const std::vector<LinComb>& values,
-    const std::vector<std::optional<std::vector<Fld>>>& per_sender) {
+    std::span<const std::optional<std::span<const Fld>>> per_sender,
+    net::PartyId self) {
   const std::size_t n = net_.n();
   const std::size_t t = profile_.t;
   std::vector<Fld> out(values.size(), Fld::zero());
@@ -757,49 +764,74 @@ std::vector<Fld> BivariateEngine::decode_received(
       return out;
     }
     // Idealized IC (the default): acceptance is the pure predicate
-    // revealed == committed share, so the sender walk batches — one
-    // committed_shares_into per sender covers every value at once, and each
-    // value keeps exactly the accept set the per-value walk would build
-    // (senders visited in index order, capped at t + 1 accepts).
-    std::vector<std::vector<net::PartyId>> acc_who(values.size());
-    std::vector<std::vector<Fld>> acc_vals(values.size());
-    std::size_t unfinished = values.size();
-    std::vector<Fld> expected(values.size());
-    for (net::PartyId i = 0; i < n && unfinished > 0; ++i) {
-      if (!per_sender[i]) continue;
-      committed_shares_into(std::span<const LinComb>(values.data(),
-                                                     values.size()),
-                            i, std::span<Fld>(expected));
-      for (std::size_t vi = 0; vi < values.size(); ++vi) {
-        if (acc_who[vi].size() >= t + 1) continue;
-        if ((*per_sender[i])[vi] != expected[vi]) continue;
-        acc_who[vi].push_back(i);
-        acc_vals[vi].push_back(expected[vi]);
-        if (acc_who[vi].size() == t + 1) --unfinished;
-      }
-    }
+    // revealed == committed share, so the walk batches over senders and
+    // each value keeps exactly the accept set the per-value walk would
+    // build (senders visited in index order, capped at t + 1 accepts).
+    // Accept sets live in flat storage — one (t + 1)-wide row of accepted
+    // values, a count and a sender bitmask per value — so the walk
+    // allocates nothing per value and distinct sets compare as masks.
+    GFOR14_EXPECTS(n <= 64);
+    const std::size_t m = values.size();
+    const std::size_t need = t + 1;
+    std::vector<Fld> acc_vals(m * need);
+    std::vector<std::uint8_t> acc_count(m, 0);
+    std::vector<std::uint64_t> acc_mask(m, 0);
+    const std::size_t nchunks = (m + kDecodeChunk - 1) / kDecodeChunk;
+    // One walk per chunk of values, chunks spread over the lanes: senders in
+    // index order, each sender's expected shares evaluated for the chunk
+    // only, stopping as soon as every value of the chunk holds t + 1
+    // accepts. Small chunks keep the lanes evenly loaded (a stalled lane
+    // holds up one chunk, not a whole sender), and the per-chunk early exit
+    // skips at least every sender the all-values walk would skip.
+    std::vector<Fld> expected(m);
+    ThreadPool::instance().parallel_for(
+        0, nchunks, net_.threads(), [&](std::size_t ci) {
+          const std::size_t lo = ci * kDecodeChunk;
+          const std::size_t len = std::min(kDecodeChunk, m - lo);
+          std::size_t unfinished = len;
+          for (net::PartyId i = 0; i < n && unfinished > 0; ++i) {
+            if (!per_sender[i]) continue;
+            const Fld* revealed = per_sender[i]->data() + lo;
+            // The decoding party's own revealed vector is its committed
+            // shares already.
+            const Fld* exp = revealed;
+            if (i != self) {
+              const std::span<Fld> dst(expected.data() + lo, len);
+              committed_shares_into(
+                  std::span<const LinComb>(values.data() + lo, len), i, dst);
+              exp = dst.data();
+            }
+            for (std::size_t k = 0; k < len; ++k) {
+              const std::size_t vi = lo + k;
+              const std::size_t c = acc_count[vi];
+              if (c == need || revealed[k] != exp[k]) continue;
+              acc_vals[vi * need + c] = exp[k];
+              acc_mask[vi] |= std::uint64_t{1} << i;
+              acc_count[vi] = static_cast<std::uint8_t>(c + 1);
+              if (c + 1 == need) --unfinished;
+            }
+          }
+        });
     // Accept sets repeat massively across values (usually one distinct set
     // per call), so resolve each distinct set's Lagrange row once — the
     // per-value work then collapses to a t+1-wide dot with no cache-key
     // allocation or lock traffic inside the parallel section.
+    std::vector<std::uint64_t> distinct;
+    for (std::size_t vi = 0; vi < m; ++vi)
+      if (acc_count[vi] == need &&
+          std::find(distinct.begin(), distinct.end(), acc_mask[vi]) ==
+              distinct.end())
+        distinct.push_back(acc_mask[vi]);
     auto& lcache = LagrangeCache::instance();
     const bool use_lut = ff::span_prefers_lut();
-    std::vector<std::vector<net::PartyId>> distinct_sets;
-    std::vector<std::size_t> set_of(values.size(), ~std::size_t{0});
-    for (std::size_t vi = 0; vi < values.size(); ++vi) {
-      if (acc_who[vi].size() < t + 1) continue;  // default 0
-      std::size_t s = 0;
-      while (s < distinct_sets.size() && distinct_sets[s] != acc_who[vi]) ++s;
-      if (s == distinct_sets.size()) distinct_sets.push_back(acc_who[vi]);
-      set_of[vi] = s;
-    }
-    std::vector<const std::vector<Fld>*> set_lambda(distinct_sets.size());
-    std::vector<const ff::batch::EncodePlan64*> set_plan(
-        distinct_sets.size(), nullptr);
-    for (std::size_t s = 0; s < distinct_sets.size(); ++s) {
-      std::vector<Fld> xs(distinct_sets[s].size());
-      for (std::size_t i = 0; i < xs.size(); ++i)
-        xs[i] = eval_point<64>(distinct_sets[s][i]);
+    std::vector<const std::vector<Fld>*> set_lambda(distinct.size());
+    std::vector<const ff::batch::EncodePlan64*> set_plan(distinct.size(),
+                                                         nullptr);
+    std::vector<Fld> xs;
+    for (std::size_t s = 0; s < distinct.size(); ++s) {
+      xs.clear();
+      for (net::PartyId i = 0; i < n; ++i)
+        if ((distinct[s] >> i) & 1) xs.push_back(eval_point<64>(i));
       set_lambda[s] =
           &lcache.coefficients(std::span<const Fld>(xs), Fld::zero());
       if (use_lut)
@@ -807,14 +839,18 @@ std::vector<Fld> BivariateEngine::decode_received(
             &lcache.encode_plan(std::span<const Fld>(xs), Fld::zero());
     }
     ThreadPool::instance().parallel_for(
-        0, values.size(), net_.threads(), [&](std::size_t vi) {
-          const std::size_t s = set_of[vi];
-          if (s == ~std::size_t{0}) return;
-          if (use_lut) {
-            out[vi] = set_plan[s]->dot(std::span<const Fld>(acc_vals[vi]));
-          } else {
-            out[vi] = ff::dot(std::span<const Fld>(*set_lambda[s]),
-                              std::span<const Fld>(acc_vals[vi]));
+        0, nchunks, net_.threads(), [&](std::size_t ci) {
+          const std::size_t lo = ci * kDecodeChunk;
+          const std::size_t hi = std::min(lo + kDecodeChunk, m);
+          for (std::size_t vi = lo; vi < hi; ++vi) {
+            if (acc_count[vi] < need) continue;  // default 0
+            const std::size_t s = static_cast<std::size_t>(
+                std::find(distinct.begin(), distinct.end(), acc_mask[vi]) -
+                distinct.begin());
+            const std::span<const Fld> ys(acc_vals.data() + vi * need, need);
+            out[vi] = use_lut ? set_plan[s]->dot(ys)
+                              : ff::dot(std::span<const Fld>(*set_lambda[s]),
+                                        ys);
           }
         });
     return out;
@@ -869,12 +905,12 @@ std::vector<Fld> BivariateEngine::decode_received(
   // column-wise (exact arithmetic: bit-identical results, see
   // tests/ff_batch_test.cpp). Chunks split across lanes; without that the
   // serial decode would Amdahl-cap reconstruction speedups.
-  constexpr std::size_t kChunk = 2048;
-  const std::size_t nchunks = (values.size() + kChunk - 1) / kChunk;
+  const std::size_t nchunks =
+      (values.size() + kDecodeChunk - 1) / kDecodeChunk;
   ThreadPool::instance().parallel_for(
       0, nchunks, net_.threads(), [&](std::size_t ci) {
-        const std::size_t lo = ci * kChunk;
-        const std::size_t hi = std::min(lo + kChunk, values.size());
+        const std::size_t lo = ci * kDecodeChunk;
+        const std::size_t hi = std::min(lo + kDecodeChunk, values.size());
         const std::size_t len = hi - lo;
         const std::span<Fld> dst(out.data() + lo, len);
         const auto row = [&](std::size_t i) {
@@ -924,8 +960,16 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
   const std::size_t n = net_.n();
   trace::Span span("vss.reconstruct_public", net_);
   span.metric("values", static_cast<double>(values.size()));
+  // Decode from the viewpoint of the lowest-indexed honest party (all honest
+  // parties derive the same values — equivocated or corrupted shares are
+  // rejected receiver-side).
+  net::PartyId viewer = 0;
+  while (viewer < n && net_.is_corrupt(viewer)) ++viewer;
+  GFOR14_EXPECTS(viewer < n);
   // The n× committed_share_of evaluations per sender are the hot path of
-  // reconstruction; each sender computes and queues independently.
+  // reconstruction; each sender computes and queues independently. The
+  // viewer keeps its own vector instead of re-deriving it for the decode.
+  std::vector<Fld> own;
   net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
     net::Payload payload(values.size());
     charge_share_buffer(values.size());
@@ -934,28 +978,21 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
                           i, std::span<Fld>(payload.data(), payload.size()));
     for (net::PartyId j = 0; j < n; ++j)
       if (i != j) lane.send(j, payload);
+    if (i == viewer) own = std::move(payload);
   });
-  // Decode from the viewpoint of the lowest-indexed honest party (all honest
-  // parties derive the same values — equivocated or corrupted shares are
-  // rejected receiver-side).
-  net::PartyId viewer = 0;
-  while (viewer < n && net_.is_corrupt(viewer)) ++viewer;
-  GFOR14_EXPECTS(viewer < n);
-  std::vector<std::optional<std::vector<Fld>>> per_sender(n);
+  // The decoder reads the delivered payloads in place (views stay valid
+  // until the next round).
+  std::vector<std::optional<std::span<const Fld>>> per_sender(n);
   for (net::PartyId i = 0; i < n; ++i) {
     if (i == viewer) {
-      std::vector<Fld> own(values.size());
-      committed_shares_into(std::span<const LinComb>(values.data(),
-                                                     values.size()),
-                            viewer, std::span<Fld>(own));
-      per_sender[i] = std::move(own);
+      per_sender[i] = std::span<const Fld>(own);
       continue;
     }
     const auto& msgs = net_.delivered().p2p[viewer][i];
     if (!msgs.empty() && msgs.front().size() == values.size())
-      per_sender[i] = msgs.front();
+      per_sender[i] = std::span<const Fld>(msgs.front());
   }
-  return decode_received(values, per_sender);
+  return decode_received(values, per_sender, viewer);
 }
 
 std::vector<Fld> BivariateEngine::reconstruct_private(
@@ -992,21 +1029,21 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
   out.reserve(requests.size());
   for (const auto& req : requests) {
     const std::size_t slot = seen_for_receiver[req.receiver]++;
-    std::vector<std::optional<std::vector<Fld>>> per_sender(n);
+    std::vector<Fld> own(req.values.size());
+    committed_shares_into(
+        std::span<const LinComb>(req.values.data(), req.values.size()),
+        req.receiver, std::span<Fld>(own));
+    std::vector<std::optional<std::span<const Fld>>> per_sender(n);
     for (net::PartyId i = 0; i < n; ++i) {
       if (i == req.receiver) {
-        std::vector<Fld> own(req.values.size());
-        committed_shares_into(
-            std::span<const LinComb>(req.values.data(), req.values.size()),
-            req.receiver, std::span<Fld>(own));
-        per_sender[i] = std::move(own);
+        per_sender[i] = std::span<const Fld>(own);
         continue;
       }
       const auto& msgs = net_.delivered().p2p[req.receiver][i];
       if (slot < msgs.size() && msgs[slot].size() == req.values.size())
-        per_sender[i] = msgs[slot];
+        per_sender[i] = std::span<const Fld>(msgs[slot]);
     }
-    out.push_back(decode_received(req.values, per_sender));
+    out.push_back(decode_received(req.values, per_sender, req.receiver));
   }
   return out;
 }

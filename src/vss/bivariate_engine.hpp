@@ -47,6 +47,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -127,9 +128,15 @@ class BivariateEngine final : public VssScheme {
   /// Bit-identical to calling committed_share_of per value.
   void committed_shares_into(std::span<const LinComb> values,
                              net::PartyId party, std::span<Fld> out) const;
+  /// Decodes `values` from the share vectors one party holds after the
+  /// reveal round: per_sender[i] views sender i's delivered vector (nullopt
+  /// when missing or the wrong size); per_sender[self] is the decoding
+  /// party's own committed shares, accepted without re-evaluation. The
+  /// idealized-IC path requires n <= 64 (accept sets are sender bitmasks).
   std::vector<Fld> decode_received(
       const std::vector<LinComb>& values,
-      const std::vector<std::optional<std::vector<Fld>>>& per_sender);
+      std::span<const std::optional<std::span<const Fld>>> per_sender,
+      net::PartyId self);
 
   /// Charges one `vss.alloc.count` / `elements * sizeof(Fld)` worth of
   /// `vss.alloc.bytes` into the network's metrics scope — called wherever a

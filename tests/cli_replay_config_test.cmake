@@ -1,0 +1,41 @@
+# Replay must reject a recording whose config block names a run shape the
+# live parser would refuse (n outside [3, 32], receiver >= n, non-integral
+# counts): a nonzero exit with a diagnostic naming the field, not a crash
+# or an attempt to run the bogus shape.
+#
+#   cmake -DCLI=<gfor14_cli> -DWORK=<scratch dir> -P cli_replay_config_test.cmake
+
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+execute_process(
+  COMMAND "${CLI}" channel --n 3 --kappa 2 --seed 1 --record "${WORK}/good.json"
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "recording run failed (${rc})")
+endif()
+file(READ "${WORK}/good.json" good)
+
+function(expect_rejected name pattern replacement diagnostic)
+  string(REGEX REPLACE "${pattern}" "${replacement}" bad "${good}")
+  if(bad STREQUAL good)
+    message(FATAL_ERROR "${name}: edit did not apply")
+  endif()
+  file(WRITE "${WORK}/${name}.json" "${bad}")
+  execute_process(
+    COMMAND "${CLI}" replay "${WORK}/${name}.json"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "${name}: replay exited '${rc}', want a nonzero code\n${err}")
+  endif()
+  if(NOT err MATCHES "${diagnostic}")
+    message(FATAL_ERROR "${name}: no '${diagnostic}' diagnostic in:\n${err}")
+  endif()
+endfunction()
+
+set(n_field "(\"command\": \"channel\",[ \n]*\"n\": )3")
+expect_rejected(negative_n "${n_field}" "\\1-1" "config\\.n")
+expect_rejected(huge_n "${n_field}" "\\11e12" "config\\.n must be in \\[3, 32\\]")
+expect_rejected(fractional_n "${n_field}" "\\13.5" "config\\.n")
+expect_rejected(receiver_out_of_range "(\"receiver\": )2" "\\13"
+                "config\\.receiver 3 is out of range")
+expect_rejected(kappa_zero "(\"kappa\": )2" "\\10" "config\\.kappa must be in")

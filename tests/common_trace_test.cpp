@@ -85,6 +85,23 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_TRUE(json::Value::parse("  [1, 2.5, -3e2]  ").has_value());
 }
 
+TEST(Json, DeepNestingFailsCleanly) {
+  // ~100k unclosed (or closed) brackets used to recurse once per level and
+  // overflow the stack; past the depth limit parse returns nullopt.
+  const std::size_t deep = 100000;
+  EXPECT_FALSE(json::Value::parse(std::string(deep, '[')).has_value());
+  EXPECT_FALSE(json::Value::parse(std::string(deep, '[') +
+                                  std::string(deep, ']'))
+                   .has_value());
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(json::Value::parse(objects).has_value());
+  // Nesting within the limit still parses.
+  const auto ok =
+      json::Value::parse(std::string(200, '[') + std::string(200, ']'));
+  EXPECT_TRUE(ok.has_value());
+}
+
 TEST(Trace, SpanNestingBuildsTree) {
   ScopedTracing tracing;
   {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "net/adversary.hpp"
+#include "net/recorder.hpp"
 #include "vss/schemes.hpp"
 
 namespace gfor14::vss {
@@ -307,6 +308,134 @@ TEST(VssForgery, ZeroForgeryProbabilityRestoresCommitment) {
   net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
   const auto recon = vss->reconstruct_public({LinComb::of({2, 0})});
   EXPECT_EQ(recon[0], fe(1000));
+}
+
+// --- Flat accept-set decode vs. the scalar oracle -------------------------
+
+// The idealized-IC decoder walks senders per chunk of values over flat
+// accept sets.
+// These runs pin it to the committed_value oracle and to the engine's
+// per-value serial walk (the forgery path at a vanishing probability, where
+// no coin ever succeeds), with accept sets that differ across values:
+// party 1 corrupts every even-indexed value, party 2 reveals vectors of the
+// wrong size, party 3 corrupts every third value. With n = 5 and t = 2 the
+// decoder accepts {0,4}, {0,1,3}, {0,1,4} or {0,3,4} (party 4 being the
+// decoding receiver or an honest sender), so values with vi % 6 == 0 keep
+// only two accepts and default to zero.
+struct DecodeRun {
+  std::vector<Fld> pub;
+  std::vector<std::vector<Fld>> priv;
+  std::vector<Fld> oracle_pub;
+  std::vector<std::vector<Fld>> oracle_priv;
+  std::uint64_t digest = 0;
+};
+
+bool correct_share(std::size_t sender, std::size_t vi) {
+  if (sender == 1) return vi % 2 == 1;
+  if (sender == 2) return false;
+  if (sender == 3) return vi % 3 != 0;
+  return true;
+}
+
+DecodeRun run_flat_decode(SchemeKind kind, std::size_t lanes,
+                          double forgery_success_prob) {
+  constexpr std::size_t kN = 5;
+  constexpr std::size_t kPerDealer = 1200;
+  net::Network net(kN, 2024);
+  net.set_threads(lanes);
+  auto recorder = std::make_shared<net::Recorder>();
+  net.attach_observer(recorder);
+  const std::size_t t = scheme_max_t(kind, kN);
+  auto vss = make_vss(kind, net, t, forgery_success_prob);
+  std::vector<std::vector<Fld>> batches(kN);
+  for (std::size_t d = 0; d < kN; ++d)
+    for (std::size_t k = 0; k < kPerDealer; ++k)
+      batches[d].push_back(fe(1 + d * 100003 + k * 7919));
+  vss->share_all(batches);
+
+  // Values span several decode chunks and mix single sharings with
+  // cross-dealer combinations carrying a public constant.
+  std::vector<LinComb> values;
+  for (std::size_t vi = 0; vi < 5000; ++vi) {
+    const std::size_t d = vi % kN;
+    const std::size_t k = (vi * 13) % kPerDealer;
+    if (vi % 4 == 3) {
+      LinComb v = LinComb::of({d, k});
+      v.add({(d + 2) % kN, (k + 1) % kPerDealer}, fe(vi + 3));
+      v.add_constant(fe(vi));
+      values.push_back(v);
+    } else {
+      values.push_back(LinComb::of({d, k}));
+    }
+  }
+  std::vector<VssScheme::PrivateRequest> requests = {
+      {0, std::vector<LinComb>(values.begin(), values.begin() + 3000)},
+      {4, std::vector<LinComb>(values.begin() + 1000, values.end())},
+      {0, std::vector<LinComb>(values.begin() + 2500, values.end())}};
+
+  // Corrupted after sharing, so every dealer stays qualified.
+  for (std::size_t p = 1; p <= 3; ++p) net.set_corrupt(p, true);
+  net.attach_adversary(std::make_shared<net::CallbackAdversary>(
+      [](net::Network& nw) {
+        for (net::PartyId p = 1; p <= 3; ++p) {
+          std::vector<std::vector<net::Payload>> out(nw.n());
+          for (const auto& view : nw.pending_from_corrupt(p)) {
+            net::Payload payload = view.payload();
+            if (p == 2) {
+              payload.pop_back();  // wrong size: rejected as missing
+            } else {
+              for (std::size_t vi = 0; vi < payload.size(); ++vi)
+                if (!correct_share(p, vi)) payload[vi] += Fld::one();
+            }
+            out[view.peer].push_back(std::move(payload));
+          }
+          for (net::PartyId to = 0; to < nw.n(); ++to)
+            if (!out[to].empty()) nw.replace_pending(p, to, std::move(out[to]));
+        }
+      }));
+
+  DecodeRun run;
+  run.pub = vss->reconstruct_public(values);
+  run.priv = vss->reconstruct_private_multi(requests);
+  run.digest = recorder->recording().final_digest;
+  const auto oracle = [&](const std::vector<LinComb>& vals) {
+    std::vector<Fld> expect(vals.size(), Fld::zero());
+    for (std::size_t vi = 0; vi < vals.size(); ++vi) {
+      std::size_t accepts = 0;
+      for (std::size_t s = 0; s < kN; ++s) accepts += correct_share(s, vi);
+      if (accepts >= t + 1) expect[vi] = vss->committed_value(vals[vi]);
+    }
+    return expect;
+  };
+  run.oracle_pub = oracle(values);
+  for (const auto& req : requests) run.oracle_priv.push_back(oracle(req.values));
+  return run;
+}
+
+void check_flat_decode(SchemeKind kind) {
+  const DecodeRun one = run_flat_decode(kind, 1, 0.0);
+  const DecodeRun four = run_flat_decode(kind, 4, 0.0);
+  const DecodeRun scalar = run_flat_decode(kind, 1, 1e-300);
+  // The corruption pattern leaves some values short of t + 1 accepts.
+  std::size_t defaulted = 0;
+  for (std::size_t vi = 0; vi < one.oracle_pub.size(); ++vi)
+    defaulted += vi % 6 == 0;
+  ASSERT_GT(defaulted, 0u);
+  EXPECT_EQ(one.pub, one.oracle_pub);
+  EXPECT_EQ(one.priv, one.oracle_priv);
+  EXPECT_EQ(one.pub, scalar.pub);
+  EXPECT_EQ(one.priv, scalar.priv);
+  EXPECT_EQ(one.pub, four.pub);
+  EXPECT_EQ(one.priv, four.priv);
+  EXPECT_EQ(one.digest, four.digest);
+}
+
+TEST(VssFlatDecode, RbMatchesScalarOracleAtOneAndFourLanes) {
+  check_flat_decode(SchemeKind::kRB);
+}
+
+TEST(VssFlatDecode, GgorMatchesScalarOracleAtOneAndFourLanes) {
+  check_flat_decode(SchemeKind::kGGOR13);
 }
 
 TEST(VssThreshold, MaxThresholdRespectedPerScheme) {
