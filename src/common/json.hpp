@@ -40,7 +40,15 @@ class Value {
 
   bool as_bool() const { return bool_; }
   double as_double() const { return num_; }
-  std::uint64_t as_u64() const { return static_cast<std::uint64_t>(num_); }
+  /// Checked count accessor for values read from files: the number when it
+  /// is a non-negative integer no larger than 2^53 (every such double is
+  /// exact), nullopt for any other value or kind.
+  std::optional<std::uint64_t> as_count() const {
+    if (kind_ != Kind::kNumber || !(num_ >= 0.0 && num_ <= 0x1p53) ||
+        num_ != static_cast<double>(static_cast<std::uint64_t>(num_)))
+      return std::nullopt;
+    return static_cast<std::uint64_t>(num_);
+  }
   const std::string& as_string() const { return str_; }
 
   /// Array element count / object member count.

@@ -28,9 +28,25 @@ json::Value party_to_json(PartyId p) {
   if (p == static_cast<PartyId>(-1)) return json::Value(-1);
   return json::Value(p);
 }
-PartyId party_from_json(const json::Value& v) {
-  if (v.as_double() < 0) return static_cast<PartyId>(-1);
-  return static_cast<PartyId>(v.as_u64());
+
+/// Reads a count field through the checked accessor: false when absent or
+/// not a non-negative integer <= 2^53.
+template <typename T>
+bool count_from_json(const json::Value* f, T& dst) {
+  if (f == nullptr) return false;
+  const auto v = f->as_count();
+  if (!v) return false;
+  dst = static_cast<T>(*v);
+  return true;
+}
+
+/// A party id or the -1 sentinel; false when absent or anything else.
+bool party_from_json(const json::Value* f, PartyId& dst) {
+  if (f != nullptr && f->is_number() && f->as_double() == -1) {
+    dst = static_cast<PartyId>(-1);
+    return true;
+  }
+  return count_from_json(f, dst);
 }
 
 json::Value cost_report_to_json(const CostReport& c) {
@@ -47,10 +63,7 @@ json::Value cost_report_to_json(const CostReport& c) {
 bool cost_report_from_json(const json::Value& v, CostReport& out) {
   if (!v.is_object()) return false;
   const auto field = [&](const char* name, std::size_t& dst) {
-    const json::Value* f = v.find(name);
-    if (f == nullptr || !f->is_number()) return false;
-    dst = static_cast<std::size_t>(f->as_u64());
-    return true;
+    return count_from_json(v.find(name), dst);
   };
   return field("rounds", out.rounds) &&
          field("broadcast_rounds", out.broadcast_rounds) &&
@@ -334,14 +347,14 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
       format->as_string() != kFormat)
     return fail("missing or unknown 'format'");
   const json::Value* version = v.find("version");
-  if (version == nullptr || !version->is_number() ||
-      version->as_u64() != kVersion)
+  std::uint64_t version_value = 0;
+  if (!count_from_json(version, version_value) || version_value != kVersion)
     return fail("unsupported recording version");
 
   Recording rec;
   const json::Value* n = v.find("n");
-  if (n == nullptr || !n->is_number()) return fail("missing 'n'");
-  rec.n = static_cast<std::size_t>(n->as_u64());
+  if (n == nullptr) return fail("missing 'n'");
+  if (!count_from_json(n, rec.n)) return fail("'n' is not a count");
   const json::Value* fidelity = v.find("fidelity");
   if (fidelity == nullptr || !fidelity->is_string())
     return fail("missing 'fidelity'");
@@ -360,9 +373,8 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
     if (!ro.is_object()) return fail("round entry is not an object");
     RecordedRound round;
     const json::Value* index = ro.find("round");
-    if (index == nullptr || !index->is_number())
-      return fail("round entry missing 'round'");
-    round.index = static_cast<std::size_t>(index->as_u64());
+    if (!count_from_json(index, round.index))
+      return fail("round entry missing or malformed 'round'");
     const json::Value* costs = ro.find("costs");
     if (costs == nullptr || !cost_report_from_json(*costs, round.delta))
       return fail("round entry missing or malformed 'costs'");
@@ -379,10 +391,7 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
       };
       const auto u64 = [&](const char* key, std::uint64_t& dst) {
         const json::Value* f = po->find(key);
-        if (f == nullptr) return true;
-        if (!f->is_number()) return false;
-        dst = f->as_u64();
-        return true;
+        return f == nullptr || count_from_json(f, dst);
       };
       RoundProfile& p = round.profile;
       if (!num("wall_us", p.wall_us) ||
@@ -407,24 +416,17 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
       if (ch->as_string() == "bc") msg.broadcast = true;
       else if (ch->as_string() == "p2p") msg.broadcast = false;
       else return fail("unknown message channel");
-      const json::Value* from = mo.find("from");
-      if (from == nullptr || !from->is_number())
-        return fail("message missing 'from'");
-      msg.from = static_cast<PartyId>(from->as_u64());
-      if (!msg.broadcast) {
-        const json::Value* to = mo.find("to");
-        if (to == nullptr || !to->is_number())
-          return fail("p2p message missing 'to'");
-        msg.to = static_cast<PartyId>(to->as_u64());
-      }
+      if (!count_from_json(mo.find("from"), msg.from))
+        return fail("message missing or malformed 'from'");
+      if (!msg.broadcast && !count_from_json(mo.find("to"), msg.to))
+        return fail("p2p message missing or malformed 'to'");
       const json::Value* seq = mo.find("seq");
       const json::Value* len = mo.find("len");
       const json::Value* digest = mo.find("digest");
-      if (seq == nullptr || !seq->is_number() || len == nullptr ||
-          !len->is_number() || digest == nullptr || !digest->is_string())
-        return fail("message missing 'seq'/'len'/'digest'");
-      msg.seq = static_cast<std::size_t>(seq->as_u64());
-      msg.elements = static_cast<std::size_t>(len->as_u64());
+      if (!count_from_json(seq, msg.seq) ||
+          !count_from_json(len, msg.elements) || digest == nullptr ||
+          !digest->is_string())
+        return fail("message missing or malformed 'seq'/'len'/'digest'");
       const auto digest_value = parse_hex_u64(digest->as_string());
       if (!digest_value) return fail("malformed message digest");
       msg.digest = *digest_value;
@@ -451,12 +453,10 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
         const json::Value* from = to.find("from");
         const json::Value* target = to.find("to");
         const json::Value* bc = to.find("bc");
-        if (round_field == nullptr || from == nullptr || target == nullptr ||
-            bc == nullptr)
+        if (!count_from_json(round_field, t.round) ||
+            !count_from_json(from, t.from) ||
+            !count_from_json(target, t.to) || bc == nullptr)
           return fail("malformed tamper record");
-        t.round = static_cast<std::size_t>(round_field->as_u64());
-        t.from = static_cast<PartyId>(from->as_u64());
-        t.to = static_cast<PartyId>(target->as_u64());
         t.broadcast = bc->as_bool();
         round.tampers.push_back(t);
       }
@@ -479,19 +479,16 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
         const json::Value* round_field = fo.find("round");
         const json::Value* hit = fo.find("messages_hit");
         const json::Value* elems = fo.find("elements_delta");
-        if (spec_round == nullptr || from == nullptr || to == nullptr ||
-            bc == nullptr || amount == nullptr || round_field == nullptr ||
-            hit == nullptr || elems == nullptr)
+        if (!party_from_json(from, f.spec.from) ||
+            !party_from_json(to, f.spec.to) || bc == nullptr ||
+            !count_from_json(spec_round, f.spec.round) ||
+            !count_from_json(amount, f.spec.amount) ||
+            !count_from_json(round_field, f.round) ||
+            !count_from_json(hit, f.messages_hit) ||
+            !count_from_json(elems, f.elements_delta))
           return fail("malformed fault event");
-        f.spec.round = static_cast<std::size_t>(spec_round->as_u64());
-        f.spec.from = party_from_json(*from);
-        f.spec.to = party_from_json(*to);
         f.spec.channel =
             bc->as_bool() ? FaultChannel::kBroadcast : FaultChannel::kP2p;
-        f.spec.amount = static_cast<std::size_t>(amount->as_u64());
-        f.round = static_cast<std::size_t>(round_field->as_u64());
-        f.messages_hit = static_cast<std::size_t>(hit->as_u64());
-        f.elements_delta = static_cast<std::size_t>(elems->as_u64());
         round.faults.push_back(f);
       }
     }
@@ -503,13 +500,11 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
         const json::Value* accused = bo.find("accused");
         const json::Value* reason = bo.find("reason");
         const json::Value* round_field = bo.find("round");
-        if (accuser == nullptr || accused == nullptr || reason == nullptr ||
-            !reason->is_string() || round_field == nullptr)
+        if (!party_from_json(accuser, b.accuser) ||
+            !party_from_json(accused, b.accused) || reason == nullptr ||
+            !reason->is_string() || !count_from_json(round_field, b.round))
           return fail("malformed blame record");
-        b.accuser = party_from_json(*accuser);
-        b.accused = party_from_json(*accused);
         b.reason = reason->as_string();
-        b.round = static_cast<std::size_t>(round_field->as_u64());
         round.blames.push_back(std::move(b));
       }
     }

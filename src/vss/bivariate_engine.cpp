@@ -83,13 +83,12 @@ struct BivariateEngine::ShareCtx {
   // context shared by every round so no payload loop recomputes them.
   std::vector<Fld> alpha;
 
-  // Ground truth polynomials per dealer (indexed like batches), plus their
-  // coefficient-major expansion used to build slices with span kernels.
-  std::vector<std::vector<SymmetricBivariate>> dealt;
-  std::vector<BivariateBatch> dealt_soa;
+  // Ground-truth polynomials per dealer, dealt straight into
+  // coefficient-major planes (indexed like batches).
+  std::vector<BivariateBatch> bivariate;
   // recv[i][d]: the slice block party i currently holds for dealer d
-  // (plane(c)[k] = x^c coefficient of the k-th slice); evolves as published
-  // slices are adopted.
+  // (plane(c)[k] = x^c coefficient of the k-th slice); sized where R1 fills
+  // it and evolving as published slices are adopted.
   std::vector<std::vector<SliceBlock>> recv;
 
   struct Complaint {
@@ -101,134 +100,157 @@ struct BivariateEngine::ShareCtx {
   std::map<Complaint, Fld> resolutions;
   // Public fault flags per dealer (missing/inconsistent publications).
   std::vector<bool> public_fault;
-  // Everything the dealer has published so far: party -> slices per k.
-  std::vector<std::map<net::PartyId, std::vector<Poly>>> published;
+  // Everything the dealer has published so far: party -> opened slices.
+  std::vector<std::map<net::PartyId, SliceBlock>> published;
   // Current accuser set per dealer (level being processed).
   std::vector<std::set<net::PartyId>> accusers;
   // Private conflict flag per (party, dealer).
   std::vector<std::vector<bool>> conflicted;
 };
 
+void BivariateEngine::for_each_pair(
+    const std::function<void(net::PartyId, net::PartyId)>& fn) const {
+  const std::size_t n = net_.n();
+  ThreadPool::instance().parallel_for(
+      0, n * n, net_.threads(), [&](std::size_t p) { fn(p / n, p % n); });
+}
+
 void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
   const std::size_t n = net_.n();
   const std::size_t t = profile_.t;
-  // Round handler runs per dealer (non-dealers are no-ops); dealer d only
-  // touches rng_of(d), dealt[d] and its own recv[d][d] slot, so dealers are
-  // independent lanes.
-  net_.run_round([&](net::PartyId d, net::RoundLane& lane) {
-    const auto& batch = (*ctx.batches)[d];
-    if (batch.empty()) return;
+  const auto sends_slices = [&](net::PartyId d) {
+    return !(*ctx.batches)[d].empty() &&
+           behaviour_[d] != DealerBehaviour::kSilent;
+  };
+  // A misbehaving dealer hands garbage slices to every second party (other
+  // than itself) — enough to exercise complaint/resolution.
+  const auto garbage = [&](net::PartyId d, net::PartyId i) {
     const DealerBehaviour b = behaviour_[d];
-    if (b == DealerBehaviour::kSilent) return;
-    SliceBlock block;
+    return (b == DealerBehaviour::kInconsistentThenResolve ||
+            b == DealerBehaviour::kInconsistentRefuse) &&
+           i != d && i % 2 == 1;
+  };
+  // out[d * n + i]: dealer d's slice payload for party i, built off the
+  // round so the handler below only moves payloads onto the wire.
+  std::vector<net::Payload> out(n * n);
+  // Garbage slices first, per dealer: their per-(i, k) draws from rng_of(d)
+  // are part of the transcript, so each dealer's stay one serial loop.
+  net_.for_each_party([&](net::PartyId d) {
+    if (!sends_slices(d)) return;
+    const std::size_t m = (*ctx.batches)[d].size();
     for (net::PartyId i = 0; i < n; ++i) {
-      charge_share_buffer(batch.size() * (t + 1));
-      // A misbehaving dealer hands garbage slices to every second party
-      // (other than itself) — enough to exercise complaint/resolution.
-      const bool garbage = (b == DealerBehaviour::kInconsistentThenResolve ||
-                            b == DealerBehaviour::kInconsistentRefuse) &&
-                           i != d && i % 2 == 1;
-      if (garbage) {
-        // The per-(i, k) RNG draw order is part of the transcript contract,
-        // so the garbage path stays the scalar per-slice loop.
-        net::Payload payload;
-        payload.reserve(batch.size() * (t + 1));
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-          const Poly slice = Poly::random(net_.rng_of(d), t);
-          for (std::size_t c = 0; c <= t; ++c)
-            payload.push_back(c < slice.coeffs().size() ? slice.coeffs()[c]
-                                                        : Fld::zero());
-        }
-        lane.send(i, std::move(payload));
-        continue;
-      }
-      // Honest slices: one batched Horner sweep over the dealer's
-      // coefficient planes instead of m per-Poly slice() calls.
-      ctx.dealt_soa[d].slices_at(ctx.alpha[i], block);
-      if (i == d) {
-        // Local state; no self-message on the wire.
-        ctx.recv[i][d] = block;
-      } else {
-        net::Payload payload(batch.size() * (t + 1));
-        block.store_kmajor(payload);
-        lane.send(i, std::move(payload));
+      if (!garbage(d, i)) continue;
+      net::Payload& payload = out[d * n + i];
+      payload.reserve(m * (t + 1));
+      for (std::size_t k = 0; k < m; ++k) {
+        const Poly slice = Poly::random(net_.rng_of(d), t);
+        for (std::size_t c = 0; c <= t; ++c)
+          payload.push_back(c < slice.coeffs().size() ? slice.coeffs()[c]
+                                                      : Fld::zero());
       }
     }
+  });
+  // Honest slices, one task per (dealer, party) pair: one batched Horner
+  // sweep over the dealer's planes, straight into the wire layout — or, for
+  // the dealer's own slot (local state, no self-message), into recv[d][d].
+  for_each_pair([&](net::PartyId d, net::PartyId i) {
+    const std::size_t m = (*ctx.batches)[d].size();
+    if (m == 0) return;
+    if (!sends_slices(d)) {
+      if (i == d) ctx.recv[d][d].assign(m, t + 1);
+      return;
+    }
+    charge_share_buffer(m * (t + 1));
+    if (i == d) {
+      ctx.bivariate[d].slices_at(ctx.alpha[d], ctx.recv[d][d]);
+    } else if (!garbage(d, i)) {
+      out[d * n + i].resize(m * (t + 1));
+      ctx.bivariate[d].slices_kmajor(ctx.alpha[i], out[d * n + i]);
+    }
+  });
+  net_.run_round([&](net::PartyId d, net::RoundLane& lane) {
+    if (!sends_slices(d)) return;
+    for (net::PartyId i = 0; i < n; ++i)
+      if (i != d) lane.send(i, std::move(out[d * n + i]));
   });
   // Parse: wrong-size or missing payloads leave the default zero slices
   // (the paper's default-message convention) and earn the dealer a blame
-  // record. Party i only writes recv[i] and its own blame bucket.
-  net_.for_each_party([&](net::PartyId i) {
-    for (net::PartyId d : ctx.dealers) {
-      if (i == d) continue;
-      const auto& msgs = net_.delivered().p2p[i][d];
-      if (msgs.empty()) {
-        net_.blame(i, d, "vss.slices.missing");
-        continue;
-      }
-      const auto& payload = msgs.front();
-      const std::size_t m = (*ctx.batches)[d].size();
-      if (payload.size() != m * (t + 1)) {
-        net_.blame(i, d, "vss.slices.malformed");
-        continue;
-      }
-      ctx.recv[i][d].load_kmajor(payload);
+  // record, filed afterwards per accuser in dealer order.
+  enum : std::uint8_t { kOk, kMissing, kMalformed };
+  std::vector<std::uint8_t> status(n * n, kOk);
+  for_each_pair([&](net::PartyId i, net::PartyId d) {
+    const std::size_t m = (*ctx.batches)[d].size();
+    if (i == d || m == 0) return;
+    const auto& msgs = net_.delivered().p2p[i][d];
+    if (msgs.empty() || msgs.front().size() != m * (t + 1)) {
+      status[i * n + d] = msgs.empty() ? kMissing : kMalformed;
+      ctx.recv[i][d].assign(m, t + 1);
+      return;
     }
+    ctx.recv[i][d].load_kmajor(t + 1, msgs.front());
   });
+  for (net::PartyId i = 0; i < n; ++i)
+    for (net::PartyId d : ctx.dealers) {
+      if (status[i * n + d] == kMissing) net_.blame(i, d, "vss.slices.missing");
+      if (status[i * n + d] == kMalformed)
+        net_.blame(i, d, "vss.slices.malformed");
+    }
 }
 
 void BivariateEngine::round_cross_evaluations(ShareCtx& ctx) {
   const std::size_t n = net_.n();
-  net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
-    for (net::PartyId j = 0; j < n; ++j) {
-      if (i == j) continue;
-      net::Payload payload(ctx.total_m);
-      charge_share_buffer(ctx.total_m);
-      // The receiver's evaluation point is hoisted per j (ctx.alpha) and
-      // each dealer's block evaluates in one batched Horner sweep.
-      std::size_t pos = 0;
-      for (net::PartyId d : ctx.dealers) {
-        const std::size_t m = (*ctx.batches)[d].size();
-        ctx.recv[i][d].eval_all(ctx.alpha[j],
-                                std::span<Fld>(payload.data() + pos, m));
-        pos += m;
-      }
-      lane.send(j, std::move(payload));
+  // out[i * n + j]: f_i(alpha_j) for every dealer's batch, concatenated in
+  // dealer order; one task per (i, j) pair, each dealer's block one batched
+  // Horner sweep at the hoisted point alpha_j.
+  std::vector<net::Payload> out(n * n);
+  for_each_pair([&](net::PartyId i, net::PartyId j) {
+    if (i == j) return;
+    net::Payload& payload = out[i * n + j];
+    payload.resize(ctx.total_m);
+    charge_share_buffer(ctx.total_m);
+    std::size_t pos = 0;
+    for (net::PartyId d : ctx.dealers) {
+      const std::size_t m = (*ctx.batches)[d].size();
+      ctx.recv[i][d].eval_range(ctx.alpha[j], 0,
+                                std::span<Fld>(payload).subspan(pos, m));
+      pos += m;
     }
   });
-  // Compare: j's claimed f_j(alpha_i) against my f_i(alpha_j). Each party
-  // buffers its own complaints; the merge into the (deduplicating, ordered)
-  // set is order-insensitive, so the parallel schedule cannot show through.
-  std::vector<std::vector<ShareCtx::Complaint>> found(n);
-  net_.for_each_party([&](net::PartyId i) {
-    std::vector<Fld> mine(ctx.total_m);
-    for (net::PartyId j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const auto& msgs = net_.delivered().p2p[i][j];
-      const net::Payload* payload =
-          (!msgs.empty() && msgs.front().size() == ctx.total_m) ? &msgs.front()
-                                                                : nullptr;
-      std::size_t pos = 0;
-      for (net::PartyId d : ctx.dealers) {
-        const std::size_t m = (*ctx.batches)[d].size();
-        ctx.recv[i][d].eval_all(ctx.alpha[j],
-                                std::span<Fld>(mine.data() + pos, m));
-        pos += m;
-      }
-      pos = 0;
-      for (net::PartyId d : ctx.dealers) {
-        for (std::size_t k = 0; k < (*ctx.batches)[d].size(); ++k, ++pos) {
-          const Fld claimed = payload ? (*payload)[pos] : Fld::zero();
-          if (claimed != mine[pos]) {
-            found[i].push_back(
-                {d, k, std::min<std::size_t>(i, j), std::max<std::size_t>(i, j)});
-          }
+  net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
+    for (net::PartyId j = 0; j < n; ++j)
+      if (i != j) lane.send(j, std::move(out[i * n + j]));
+  });
+  // Compare, per (i, j) pair: j's claimed f_j(alpha_i) against my
+  // f_i(alpha_j), re-evaluated chunk by chunk into a stack buffer so the
+  // claims are checked while both are in cache. Each pair buffers its own
+  // complaints; the merge into the (deduplicating, ordered) set is
+  // order-insensitive, so the parallel schedule cannot show through.
+  constexpr std::size_t kChunk = 1024;
+  std::vector<std::vector<ShareCtx::Complaint>> found(n * n);
+  for_each_pair([&](net::PartyId i, net::PartyId j) {
+    if (i == j) return;
+    const auto& msgs = net_.delivered().p2p[i][j];
+    const net::Payload* payload =
+        (!msgs.empty() && msgs.front().size() == ctx.total_m) ? &msgs.front()
+                                                              : nullptr;
+    const std::size_t lo = std::min(i, j), hi = std::max(i, j);
+    Fld mine[kChunk];
+    std::size_t pos = 0;
+    for (net::PartyId d : ctx.dealers) {
+      const std::size_t m = (*ctx.batches)[d].size();
+      for (std::size_t k0 = 0; k0 < m; k0 += kChunk) {
+        const std::size_t len = std::min(kChunk, m - k0);
+        ctx.recv[i][d].eval_range(ctx.alpha[j], k0, std::span<Fld>(mine, len));
+        for (std::size_t k = 0; k < len; ++k) {
+          const Fld claimed = payload ? (*payload)[pos + k0 + k] : Fld::zero();
+          if (claimed != mine[k]) found[i * n + j].push_back({d, k0 + k, lo, hi});
         }
       }
+      pos += m;
     }
   });
-  for (const auto& per_party : found)
-    ctx.complaints.insert(per_party.begin(), per_party.end());
+  for (const auto& per_pair : found)
+    ctx.complaints.insert(per_pair.begin(), per_pair.end());
 }
 
 void BivariateEngine::publish_round(const std::vector<net::Payload>& per_party,
@@ -287,8 +309,7 @@ ShareResult BivariateEngine::share_all(
   ctx.batches = &batches;
   ctx.alpha.resize(n);
   for (net::PartyId i = 0; i < n; ++i) ctx.alpha[i] = eval_point<64>(i);
-  ctx.dealt.resize(n);
-  ctx.dealt_soa.resize(n);
+  ctx.bivariate.resize(n);
   ctx.recv.assign(n, std::vector<SliceBlock>(n));
   ctx.public_fault.assign(n, false);
   ctx.published.resize(n);
@@ -298,19 +319,13 @@ ShareResult BivariateEngine::share_all(
     if (batches[d].empty()) continue;
     ctx.dealers.push_back(d);
     ctx.total_m += batches[d].size();
-    for (net::PartyId i = 0; i < n; ++i)
-      ctx.recv[i][d].assign(batches[d].size(), t + 1);
   }
   // Polynomial generation per dealer: dealer d draws only from its own
-  // forked RNG stream and fills only dealt[d]. The draw order (per k, in
-  // storage order) is unchanged; the SoA expansion happens after the draws.
+  // forked RNG stream, in SymmetricBivariate::random_with_secret's order
+  // (see BivariateBatch::random_with_secrets), and fills only its own batch.
   net_.for_each_party([&](net::PartyId d) {
     if (batches[d].empty()) return;
-    ctx.dealt[d].reserve(batches[d].size());
-    for (Fld s : batches[d])
-      ctx.dealt[d].push_back(
-          SymmetricBivariate::random_with_secret(net_.rng_of(d), t, s));
-    ctx.dealt_soa[d].build(ctx.dealt[d], t);
+    ctx.bivariate[d].random_with_secrets(net_.rng_of(d), t, batches[d]);
   });
 
   // R1 + R2.
@@ -374,7 +389,7 @@ ShareResult BivariateEngine::share_all(
       payload.push_back(enc(c.lo));
       payload.push_back(enc(c.hi));
       payload.push_back(
-          ctx.dealt[c.d][c.k].eval(eval_point<64>(c.lo), eval_point<64>(c.hi)));
+          ctx.bivariate[c.d].eval(c.k, ctx.alpha[c.lo], ctx.alpha[c.hi]));
     }
     std::vector<net::Payload> seen;
     publish_round(out, seen);
@@ -427,15 +442,14 @@ ShareResult BivariateEngine::share_all(
         if (b == DealerBehaviour::kSilent ||
             b == DealerBehaviour::kInconsistentRefuse)
           continue;
+        const std::size_t m = batches[d].size();
         for (net::PartyId a : ctx.accusers[d]) {
           auto& payload = out[d];
           payload.push_back(enc(a));
-          for (std::size_t k = 0; k < batches[d].size(); ++k) {
-            const Poly slice = ctx.dealt[d][k].slice(eval_point<64>(a));
-            for (std::size_t c = 0; c <= t; ++c)
-              payload.push_back(c < slice.coeffs().size() ? slice.coeffs()[c]
-                                                          : Fld::zero());
-          }
+          payload.resize(payload.size() + m * (t + 1));
+          ctx.bivariate[d].slices_kmajor(
+              ctx.alpha[a],
+              std::span<Fld>(payload).last(m * (t + 1)));
         }
       }
       std::vector<net::Payload> seen;
@@ -450,38 +464,33 @@ ShareResult BivariateEngine::share_all(
              pos += stride) {
           auto a = dec(payload[pos], n);
           if (!a) continue;
-          std::vector<Poly> slices(m);
-          for (std::size_t k = 0; k < m; ++k) {
-            std::vector<Fld> coeffs(
-                payload.begin() + pos + 1 + k * (t + 1),
-                payload.begin() + pos + 1 + (k + 1) * (t + 1));
-            slices[k] = Poly{std::move(coeffs)};
-          }
+          SliceBlock slices;
+          slices.load_kmajor(t + 1, std::span<const Fld>(payload).subspan(
+                                        pos + 1, m * (t + 1)));
           // Public cross-checks: opened slices must agree with previously
           // opened slices and with published resolutions.
           for (const auto& [b_party, b_slices] : ctx.published[d]) {
             for (std::size_t k = 0; k < m; ++k) {
-              if (slices[k].eval(eval_point<64>(b_party)) !=
-                  b_slices[k].eval(eval_point<64>(*a)))
+              if (slices.eval_at(k, ctx.alpha[b_party]) !=
+                  b_slices.eval_at(k, ctx.alpha[*a]))
                 ctx.public_fault[d] = true;
             }
           }
           for (const auto& [c, value] : ctx.resolutions) {
             if (c.d != d) continue;
-            if (c.lo == *a && slices[c.k].eval(eval_point<64>(c.hi)) != value)
+            if (c.lo == *a && slices.eval_at(c.k, ctx.alpha[c.hi]) != value)
               ctx.public_fault[d] = true;
-            if (c.hi == *a && slices[c.k].eval(eval_point<64>(c.lo)) != value)
+            if (c.hi == *a && slices.eval_at(c.k, ctx.alpha[c.lo]) != value)
               ctx.public_fault[d] = true;
           }
-          // The accuser adopts the opened slice; everyone else privately
-          // cross-checks it against their own slices.
-          for (std::size_t k = 0; k < m; ++k)
-            ctx.recv[*a][d].set_poly(k, slices[k]);
+          // The accuser adopts the opened slices; everyone else privately
+          // cross-checks them against their own slices.
+          ctx.recv[*a][d] = slices;
           for (net::PartyId p = 0; p < n; ++p) {
             if (p == *a || ctx.accusers[d].contains(p)) continue;
             for (std::size_t k = 0; k < m; ++k) {
               if (ctx.recv[p][d].eval_at(k, ctx.alpha[*a]) !=
-                  slices[k].eval(ctx.alpha[p])) {
+                  slices.eval_at(k, ctx.alpha[p])) {
                 if (level == 0) {
                   next_accusers[d].insert(p);
                 } else {

@@ -46,12 +46,12 @@
 // every property the paper consumes.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "math/bivariate.hpp"
 #include "math/poly.hpp"
 #include "vss/soa.hpp"
 #include "vss/vss.hpp"
@@ -114,6 +114,11 @@ class BivariateEngine final : public VssScheme {
  private:
   // --- sharing-phase helpers (see .cpp for the round-by-round logic) ------
   struct ShareCtx;
+  /// Runs fn(a, b) for every ordered pair of parties on the round engine's
+  /// lanes — n^2 tasks, so sharing work spreads past n on few lanes. Same
+  /// slot discipline as Network::for_each_party, keyed by the pair.
+  void for_each_pair(
+      const std::function<void(net::PartyId, net::PartyId)>& fn) const;
   void round_distribute_slices(ShareCtx& ctx);
   void round_cross_evaluations(ShareCtx& ctx);
   void publish_round(const std::vector<net::Payload>& per_party,

@@ -21,9 +21,8 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "ff/gf2e.hpp"
-#include "math/bivariate.hpp"
-#include "math/poly.hpp"
 
 namespace gfor14::vss {
 
@@ -47,47 +46,61 @@ class SliceBlock {
   }
 
   /// Horner evaluation of polynomial k at x (cold complaint/accusation
-  /// paths; the hot paths use eval_all).
+  /// paths; the hot paths use eval_range).
   Fld eval_at(std::size_t k, Fld x) const;
 
-  /// out[k] = polynomial k evaluated at x, one batched Horner sweep.
-  /// out.size() must equal size().
-  void eval_all(Fld x, std::span<Fld> out) const;
+  /// out[i] = polynomial (base + i) evaluated at x, for i < out.size();
+  /// requires base + out.size() <= size(). One batched Horner sweep.
+  void eval_range(Fld x, std::size_t base, std::span<Fld> out) const;
 
-  /// Loads from the wire layout payload[k * coeffs_per_poly + c]; payload
-  /// size must be exactly m * coeffs_per_poly.
-  void load_kmajor(std::span<const Fld> payload);
-  /// Inverse of load_kmajor (builds a dealing payload).
-  void store_kmajor(std::span<Fld> payload) const;
-
-  /// Overwrites polynomial k from a normalized Poly (zero-extends).
-  void set_poly(std::size_t k, const Poly& p);
+  /// Resizes to payload.size() / coeffs_per_poly polynomials loaded from the
+  /// wire layout payload[k * coeffs_per_poly + c]; the payload size must be
+  /// a multiple of coeffs_per_poly.
+  void load_kmajor(std::size_t coeffs_per_poly, std::span<const Fld> payload);
 
  private:
   std::size_t m_ = 0, stride_ = 0;
   std::vector<Fld> data_;  // data_[c * m_ + k]
 };
 
-/// Dealer-side SoA view of a batch of symmetric bivariate polynomials:
-/// plane (i, j) holds the x^i y^j coefficient of every F_k, expanded from
-/// the triangular storage so slice construction is pure span arithmetic.
+/// Dealer-side batch of symmetric bivariate polynomials F_k of degree deg in
+/// each variable, dealt straight into coefficient-major planes: plane(i, j)
+/// holds the x^i y^j coefficient of every F_k, both mirrored halves stored
+/// explicitly so slice construction is pure span arithmetic.
 class BivariateBatch {
  public:
-  void build(std::span<const SymmetricBivariate> polys, std::size_t deg);
+  /// Draws one uniformly random symmetric F_k per secret, with F_k(0, 0) =
+  /// secrets[k]. Draw-order contract: for each k in turn, exactly the draws
+  /// of SymmetricBivariate::random_with_secret(rng, deg, secrets[k]) — the
+  /// upper triangle (i <= j) row-major, (deg + 1)(deg + 2) / 2 draws, the
+  /// (0, 0) draw then overwritten by the secret — so a batch deals the same
+  /// polynomials, and leaves `rng` in the same state, as the scalar loop.
+  void random_with_secrets(Rng& rng, std::size_t deg,
+                           std::span<const Fld> secrets);
 
   std::size_t size() const { return m_; }
   bool empty() const { return m_ == 0; }
+
+  /// The x^i y^j coefficients of every F_k (== plane(j, i)).
+  std::span<const Fld> plane(std::size_t i, std::size_t j) const {
+    return {data_.data() + (i * dp1_ + j) * m_, m_};
+  }
+
+  /// F_k(x, y) (cold resolution path).
+  Fld eval(std::size_t k, Fld x, Fld y) const;
 
   /// Fills `out` with the slice polynomials F_k(x, y0): out.plane(c)[k] is
   /// the x^c coefficient of dealer polynomial k sliced at y0. One batched
   /// Horner sweep over j per coefficient row.
   void slices_at(Fld y0, SliceBlock& out) const;
 
- private:
-  std::span<const Fld> plane(std::size_t i, std::size_t j) const {
-    return {data_.data() + (i * dp1_ + j) * m_, m_};
-  }
+  /// The same slices written straight into the wire layout
+  /// payload[k * (deg + 1) + c], chunk by chunk through a stack buffer, so
+  /// no intermediate block is built. payload.size() must be size() *
+  /// (deg + 1).
+  void slices_kmajor(Fld y0, std::span<Fld> payload) const;
 
+ private:
   std::size_t m_ = 0, dp1_ = 0;
   std::vector<Fld> data_;  // data_[(i * dp1_ + j) * m_ + k]
 };

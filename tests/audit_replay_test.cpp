@@ -162,6 +162,41 @@ TEST(Recorder, LoadRejectsNonRecordingJson) {
   std::remove(path.c_str());
 }
 
+// Counts read from a recording go through json::Value::as_count: values
+// no unchecked double -> integer cast can represent (huge, negative,
+// fractional) fail the load with a diagnostic instead of invoking UB.
+TEST(Recorder, LoadRejectsOutOfRangeCounts) {
+  net::Network net(3, 5);
+  auto recorder = std::make_shared<net::Recorder>();
+  net.attach_observer(recorder);
+  net.begin_round();
+  net.send(0, 1, {Fld::from_u64(9)});
+  net.end_round();
+  const std::string good = recorder->recording().to_json().dump();
+  const auto replaced = [&](const std::string& key, const std::string& value) {
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = good.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t end = good.find_first_of(",}", at);
+    return good.substr(0, at + needle.size()) + value + good.substr(end);
+  };
+  {
+    std::string error;
+    const auto doc = json::Value::parse(good);
+    ASSERT_TRUE(doc.has_value());
+    ASSERT_TRUE(net::Recording::from_json(*doc, &error).has_value()) << error;
+  }
+  for (const std::string key : {"n", "seq"})
+    for (const std::string value : {"1e300", "-2", "2.5"}) {
+      SCOPED_TRACE(key + " = " + value);
+      const auto doc = json::Value::parse(replaced(key, value));
+      ASSERT_TRUE(doc.has_value());
+      std::string error;
+      EXPECT_FALSE(net::Recording::from_json(*doc, &error).has_value());
+      EXPECT_FALSE(error.empty());
+    }
+}
+
 // --- replay verification ---------------------------------------------------
 
 TEST(ReplayVerifier, FaultyAdversarialRunVerifiesAtOneAndFourLanes) {

@@ -85,6 +85,16 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_TRUE(json::Value::parse("  [1, 2.5, -3e2]  ").has_value());
 }
 
+TEST(Json, AsCountAcceptsOnlyExactNonNegativeIntegers) {
+  EXPECT_EQ(json::Value(0).as_count(), 0u);
+  EXPECT_EQ(json::Value(std::size_t{42}).as_count(), 42u);
+  EXPECT_EQ(json::Value(0x1p53).as_count(), std::uint64_t{1} << 53);
+  for (const double bad : {-1.0, -0.5, 2.5, 0x1p53 + 2, 1e300, -1e300})
+    EXPECT_FALSE(json::Value(bad).as_count().has_value()) << bad;
+  EXPECT_FALSE(json::Value("7").as_count().has_value());
+  EXPECT_FALSE(json::Value().as_count().has_value());
+}
+
 TEST(Json, DeepNestingFailsCleanly) {
   // ~100k unclosed (or closed) brackets used to recurse once per level and
   // overflow the stack; past the depth limit parse returns nullopt.
@@ -217,7 +227,7 @@ TEST(Trace, JsonlSinkEmitsOneParsableLinePerSpan) {
   ASSERT_EQ(lines.size(), 2u);  // children close first
   EXPECT_EQ(lines[0].find("span")->as_string(), "root/child");
   EXPECT_EQ(lines[1].find("span")->as_string(), "root");
-  EXPECT_EQ(lines[1].find("costs")->find("rounds")->as_u64(), 1u);
+  EXPECT_EQ(lines[1].find("costs")->find("rounds")->as_count(), 1u);
   std::remove(path.c_str());
 }
 
@@ -262,7 +272,7 @@ TEST(Trace, SpanToJsonCarriesCostsAndMetrics) {
   const json::Value doc = root->to_json();
   EXPECT_EQ(doc.find("name")->as_string(), "phase");
   EXPECT_EQ(doc.find("metrics")->find("n")->as_double(), 4.0);
-  EXPECT_EQ(doc.find("costs")->find("rounds")->as_u64(), 0u);
+  EXPECT_EQ(doc.find("costs")->find("rounds")->as_count(), 0u);
 }
 
 TEST(Metrics, RegistryHandlesAreStableAndAccumulate) {
@@ -297,12 +307,12 @@ TEST(Metrics, JsonExportRoundTrips) {
   ASSERT_TRUE(parsed.has_value());
   const json::Value* counters = parsed->find("counters");
   ASSERT_NE(counters, nullptr);
-  EXPECT_GE(counters->find("test.export.counter")->as_u64(), 7u);
+  EXPECT_GE(counters->find("test.export.counter")->as_count(), 7u);
   EXPECT_EQ(parsed->find("gauges")->find("test.export.gauge")->as_double(),
             0.75);
   const json::Value* hist = parsed->find("histograms")->find("test.export.hist");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->find("count")->as_u64(), 2u);
+  EXPECT_EQ(hist->find("count")->as_count(), 2u);
   EXPECT_DOUBLE_EQ(hist->find("mean")->as_double(), 15.0);
   EXPECT_EQ(hist->find("min")->as_double(), 10.0);
   EXPECT_EQ(hist->find("max")->as_double(), 20.0);

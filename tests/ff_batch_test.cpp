@@ -246,56 +246,99 @@ TEST(SpanKernelDispatch, LutPreferenceTracksKernels) {
 
 // --- SoA share containers (vss/soa.hpp) ------------------------------------
 
-TEST(SoaContainers, SliceBlockMatchesPolyEvalAndWireRoundTrip) {
+TEST(SoaContainers, SliceBlockMatchesPolyEvalAndWireLayout) {
   Rng rng(239);
   const std::size_t m = 37, coeffs = 4;
   std::vector<Poly> polys;
-  vss::SliceBlock block;
-  block.assign(m, coeffs);
+  std::vector<Fld> wire;
   for (std::size_t k = 0; k < m; ++k) {
     polys.push_back(Poly::random(rng, coeffs - 1));
-    block.set_poly(k, polys.back());
+    const auto& pc = polys.back().coeffs();
+    for (std::size_t c = 0; c < coeffs; ++c)
+      wire.push_back(c < pc.size() ? pc[c] : Fld::zero());
   }
+  vss::SliceBlock block;
+  block.load_kmajor(coeffs, std::span<const Fld>(wire));
+  ASSERT_EQ(block.size(), m);
+  ASSERT_EQ(block.coeffs_per_poly(), coeffs);
+  // The k-major wire layout lands coefficient-major.
+  for (std::size_t c = 0; c < coeffs; ++c)
+    for (std::size_t k = 0; k < m; ++k)
+      EXPECT_EQ(block.plane(c)[k], wire[k * coeffs + c]);
   for (const Fld x : {Fld::zero(), Fld::one(), Fld::random(rng)}) {
     std::vector<Fld> all(m);
-    block.eval_all(x, std::span<Fld>(all));
+    block.eval_range(x, 0, std::span<Fld>(all));
+    std::vector<Fld> tail(m - 5);
+    block.eval_range(x, 5, std::span<Fld>(tail));
     for (std::size_t k = 0; k < m; ++k) {
       EXPECT_EQ(all[k], polys[k].eval(x)) << "k=" << k;
       EXPECT_EQ(block.eval_at(k, x), polys[k].eval(x)) << "k=" << k;
+      if (k >= 5) {
+        EXPECT_EQ(tail[k - 5], all[k]) << "k=" << k;
+      }
     }
   }
-  // k-major wire layout round-trips bit-for-bit.
-  std::vector<Fld> wire(m * coeffs);
-  block.store_kmajor(std::span<Fld>(wire));
-  vss::SliceBlock back;
-  back.assign(m, coeffs);
-  back.load_kmajor(std::span<const Fld>(wire));
-  for (std::size_t c = 0; c < coeffs; ++c) {
-    const auto a = block.plane(c);
-    const auto b = back.plane(c);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+  block.assign(m, coeffs);  // the default-message block
+  for (std::size_t k = 0; k < m; ++k)
+    EXPECT_EQ(block.eval_at(k, Fld::random(rng)), Fld::zero());
+}
+
+// Dealing straight into SoA planes draws exactly what the per-secret
+// scalar dealer draws: same polynomials, same RNG consumption.
+TEST(SoaContainers, BivariateBatchDealsLikeScalarDealer) {
+  for (const std::size_t deg : {0, 1, 2, 4}) {
+    Rng seed_rng(233 + deg);
+    const std::size_t m = 29;
+    std::vector<Fld> secrets;
+    for (std::size_t k = 0; k < m; ++k) secrets.push_back(Fld::random(seed_rng));
+    Rng scalar_rng(977), batch_rng(977);
+    std::vector<SymmetricBivariate> polys;
+    for (const Fld s : secrets)
+      polys.push_back(SymmetricBivariate::random_with_secret(scalar_rng, deg, s));
+    vss::BivariateBatch batch;
+    batch.random_with_secrets(batch_rng, deg, std::span<const Fld>(secrets));
+    ASSERT_EQ(batch.size(), m);
+    EXPECT_EQ(scalar_rng.next_u64(), batch_rng.next_u64()) << "deg=" << deg;
+    for (std::size_t i = 0; i <= deg; ++i)
+      for (std::size_t j = 0; j <= deg; ++j)
+        for (std::size_t k = 0; k < m; ++k)
+          EXPECT_EQ(batch.plane(i, j)[k], polys[k].coeff(i, j))
+              << "deg=" << deg << " i=" << i << " j=" << j << " k=" << k;
+    const Fld x = Fld::random(seed_rng), y = eval_point<64>(3);
+    for (std::size_t k = 0; k < m; ++k) {
+      EXPECT_EQ(batch.eval(k, x, y), polys[k].eval(x, y)) << "k=" << k;
+      EXPECT_EQ(batch.eval(k, y, x), polys[k].eval(x, y)) << "k=" << k;
+    }
   }
 }
 
 TEST(SoaContainers, BivariateBatchSlicesMatchScalarSlices) {
   Rng rng(241);
-  const std::size_t deg = 2, m = 11;
+  const std::size_t deg = 2, m = 1300;  // slices_kmajor spans several chunks
+  std::vector<Fld> secrets;
+  for (std::size_t k = 0; k < m; ++k) secrets.push_back(Fld::random(rng));
+  Rng scalar_rng(243), batch_rng(243);
   std::vector<SymmetricBivariate> polys;
-  for (std::size_t k = 0; k < m; ++k)
-    polys.push_back(
-        SymmetricBivariate::random_with_secret(rng, deg, Fld::random(rng)));
+  for (const Fld s : secrets)
+    polys.push_back(SymmetricBivariate::random_with_secret(scalar_rng, deg, s));
   vss::BivariateBatch batch;
-  batch.build(std::span<const SymmetricBivariate>(polys), deg);
+  batch.random_with_secrets(batch_rng, deg, std::span<const Fld>(secrets));
   vss::SliceBlock block;
+  std::vector<Fld> wire(m * (deg + 1));
   for (std::size_t party = 0; party < 5; ++party) {
     const Fld y0 = eval_point<64>(party);
     batch.slices_at(y0, block);
+    batch.slices_kmajor(y0, std::span<Fld>(wire));
     for (std::size_t k = 0; k < m; ++k) {
       const Poly expect = polys[k].slice(y0);
       const auto& ec = expect.coeffs();
-      for (std::size_t c = 0; c <= deg; ++c)
-        EXPECT_EQ(block.plane(c)[k], c < ec.size() ? ec[c] : Fld::zero())
+      for (std::size_t c = 0; c <= deg; ++c) {
+        const Fld want = c < ec.size() ? ec[c] : Fld::zero();
+        EXPECT_EQ(block.plane(c)[k], want)
             << "party=" << party << " k=" << k << " c=" << c;
+        EXPECT_EQ(wire[k * (deg + 1) + c], want)
+            << "party=" << party << " k=" << k << " c=" << c;
+      }
     }
   }
 }

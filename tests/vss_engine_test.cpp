@@ -438,6 +438,94 @@ TEST(VssFlatDecode, GgorMatchesScalarOracleAtOneAndFourLanes) {
   check_flat_decode(SchemeKind::kGGOR13);
 }
 
+// --- Golden sharing transcripts ------------------------------------------
+
+// Byte-for-byte pins on the sharing phase: every R1 slice, R2 cross value,
+// complaint, R4 resolution and R6 slice opening lands in a full-fidelity
+// recording, so one final digest per (scheme, dealer behaviour) covers the
+// whole transcript. The constants were captured from the per-secret
+// SymmetricBivariate dealer that the SoA engine replaced; both lane counts
+// must reproduce them. Dealer 0 is the corrupt one (when any), dealer 2
+// deals nothing, and dealers 1 and 3 span several of the sharing phase's
+// 512- and 1024-value chunks.
+enum class GoldenCase {
+  kHonest,
+  kResolve,
+  kRefuse,
+  kSilent,
+  kFalseComplaints,
+};
+
+std::uint64_t golden_share_digest(SchemeKind kind, GoldenCase c,
+                                  std::size_t lanes) {
+  constexpr std::size_t kN = 5;
+  net::Network net(kN, 4242);
+  net.set_threads(lanes);
+  auto recorder = std::make_shared<net::Recorder>();
+  net.attach_observer(recorder);
+  auto vss = make_vss(kind, net);
+  const std::size_t t = scheme_max_t(kind, kN);
+  switch (c) {
+    case GoldenCase::kHonest:
+      break;
+    case GoldenCase::kResolve:
+      net.set_corrupt(0, true);
+      vss->set_dealer_behaviour(0, DealerBehaviour::kInconsistentThenResolve);
+      break;
+    case GoldenCase::kRefuse:
+      net.set_corrupt(0, true);
+      vss->set_dealer_behaviour(0, DealerBehaviour::kInconsistentRefuse);
+      break;
+    case GoldenCase::kSilent:
+      net.set_corrupt(0, true);
+      vss->set_dealer_behaviour(0, DealerBehaviour::kSilent);
+      break;
+    case GoldenCase::kFalseComplaints:
+      for (std::size_t i = kN - t; i < kN; ++i) net.set_corrupt(i, true);
+      vss->set_false_complaints(true);
+      break;
+  }
+  const std::size_t sizes[kN] = {37, 2100, 0, 4500, 700};
+  std::vector<std::vector<Fld>> batches(kN);
+  for (std::size_t d = 0; d < kN; ++d)
+    for (std::size_t k = 0; k < sizes[d]; ++k)
+      batches[d].push_back(fe(7 + d * 1000003 + k * 104729));
+  vss->share_all(batches);
+  return recorder->recording().final_digest;
+}
+
+void check_golden(SchemeKind kind, const std::uint64_t (&expected)[5]) {
+  const GoldenCase cases[] = {GoldenCase::kHonest, GoldenCase::kResolve,
+                              GoldenCase::kRefuse, GoldenCase::kSilent,
+                              GoldenCase::kFalseComplaints};
+  for (std::size_t ci = 0; ci < 5; ++ci) {
+    const std::uint64_t one = golden_share_digest(kind, cases[ci], 1);
+    const std::uint64_t four = golden_share_digest(kind, cases[ci], 4);
+    EXPECT_EQ(one, four) << scheme_name(kind) << " case " << ci;
+    EXPECT_EQ(one, expected[ci])
+        << scheme_name(kind) << " case " << ci << ": got 0x" << std::hex
+        << one;
+  }
+}
+
+TEST(VssGoldenTranscript, Rb) {
+  check_golden(SchemeKind::kRB,
+               {0x46689b3894181cf2, 0xf05b05d17190eaad, 0x394da370bb367cdd,
+                0xd07d808b0f6867d6, 0x432f9bc7ed81aaf7});
+}
+
+TEST(VssGoldenTranscript, Ggor13) {
+  check_golden(SchemeKind::kGGOR13,
+               {0xd3d2331145bf90b3, 0x1312b5209471502d, 0x3751dec8d50d51a4,
+                0xbae8402c3ed63097, 0xd146920f1f32111b});
+}
+
+TEST(VssGoldenTranscript, Bgw) {
+  check_golden(SchemeKind::kBGW,
+               {0xbefd4fd3d584ab32, 0xadbb1b769ad9dcfa, 0xc64027e483d60b01,
+                0x9e584c2fcb65a066, 0x2efd58ca2410566d});
+}
+
 TEST(VssThreshold, MaxThresholdRespectedPerScheme) {
   EXPECT_EQ(scheme_max_t(SchemeKind::kBGW, 10), 3u);
   EXPECT_EQ(scheme_max_t(SchemeKind::kRB, 10), 4u);
