@@ -1,6 +1,7 @@
 // Experiment E12 — multi-session server throughput: sustained anonymous
 // messages/sec and p50/p95 session latency vs. concurrent-session count,
-// through the session-multiplexing engine (DESIGN.md §13).
+// through the supervised session runtime (DESIGN.md §13/§14), each fleet
+// admitted up front and drained in one wave.
 //
 // Expected shape: aggregate messages/sec grows with the session count until
 // the strands saturate the hardware (on a 1-core container every K runs the
@@ -11,14 +12,14 @@
 // byte-identical protocol work, not from sessions cross-contaminating.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
-#include "server/session_engine.hpp"
+#include "server/supervisor.hpp"
 #include "vss/schemes.hpp"
 
 using namespace gfor14;
@@ -53,20 +54,40 @@ server::SessionConfig mixed_config(std::size_t id) {
   return cfg;
 }
 
+/// Admits the whole fleet up front and drains it: one wave, one attempt per
+/// session, no chaos. wall_ms spans runtime construction to drain.
+server::RuntimeReport drain_fleet(std::size_t sessions, std::size_t threads,
+                                  bool mixed) {
+  server::SupervisorOptions sup;
+  sup.master_seed = kMasterSeed;
+  sup.threads = threads;
+  sup.queue_capacity = sessions;
+  sup.retry.max_attempts = 1;
+  server::SupervisedRuntime runtime(sup);
+  for (std::size_t i = 0; i < sessions; ++i)
+    runtime.try_submit(mixed ? mixed_config(i) : uniform_config(i));
+  return runtime.drain();
+}
+
 struct RowResult {
-  server::EngineReport report;
+  server::RuntimeReport report;
+  double p50_session_ms = 0.0;  ///< median session execution wall
+  double p95_session_ms = 0.0;
   bool replay_identical = true;
 };
 
 RowResult run_fleet(std::size_t sessions, std::size_t threads, bool mixed) {
-  server::SessionEngine engine({kMasterSeed, threads});
-  for (std::size_t i = 0; i < sessions; ++i)
-    engine.submit(mixed ? mixed_config(i) : uniform_config(i));
   RowResult r;
-  r.report = engine.run_all();
+  r.report = drain_fleet(sessions, threads, mixed);
+  std::vector<double> latencies;
+  for (const auto& s : r.report.completed) latencies.push_back(s.wall_ms);
+  std::sort(latencies.begin(), latencies.end());
+  r.p50_session_ms = server::percentile_sorted(latencies, 0.50);
+  r.p95_session_ms = server::percentile_sorted(latencies, 0.95);
   // Certification pass (untimed): every session's co-scheduled transcript
   // must be byte-identical to a solo re-execution of its configuration.
-  for (const auto& s : r.report.sessions)
+  if (r.report.completed_sessions != sessions) r.replay_identical = false;
+  for (const auto& s : r.report.completed)
     if (server::replay_verify(s, kMasterSeed)) r.replay_identical = false;
   return r;
 }
@@ -75,13 +96,13 @@ void fill_row(json::Value& row, const char* kind, std::size_t threads,
               const RowResult& r, double base_mps) {
   const auto& rep = r.report;
   row.set("case", kind);
-  row.set("sessions", rep.sessions.size());
+  row.set("sessions", rep.admitted);
   row.set("engine_threads", threads);
   row.set("wall_ms", rep.wall_ms);
   row.set("messages", rep.messages_delivered);
   row.set("messages_per_sec", rep.messages_per_sec);
-  row.set("p50_session_ms", rep.p50_session_ms);
-  row.set("p95_session_ms", rep.p95_session_ms);
+  row.set("p50_session_ms", r.p50_session_ms);
+  row.set("p95_session_ms", r.p95_session_ms);
   row.set("speedup_vs_1_session",
           base_mps > 0.0 ? rep.messages_per_sec / base_mps : 1.0);
   row.set("replay_identical", r.replay_identical);
@@ -116,8 +137,8 @@ void print_tables() {
       if (sessions == 1) base_mps = r.report.messages_per_sec;
       std::printf("%10zu %10zu %12.2f %14.1f %10.2f %10.2f %8.2f %8s\n",
                   sessions, r.report.messages_delivered, r.report.wall_ms,
-                  r.report.messages_per_sec, r.report.p50_session_ms,
-                  r.report.p95_session_ms,
+                  r.report.messages_per_sec, r.p50_session_ms,
+                  r.p95_session_ms,
                   base_mps > 0.0 ? r.report.messages_per_sec / base_mps
                                  : 1.0,
                   r.replay_identical ? "ok" : "DIVERGED");
@@ -146,12 +167,9 @@ void print_tables() {
 
 void BM_ServeUniformFleet(benchmark::State& state) {
   const std::size_t sessions = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    server::SessionEngine engine({kMasterSeed, hardware_threads()});
-    for (std::size_t i = 0; i < sessions; ++i)
-      engine.submit(uniform_config(i));
-    benchmark::DoNotOptimize(engine.run_all());
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        drain_fleet(sessions, hardware_threads(), /*mixed=*/false));
 }
 BENCHMARK(BM_ServeUniformFleet)
     ->Arg(1)

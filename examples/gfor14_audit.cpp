@@ -36,6 +36,7 @@
 // from the bench/ binaries; telemetry documents from
 // `gfor14_cli ... --telemetry PATH` or the `telemetry` block of a schema-3
 // bench artifact.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -122,6 +123,15 @@ int run_diff(const std::string& a_path, const std::string& b_path) {
   return 0;
 }
 
+/// Whole-string finite decimal parse: "5x", "", "inf" and "1e" are rejected
+/// (std::strtod alone would read a prefix).
+bool parse_number(const std::string& text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size() &&
+         std::isfinite(out);
+}
+
 /// "p2p_elements_per_sec=15,net.alloc.bytes=25" -> GateSpecs (thresholds in
 /// percent). Nullopt on malformed input.
 std::optional<std::vector<audit::GateSpec>> parse_gates(
@@ -133,10 +143,9 @@ std::optional<std::vector<audit::GateSpec>> parse_gates(
     if (comma == std::string::npos) comma = spec.size();
     const std::string item = spec.substr(pos, comma - pos);
     const std::size_t eq = item.rfind('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    char* end = nullptr;
-    const double pct = std::strtod(item.c_str() + eq + 1, &end);
-    if (end == item.c_str() + eq + 1 || *end != '\0' || pct <= 0.0)
+    double pct = 0.0;
+    if (eq == std::string::npos || eq == 0 ||
+        !parse_number(item.substr(eq + 1), pct) || pct <= 0.0)
       return std::nullopt;
     gates.push_back({item.substr(0, eq), pct / 100.0});
     pos = comma + 1;
@@ -156,10 +165,10 @@ std::optional<std::vector<audit::CeilingSpec>> parse_ceilings(
     if (comma == std::string::npos) comma = spec.size();
     const std::string item = spec.substr(pos, comma - pos);
     const std::size_t eq = item.rfind('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    char* end = nullptr;
-    const double max = std::strtod(item.c_str() + eq + 1, &end);
-    if (end == item.c_str() + eq + 1 || *end != '\0') return std::nullopt;
+    double max = 0.0;
+    if (eq == std::string::npos || eq == 0 ||
+        !parse_number(item.substr(eq + 1), max))
+      return std::nullopt;
     ceilings.push_back({item.substr(0, eq), max});
     pos = comma + 1;
   }
@@ -172,9 +181,11 @@ int run_bench_diff(int argc, char** argv) {
   double threshold = 0.2;
   std::vector<audit::GateSpec> gates;
   std::vector<audit::CeilingSpec> ceilings;
-  for (int i = 4; i + 1 < argc; i += 2) {
+  for (int i = 4; i < argc; i += 2) {
+    if (i + 1 >= argc) return usage();  // a flag without its value
     if (std::string(argv[i]) == "--threshold") {
-      threshold = std::strtod(argv[i + 1], nullptr) / 100.0;
+      if (!parse_number(argv[i + 1], threshold)) return usage();
+      threshold /= 100.0;
     } else if (std::string(argv[i]) == "--gate") {
       auto parsed = parse_gates(argv[i + 1]);
       if (!parsed) return usage();
@@ -206,7 +217,11 @@ int run_critpath(int argc, char** argv, bool waterfall) {
     if (!waterfall && arg == "--wall") {
       with_wall = true;
     } else if (waterfall && arg == "--width" && i + 1 < argc) {
-      width = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      const std::string value = argv[++i];
+      if (value.empty() || value.size() > 6 ||
+          value.find_first_not_of("0123456789") != std::string::npos)
+        return usage();
+      width = std::stoul(value);
       if (width == 0) return usage();
     } else {
       return usage();

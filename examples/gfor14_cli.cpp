@@ -8,7 +8,7 @@
 //   gfor14_cli serve     [--sessions K] [--threads N|hw] [--lanes L]
 //                        [--n N] [--scheme ...] [--kappa K] [--seed S]
 //                        [--faulty F] [--verify]
-//                        [--soak] [--churn] [--retries R] [--queue-cap Q]
+//                        [--churn] [--retries R] [--queue-cap Q]
 //                        [--round-budget B] [--crash-every E]
 //                        [--record-dir DIR] [SLO flags]
 //   gfor14_cli replay    RECORDING [--threads N|hw] [telemetry flags]
@@ -55,30 +55,27 @@
 //   --fault-seed S  seed for the fault randomness (default: the
 //                   GFOR14_FAULT_SEED environment variable, else --seed)
 //
-// Multi-session server (`serve`, DESIGN.md §13): runs K independent
-// AnonChan sessions concurrently over the shared thread pool, each with its
-// own Rng lineage forked from --seed by session id, its own recorder and a
-// "session/<id>" metrics scope. --faulty F gives the first F sessions a
-// randomized in-model FaultPlan (seed-derived, replayable); --verify
-// re-executes every session solo against its recording and fails on the
-// first byte of divergence; --lanes L sets each session's own worker-lane
-// request (inline when sessions are co-scheduled).
+// Multi-session server (`serve`, DESIGN.md §13/§14): streams K independent
+// AnonChan sessions through the SupervisedRuntime, each with its own Rng
+// lineage forked from --seed by session id, its own recorder and a
+// "session/<id>" metrics scope. A feeder thread admits sessions against a
+// bounded queue (--queue-cap Q, blocking backpressure) while the main
+// thread drives execution waves over the shared thread pool. --faulty F
+// gives the first F sessions a randomized in-model FaultPlan (seed-derived,
+// replayable); --lanes L sets each session's own worker-lane request
+// (inline when sessions are co-scheduled). Failures are contained into
+// FailureRecords and retried up to --retries R attempts with capped logical
+// exponential backoff; --round-budget B arms the per-attempt round
+// watchdog; --churn enables deterministic chaos injection (every
+// --crash-every E-th session's strand crashes mid-protocol on its first
+// attempt, then retries clean). --verify re-executes every completed
+// session solo against its recording and fails on the first byte of
+// divergence. Exit status is non-zero when any session permanently failed
+// or --verify found a divergence. --record-dir DIR writes every completed
+// session's flight recording to DIR/session-<id>.recording (DIR must
+// exist) — the profiler CI job feeds these to `gfor14-audit critpath`.
 //
-// Supervised churn soak (`serve --soak`, DESIGN.md §14): streams the K
-// sessions through the SupervisedRuntime instead of batching them — a
-// feeder thread admits sessions against a bounded queue (--queue-cap Q,
-// blocking backpressure) while the main thread drives execution waves.
-// Failures are contained into FailureRecords and retried up to --retries R
-// attempts with capped logical exponential backoff; --round-budget B arms
-// the per-attempt round watchdog; --churn enables deterministic chaos
-// injection (every --crash-every E-th session's strand crashes mid-protocol
-// on its first attempt, then retries clean). Exit status is non-zero when
-// any session permanently failed or --verify found a divergence.
-// --record-dir DIR writes every completed session's flight recording to
-// DIR/session-<id>.recording (DIR must exist) — the profiler CI job feeds
-// these to `gfor14-audit critpath`/`waterfall`.
-//
-// SLO targets (`serve --soak`, DESIGN.md §15) — each flag arms one
+// SLO targets (`serve`, DESIGN.md §15) — each flag arms one
 // declarative target; the supervisor evaluates them at every wave barrier
 // and the summary (plus `gfor14-audit top` via the telemetry annotation)
 // reports structured DEGRADED reasons with since-wave anchors:
@@ -95,6 +92,7 @@
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -113,8 +111,7 @@
 #include "net/faultplan.hpp"
 #include "net/recorder.hpp"
 #include "pseudosig/broadcast_sim.hpp"
-#include "server/session_engine.hpp"
-#include "server/slo.hpp"
+#include "server/supervisor.hpp"
 #include "vss/schemes.hpp"
 
 using namespace gfor14;
@@ -145,14 +142,13 @@ struct Options {
   std::size_t lanes = 1;          // serve: per-session worker-lane request
   std::size_t faulty = 0;         // serve: sessions given random FaultPlans
   bool verify = false;            // serve: replay-verify every session
-  bool soak = false;              // serve: supervised streaming runtime
-  bool churn = false;             // serve --soak: chaos crash injection
-  std::size_t retries = 3;        // serve --soak: attempts per session
-  std::size_t queue_cap = 8;      // serve --soak: admission queue bound
-  std::size_t round_budget = 0;   // serve --soak: per-attempt round budget
-  std::size_t crash_every = 3;    // serve --soak --churn: crash id % E == 0
+  bool churn = false;             // serve: chaos crash injection
+  std::size_t retries = 3;        // serve: attempts per session
+  std::size_t queue_cap = 8;      // serve: admission queue bound
+  std::size_t round_budget = 0;   // serve: per-attempt round budget
+  std::size_t crash_every = 3;    // serve --churn: crash id % E == 0
   std::string record_dir;         // serve: per-session recordings, "" = off
-  server::SloTargets slo;         // serve --soak: declarative SLO targets
+  server::SloTargets slo;         // serve: declarative SLO targets
   std::shared_ptr<net::Recording> replay_reference;  // set by `replay`
 };
 
@@ -172,7 +168,7 @@ int usage() {
                "        [--lanes L] [--n N] [--scheme rb|bgw|ggor]"
                " [--kappa K]\n"
                "        [--seed S] [--faulty F] [--verify]\n"
-               "        [--soak] [--churn] [--retries R] [--queue-cap Q]\n"
+               "        [--churn] [--retries R] [--queue-cap Q]\n"
                "        [--round-budget B] [--crash-every E]"
                " [--record-dir DIR]\n"
                "        [--slo-round-wall-p95 US] [--slo-min-mps X]\n"
@@ -249,139 +245,132 @@ bool check_shape(Options& opt, const char* prefix) {
   return true;
 }
 
+using FlagHandler =
+    std::function<bool(const std::string& key, const std::string& value)>;
+
+/// Every value-taking flag, bound to the fields of `opt` it sets. The live
+/// parser and `replay` both read flags through this one table, so each
+/// flag's checks are written once.
+std::map<std::string, FlagHandler> value_flags(Options& opt) {
+  // An unsigned integer of at least `min`.
+  const auto count = [](std::size_t& field, std::size_t min) -> FlagHandler {
+    return [&field, min](const std::string& key, const std::string& v) {
+      if (!parse_size_strict(v, field)) return complain_number(key, v);
+      if (field < min)
+        return complain("%s must be at least %zu (got '%s')", key.c_str(),
+                        min, v.c_str());
+      return true;
+    };
+  };
+  // N >= 1, or "hw" for one per hardware thread.
+  const auto workers = [](std::size_t& field) -> FlagHandler {
+    return [&field](const std::string& key, const std::string& v) {
+      if (v == "hw") {
+        field = hardware_threads();
+      } else if (!parse_size_strict(v, field)) {
+        return complain("invalid value '%s' for %s (expected an unsigned "
+                        "integer or 'hw')",
+                        v.c_str(), key.c_str());
+      }
+      if (field == 0)
+        return complain("%s must be at least 1 (got '%s')", key.c_str(),
+                        v.c_str());
+      return true;
+    };
+  };
+  const auto seed = [](std::uint64_t& field) -> FlagHandler {
+    return [&field](const std::string& key, const std::string& v) {
+      return parse_u64_strict(v, field) || complain_number(key, v);
+    };
+  };
+  const auto text = [](std::string& field) -> FlagHandler {
+    return [&field](const std::string&, const std::string& v) {
+      field = v;
+      return true;
+    };
+  };
+  // A non-negative decimal in (0, max] when `positive`, else [0, max].
+  const auto real = [](double& field, bool positive,
+                       double max) -> FlagHandler {
+    return [&field, positive, max](const std::string& key,
+                                   const std::string& v) {
+      if (!parse_double_strict(v, field) || (positive && field <= 0.0) ||
+          field > max)
+        return complain("invalid value '%s' for %s", v.c_str(), key.c_str());
+      return true;
+    };
+  };
+  const double any = HUGE_VAL;
+  return {
+      {"--n", count(opt.n, 0)},
+      {"--kappa", count(opt.kappa, 0)},
+      {"--receiver", count(opt.receiver, 0)},
+      {"--seed", seed(opt.seed)},
+      {"--scheme",
+       [&opt](const std::string&, const std::string& v) {
+         if (v == "rb") opt.scheme = vss::SchemeKind::kRB;
+         else if (v == "bgw") opt.scheme = vss::SchemeKind::kBGW;
+         else if (v == "ggor") opt.scheme = vss::SchemeKind::kGGOR13;
+         else
+           return complain("unknown --scheme '%s' (expected rb|bgw|ggor)",
+                           v.c_str());
+         return true;
+       }},
+      {"--attack", text(opt.attack)},
+      {"--trace", text(opt.trace_path)},
+      {"--metrics", text(opt.metrics_path)},
+      {"--threads", workers(opt.threads)},
+      {"--faults", text(opt.faults)},
+      {"--fault-seed",
+       [&opt, parse = seed(opt.fault_seed)](const std::string& key,
+                                            const std::string& v) {
+         opt.fault_seed_set = true;
+         return parse(key, v);
+       }},
+      {"--record", text(opt.record_path)},
+      {"--chrome-trace", text(opt.chrome_trace_path)},
+      {"--telemetry", text(opt.telemetry_path)},
+      {"--prom", text(opt.prom_path)},
+      {"--sample-every", count(opt.sample_every, 1)},
+      {"--sessions", count(opt.sessions, 1)},
+      {"--lanes", workers(opt.lanes)},
+      {"--faulty", count(opt.faulty, 0)},
+      {"--retries", count(opt.retries, 1)},
+      {"--queue-cap", count(opt.queue_cap, 1)},
+      {"--round-budget", count(opt.round_budget, 0)},
+      {"--crash-every", count(opt.crash_every, 1)},
+      {"--record-dir", text(opt.record_dir)},
+      {"--slo-round-wall-p95", real(opt.slo.round_wall_p95_us, true, any)},
+      {"--slo-min-mps", real(opt.slo.min_messages_per_sec, true, any)},
+      {"--slo-max-retry-rate", real(opt.slo.max_retry_rate, false, any)},
+      {"--slo-min-honest", real(opt.slo.min_honest_delivery, false, 1.0)},
+  };
+}
+
+/// Reads the value flag argv[i] and its value through `flags`, advancing i
+/// past the value. False, with a diagnostic, on an unknown flag, a missing
+/// value or a value the flag rejects.
+bool take_value_flag(const std::map<std::string, FlagHandler>& flags,
+                     int argc, char** argv, int& i) {
+  const std::string key = argv[i];
+  const auto it = flags.find(key);
+  if (it == flags.end()) return complain("unknown option '%s'", key.c_str());
+  if (i + 1 >= argc) return complain("%s requires a value", key.c_str());
+  return it->second(key, argv[++i]);
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return complain("missing command");
   opt.command = argv[1];
+  const auto flags = value_flags(opt);
   for (int i = 2; i < argc; ++i) {
     const std::string key = argv[i];
-    if (key == "--top") {  // valueless flags
-      opt.top = true;
-      continue;
-    }
-    if (key == "--verify") {
-      opt.verify = true;
-      continue;
-    }
-    if (key == "--soak") {
-      opt.soak = true;
-      continue;
-    }
-    if (key == "--churn") {
-      opt.churn = true;
-      continue;
-    }
-    if (i + 1 >= argc) return complain("%s requires a value", key.c_str());
-    const std::string value = argv[++i];
-    if (key == "--n") {
-      if (!parse_size_strict(value, opt.n)) return complain_number(key, value);
-    } else if (key == "--kappa") {
-      if (!parse_size_strict(value, opt.kappa))
-        return complain_number(key, value);
-    } else if (key == "--receiver") {
-      if (!parse_size_strict(value, opt.receiver))
-        return complain_number(key, value);
-    } else if (key == "--seed") {
-      if (!parse_u64_strict(value, opt.seed))
-        return complain_number(key, value);
-    } else if (key == "--scheme") {
-      if (value == "rb") opt.scheme = vss::SchemeKind::kRB;
-      else if (value == "bgw") opt.scheme = vss::SchemeKind::kBGW;
-      else if (value == "ggor") opt.scheme = vss::SchemeKind::kGGOR13;
-      else
-        return complain("unknown --scheme '%s' (expected rb|bgw|ggor)",
-                        value.c_str());
-    } else if (key == "--attack") {
-      opt.attack = value;
-    } else if (key == "--trace") {
-      opt.trace_path = value;
-    } else if (key == "--metrics") {
-      opt.metrics_path = value;
-    } else if (key == "--threads") {
-      if (value == "hw") {
-        opt.threads = hardware_threads();
-      } else if (!parse_size_strict(value, opt.threads)) {
-        return complain("invalid value '%s' for --threads (expected an "
-                        "unsigned integer or 'hw')",
-                        value.c_str());
-      }
-      if (opt.threads == 0)
-        return complain("--threads must be at least 1 (got '%s')",
-                        value.c_str());
-      set_default_threads(opt.threads);
-    } else if (key == "--faults") {
-      opt.faults = value;
-    } else if (key == "--fault-seed") {
-      if (!parse_u64_strict(value, opt.fault_seed))
-        return complain_number(key, value);
-      opt.fault_seed_set = true;
-    } else if (key == "--record") {
-      opt.record_path = value;
-    } else if (key == "--chrome-trace") {
-      opt.chrome_trace_path = value;
-    } else if (key == "--telemetry") {
-      opt.telemetry_path = value;
-    } else if (key == "--prom") {
-      opt.prom_path = value;
-    } else if (key == "--sample-every") {
-      if (!parse_size_strict(value, opt.sample_every))
-        return complain_number(key, value);
-      if (opt.sample_every == 0)
-        return complain("--sample-every must be at least 1");
-    } else if (key == "--sessions") {
-      if (!parse_size_strict(value, opt.sessions))
-        return complain_number(key, value);
-      if (opt.sessions == 0)
-        return complain("--sessions must be at least 1 (got '%s')",
-                        value.c_str());
-    } else if (key == "--lanes") {
-      if (value == "hw") {
-        opt.lanes = hardware_threads();
-      } else if (!parse_size_strict(value, opt.lanes)) {
-        return complain_number(key, value);
-      }
-      if (opt.lanes == 0) return complain("--lanes must be at least 1");
-    } else if (key == "--faulty") {
-      if (!parse_size_strict(value, opt.faulty))
-        return complain_number(key, value);
-    } else if (key == "--retries") {
-      if (!parse_size_strict(value, opt.retries))
-        return complain_number(key, value);
-      if (opt.retries == 0)
-        return complain("--retries must be at least 1 (1 = no retry)");
-    } else if (key == "--queue-cap") {
-      if (!parse_size_strict(value, opt.queue_cap))
-        return complain_number(key, value);
-      if (opt.queue_cap == 0)
-        return complain("--queue-cap must be at least 1");
-    } else if (key == "--round-budget") {
-      if (!parse_size_strict(value, opt.round_budget))
-        return complain_number(key, value);
-    } else if (key == "--crash-every") {
-      if (!parse_size_strict(value, opt.crash_every))
-        return complain_number(key, value);
-      if (opt.crash_every == 0)
-        return complain("--crash-every must be at least 1");
-    } else if (key == "--record-dir") {
-      opt.record_dir = value;
-    } else if (key == "--slo-round-wall-p95") {
-      if (!parse_double_strict(value, opt.slo.round_wall_p95_us) ||
-          opt.slo.round_wall_p95_us <= 0.0)
-        return complain_number(key, value);
-    } else if (key == "--slo-min-mps") {
-      if (!parse_double_strict(value, opt.slo.min_messages_per_sec) ||
-          opt.slo.min_messages_per_sec <= 0.0)
-        return complain_number(key, value);
-    } else if (key == "--slo-max-retry-rate") {
-      if (!parse_double_strict(value, opt.slo.max_retry_rate))
-        return complain_number(key, value);
-    } else if (key == "--slo-min-honest") {
-      if (!parse_double_strict(value, opt.slo.min_honest_delivery) ||
-          opt.slo.min_honest_delivery > 1.0)
-        return complain_number(key, value);
-    } else {
-      return complain("unknown option '%s'", key.c_str());
-    }
+    if (key == "--top") opt.top = true;  // valueless flags
+    else if (key == "--verify") opt.verify = true;
+    else if (key == "--churn") opt.churn = true;
+    else if (!take_value_flag(flags, argc, argv, i)) return false;
   }
+  if (opt.threads != 0) set_default_threads(opt.threads);
   if (!check_shape(opt, "--")) return false;
   if (opt.faulty > opt.sessions)
     return complain("--faulty (%zu) exceeds --sessions (%zu)", opt.faulty,
@@ -717,11 +706,11 @@ server::SessionConfig serve_session_config(const Options& opt,
   return cfg;
 }
 
-/// `serve --soak`: streaming admission through the supervised runtime. A
-/// feeder thread submits all K sessions against the bounded queue (blocking
-/// on backpressure) while this thread drives execution waves; the drain
+/// `serve`: streaming admission through the supervised runtime. A feeder
+/// thread submits all K sessions against the bounded queue (blocking on
+/// backpressure) while this thread drives execution waves; the drain
 /// guarantees every admitted session reaches a terminal state.
-int run_serve_soak(const Options& opt) {
+int run_serve(const Options& opt) {
   server::SupervisorOptions sup;
   sup.master_seed = opt.seed;
   sup.threads = opt.threads;
@@ -742,11 +731,13 @@ int run_serve_soak(const Options& opt) {
         metrics::Registry::current_shared(),
         telemetry::TelemetrySampler::Options{opt.sample_every, 512});
 
-  std::printf("soak: %zu sessions (%zu faulty%s) through a queue of %zu over "
-              "%zu strands, %zu attempts each, seed %s\n",
-              opt.sessions, opt.faulty,
-              opt.churn ? ", churn chaos on" : "", opt.queue_cap,
-              runtime.threads(), opt.retries, net::hex_u64(opt.seed).c_str());
+  std::printf("serving %zu sessions (%zu faulty%s) through a queue of %zu "
+              "over %zu strands, %zu attempts each: n=%zu, %s VSS, kappa=%zu, "
+              "lanes=%zu, seed %s\n",
+              opt.sessions, opt.faulty, opt.churn ? ", churn chaos on" : "",
+              opt.queue_cap, runtime.threads(), opt.retries, opt.n,
+              scheme_str(opt.scheme), opt.kappa, opt.lanes,
+              net::hex_u64(opt.seed).c_str());
 
   std::atomic<bool> feeder_done{false};
   std::thread feeder([&] {
@@ -784,7 +775,7 @@ int run_serve_soak(const Options& opt) {
                   report.completed.size());
   }
 
-  std::printf("soak complete: %zu/%zu sessions completed in %zu waves | "
+  std::printf("served: %zu/%zu sessions completed in %zu waves | "
               "%zu contained failures, %zu retries (retry rate %.2f), "
               "%zu gave up\n",
               report.completed_sessions, report.admitted, report.waves,
@@ -856,67 +847,6 @@ int run_serve_soak(const Options& opt) {
     if (opt.top)
       std::printf("%s", audit::render_top(sampler->to_json()).c_str());
   }
-  return rc;
-}
-
-int run_serve(const Options& opt) {
-  if (opt.soak) return run_serve_soak(opt);
-  server::SessionEngine engine({opt.seed, opt.threads});
-  for (std::size_t i = 0; i < opt.sessions; ++i)
-    engine.submit(serve_session_config(opt, i));
-  std::printf("serving %zu sessions (%zu faulty) over %zu strands: n=%zu, "
-              "%s VSS, kappa=%zu, lanes=%zu, seed %s\n",
-              opt.sessions, opt.faulty, engine.threads(), opt.n,
-              scheme_str(opt.scheme), opt.kappa, opt.lanes,
-              net::hex_u64(opt.seed).c_str());
-
-  const auto report = engine.run_all();
-
-  int rc = 0;
-  for (const auto& s : report.sessions) {
-    std::printf("  session %llu: %zu/%zu delivered, %zu rounds, digest %s, "
-                "%zu blames, %.2f ms",
-                static_cast<unsigned long long>(s.config.id),
-                s.messages_delivered, s.config.n - 1, s.costs.rounds,
-                net::hex_u64(s.transcript_digest).c_str(), s.blames.size(),
-                s.wall_ms);
-    if (opt.verify) {
-      if (const auto d = server::replay_verify(s, opt.seed)) {
-        std::printf(" | replay DIVERGED: %s", d->format().c_str());
-        rc = 1;
-      } else {
-        std::printf(" | replay ok");
-      }
-    }
-    std::printf("\n");
-  }
-  if (!opt.record_dir.empty()) {
-    std::size_t written = 0;
-    for (const auto& s : report.sessions) {
-      if (s.recording.rounds.empty()) continue;  // contained failure slot
-      const std::string path =
-          opt.record_dir + "/session-" + std::to_string(s.config.id) +
-          ".recording";
-      if (s.recording.save(path)) {
-        ++written;
-      } else {
-        std::fprintf(stderr, "error: cannot write recording '%s'\n",
-                     path.c_str());
-        rc = 1;
-      }
-    }
-    std::printf("recordings: %zu sessions into %s/\n", written,
-                opt.record_dir.c_str());
-  }
-  std::printf("throughput: %zu messages in %.2f ms = %.1f messages/sec | "
-              "session latency p50 %.2f ms, p95 %.2f ms\n",
-              report.messages_delivered, report.wall_ms,
-              report.messages_per_sec, report.p50_session_ms,
-              report.p95_session_ms);
-  if (opt.verify && rc == 0)
-    std::printf("replay verified: all %zu sessions byte-identical to solo "
-                "re-execution\n",
-                report.sessions.size());
   return rc;
 }
 
@@ -1034,30 +964,18 @@ int run_replay(int argc, char** argv) {
                  path.c_str(), error.c_str());
     return 1;
   }
+  // The run shape comes from the recording; only the execution and
+  // telemetry flags may be given, parsed by the live parser's rules.
+  auto flags = value_flags(opt);
+  std::erase_if(flags, [](const auto& flag) {
+    return flag.first != "--threads" && flag.first != "--telemetry" &&
+           flag.first != "--prom" && flag.first != "--sample-every";
+  });
   for (int i = 3; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--top") {
-      opt.top = true;
-      continue;
-    }
-    if (i + 1 >= argc) return usage();
-    const std::string value = argv[++i];
-    if (key == "--threads") {
-      opt.threads =
-          value == "hw" ? hardware_threads() : std::stoul(value);
-      if (opt.threads == 0) return usage();
-      set_default_threads(opt.threads);
-    } else if (key == "--telemetry") {
-      opt.telemetry_path = value;
-    } else if (key == "--prom") {
-      opt.prom_path = value;
-    } else if (key == "--sample-every") {
-      opt.sample_every = std::stoul(value);
-      if (opt.sample_every == 0) return usage();
-    } else {
-      return usage();
-    }
+    if (std::strcmp(argv[i], "--top") == 0) opt.top = true;
+    else if (!take_value_flag(flags, argc, argv, i)) return usage();
   }
+  if (opt.threads != 0) set_default_threads(opt.threads);
   std::printf("replaying %s: command '%s', n=%zu, seed %s, %zu rounds\n",
               path.c_str(), opt.command.c_str(), opt.n,
               net::hex_u64(opt.seed).c_str(), rec->rounds.size());

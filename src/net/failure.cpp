@@ -9,7 +9,6 @@ const char* failure_kind_name(FailureKind kind) {
     case FailureKind::kProtocolError: return "protocol_error";
     case FailureKind::kContractViolation: return "contract_violation";
     case FailureKind::kDeliveryShortfall: return "delivery_shortfall";
-    case FailureKind::kDeadlineExceeded: return "deadline_exceeded";
     case FailureKind::kUnknownException: return "unknown_exception";
   }
   return "unknown_exception";

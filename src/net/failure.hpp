@@ -5,16 +5,14 @@
 // throws — the round watchdog's RoundLimitExceeded, protocol-layer
 // ProtocolError, API-misuse ContractViolation, chaos-injected strand
 // crashes — and classifies it into a FailureKind so retry policy, metrics
-// and operators all speak one vocabulary. Two further kinds cover failures
-// that are not exceptions at all: a completed run that delivered fewer
-// honest messages than the policy requires, and a run that overran its
-// per-session wall deadline.
+// and operators all speak one vocabulary. One further kind covers a failure
+// that is not an exception at all: a completed run that delivered fewer
+// honest messages than the policy requires.
 //
 // The taxonomy lives in net/ (not server/) because the network layer is
 // where the throwing contracts are defined (network.hpp declares
 // RoundLimitExceeded; common/expect.hpp declares ProtocolError and
-// ContractViolation) and because transports added later (ROADMAP item 4)
-// will classify socket-level failures into the same kinds.
+// ContractViolation).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +30,6 @@ enum class FailureKind : std::uint8_t {
   kProtocolError,      ///< any other ProtocolError from the protocol layer
   kContractViolation,  ///< ContractViolation: API misuse / poisoned view
   kDeliveryShortfall,  ///< completed, but delivered < policy minimum
-  kDeadlineExceeded,   ///< completed, but over the per-session wall deadline
   kUnknownException,   ///< anything else derived from std::exception
 };
 

@@ -63,14 +63,6 @@ std::string FailureRecord::describe() const {
   return s;
 }
 
-Session::Session(SessionConfig config, std::uint64_t master_seed)
-    : config_(std::move(config)),
-      master_seed_(master_seed),
-      seeds_(derive_seeds(master_seed, config_.id)) {
-  GFOR14_EXPECTS(config_.n >= 3);
-  GFOR14_EXPECTS(config_.effective_receiver() < config_.n);
-}
-
 namespace {
 
 json::Value recording_config(const SessionConfig& cfg,
@@ -120,10 +112,9 @@ class CrashInjector : public net::RoundObserver {
   std::size_t rounds_ = 0;
 };
 
-/// The shared execution core of Session::run, run_attempt and
-/// replay_verify: builds the whole per-session stack inside the given
-/// metrics attachment and runs one channel invocation with `observers`
-/// attached (in order).
+/// The shared execution core of run_attempt and replay_verify: builds the
+/// whole per-session stack inside the given metrics attachment and runs
+/// one channel invocation with `observers` attached (in order).
 anonchan::Output execute(
     const SessionConfig& cfg, const SessionSeeds& seeds,
     const std::vector<std::shared_ptr<net::RoundObserver>>& observers,
@@ -144,7 +135,8 @@ anonchan::Output execute(
 }
 
 /// Collects the deterministic payload of a finished execution into a
-/// SessionResult (everything except wall_ms, which the caller timed).
+/// SessionResult (everything except wall_ms and counters, which the caller
+/// fills).
 SessionResult collect_result(const SessionConfig& cfg,
                              const SessionSeeds& seeds, std::size_t attempt,
                              anonchan::Output output, net::Network& net,
@@ -177,131 +169,83 @@ std::vector<net::PartyId> blame_set(const net::Network& net) {
 
 }  // namespace
 
-SessionResult Session::run() {
-  GFOR14_EXPECTS(!spent_);
-  spent_ = true;
-
-  // The scope is looked up (or created) under the process root, reset so a
-  // relaunched label starts from zero, and attached to THIS thread for the
-  // whole execution: every component constructed below binds its metric
-  // handles to it (metrics.hpp attribution-by-construction).
-  auto scope =
-      metrics::Registry::instance().scope(config_.effective_scope_label());
-  scope->reset();
-  metrics::RegistryAttachment attach(scope);
-
-  auto recorder = std::make_shared<net::Recorder>(
-      net::Recorder::Options{config_.record_payloads},
-      recording_config(config_, seeds_, 0));
-  std::shared_ptr<net::FaultEngine> faults;
-
-  net::Network net(config_.n, seeds_.net_seed);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto output = execute(config_, seeds_, {recorder}, net, &faults);
-  const auto t1 = std::chrono::steady_clock::now();
-
-  SessionResult r = collect_result(config_, seeds_, 0, std::move(output), net,
-                                   *recorder, faults.get());
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-
-  // Completion roll-up: push every remaining counter delta into the process
-  // root so parent totals are exact the moment the session finishes (the
-  // Network already rolled up at each round barrier; this covers anything
-  // charged after the last barrier).
-  scope->roll_up();
-  r.counters = scope->counters_snapshot();
-  return r;
-}
-
 SessionOutcome run_attempt(const SessionConfig& config,
                            std::uint64_t master_seed,
                            const AttemptSpec& spec) {
   GFOR14_EXPECTS(config.n >= 3);
   GFOR14_EXPECTS(config.effective_receiver() < config.n);
 
-  // The EXECUTED config: supervised retries may run with the fault plan
-  // cleared (the crashed member was replaced); the result echoes this
-  // effective config so replay_verify re-executes what actually ran.
+  // The EXECUTED config: retries run with the fault plan cleared (the
+  // crashed member was replaced); the result echoes this effective config
+  // so replay_verify re-executes what actually ran.
   SessionConfig cfg = config;
-  if (spec.drop_faults) {
+  if (spec.attempt > 0) {
     cfg.faults = net::FaultPlan{};
     cfg.fault_seed.reset();
   }
   const SessionSeeds seeds = derive_seeds(master_seed, cfg.id, spec.attempt);
 
+  // The scope is looked up (or created) under the process root, reset so a
+  // relaunched label starts from zero, and attached to THIS thread for the
+  // whole execution: every component constructed below binds its metric
+  // handles to it (metrics.hpp attribution-by-construction).
   auto scope =
       metrics::Registry::instance().scope(cfg.effective_scope_label());
   scope->reset();
   metrics::RegistryAttachment attach(scope);
 
   auto recorder = std::make_shared<net::Recorder>(
-      net::Recorder::Options{cfg.record_payloads},
-      recording_config(cfg, seeds, spec.attempt));
+      net::Recorder::Options{}, recording_config(cfg, seeds, spec.attempt));
   std::vector<std::shared_ptr<net::RoundObserver>> observers = {recorder};
   if (spec.crash_at_round.has_value())
     observers.push_back(std::make_shared<CrashInjector>(*spec.crash_at_round));
   std::shared_ptr<net::FaultEngine> faults;
 
   SessionOutcome outcome;
+  FailureRecord failure;
+  failure.session_id = cfg.id;
+  failure.attempt = spec.attempt;
   net::Network net(cfg.n, seeds.net_seed);
   if (spec.round_budget != 0) net.set_max_rounds(spec.round_budget);
   const auto t0 = std::chrono::steady_clock::now();
+  const auto elapsed_ms = [&] {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
   try {
     auto output = execute(cfg, seeds, observers, net, &faults);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-
+    const double wall_ms = elapsed_ms();
     SessionResult r = collect_result(cfg, seeds, spec.attempt,
                                      std::move(output), net, *recorder,
                                      faults.get());
     r.wall_ms = wall_ms;
-    if (spec.min_delivered != 0 &&
-        r.messages_delivered < spec.min_delivered) {
-      FailureRecord f;
-      f.session_id = cfg.id;
-      f.attempt = spec.attempt;
-      f.kind = net::FailureKind::kDeliveryShortfall;
-      f.what = "delivered " + std::to_string(r.messages_delivered) + " < " +
-               std::to_string(spec.min_delivered) + " required";
-      f.failing_round = r.costs.rounds;
-      f.blamed = blame_set(net);
-      f.wall_ms = wall_ms;
-      outcome.failure = std::move(f);
-    } else if (spec.wall_deadline_ms > 0.0 &&
-               wall_ms > spec.wall_deadline_ms) {
-      // Environmental safety net — never part of the determinism contract.
-      FailureRecord f;
-      f.session_id = cfg.id;
-      f.attempt = spec.attempt;
-      f.kind = net::FailureKind::kDeadlineExceeded;
-      f.what = "wall " + std::to_string(wall_ms) + " ms over deadline";
-      f.failing_round = r.costs.rounds;
-      f.blamed = blame_set(net);
-      f.wall_ms = wall_ms;
-      outcome.failure = std::move(f);
-    } else {
+    if (r.messages_delivered >= spec.min_delivered) {
       outcome.result = std::move(r);
+    } else {
+      failure.kind = net::FailureKind::kDeliveryShortfall;
+      failure.what = "delivered " + std::to_string(r.messages_delivered) +
+                     " < " + std::to_string(spec.min_delivered) + " required";
     }
   } catch (const std::exception& e) {
     // Containment point: the Network is still alive here, so the record
     // can carry the failing round and the blame set the session had
     // accumulated before dying.
-    const auto t1 = std::chrono::steady_clock::now();
-    FailureRecord f;
-    f.session_id = cfg.id;
-    f.attempt = spec.attempt;
-    f.kind = net::classify_failure(e);
-    f.what = e.what();
-    f.failing_round = net.costs().rounds;
-    f.blamed = blame_set(net);
-    f.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    outcome.failure = std::move(f);
+    failure.kind = net::classify_failure(e);
+    failure.what = e.what();
+  }
+  if (!outcome.ok()) {
+    failure.failing_round = net.costs().rounds;
+    failure.blamed = blame_set(net);
+    failure.wall_ms = elapsed_ms();
+    outcome.failure = std::move(failure);
   }
 
   // Roll up on BOTH paths: a failed attempt's partial traffic still belongs
   // in the process totals (it happened), and the scope must be settled
-  // before a retry resets it.
+  // before a retry resets it. On success this also pushes anything charged
+  // after the last round barrier, so parent totals are exact the moment the
+  // session finishes.
   scope->roll_up();
   if (outcome.ok()) outcome.result->counters = scope->counters_snapshot();
   return outcome;

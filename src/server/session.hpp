@@ -1,35 +1,33 @@
-// One logical AnonChan session inside the multi-session server (DESIGN.md
-// §13): a self-contained protocol execution with its own Network, Rng
-// lineage, fault plan, flight recorder and scoped metrics registry.
+// One logical AnonChan session (DESIGN.md §13): a self-contained protocol
+// execution with its own Network, Rng lineage, fault plan, flight recorder
+// and scoped metrics registry.
 //
-// A Session owns NOTHING shared: every piece of mutable protocol state —
+// A session owns NOTHING shared: every piece of mutable protocol state —
 // party RNGs, pending queues, fault engine, recorder — is private to the
 // session, so any number of sessions may execute concurrently (on the
-// common::ThreadPool, via server::SessionEngine) without observing each
+// common::ThreadPool, via server::SupervisedRuntime) without observing each
 // other. The only cross-session state is immutable-after-insert pure-value
 // caches (LagrangeCache / EncodePlan tables) and the atomic metrics
 // counters, neither of which can carry information INTO a transcript. The
-// isolation contract this buys is the one the differential suite
-// (tests/session_engine_test.cpp) pins down: a session's delivered
-// transcript, CostReport, blame/fault logs and scoped net./vss. counters
-// are byte-identical whether the session runs alone on an idle process or
-// interleaved with any mix of other sessions at any engine thread count.
+// isolation contract this buys is the one the differential suites
+// (tests/session_engine_test.cpp, tests/supervisor_test.cpp) pin down: a
+// session's delivered transcript, CostReport, blame/fault logs and scoped
+// net./vss. counters are byte-identical whether the session runs alone on
+// the calling thread or interleaved with any mix of other sessions at any
+// runtime thread count.
 //
 // Rng lineage: all of a session's randomness derives from
 // derive_seeds(master_seed, id, attempt) — a fresh fork of the master
-// stream keyed by the session id (and, for supervised retries, re-forked by
-// the attempt number), independent of submission order and of every other
-// session's draws. Attempt 0 is byte-identical to the pre-supervision
-// two-argument lineage, so existing recordings stay replayable. Two
-// sessions share entropy only if they share an id, which
-// SessionEngine::submit rejects.
+// stream keyed by the session id (and, for retries, re-forked by the
+// attempt number), independent of submission order and of every other
+// session's draws. Two sessions share entropy only if they share an id,
+// which SupervisedRuntime::submit rejects.
 //
-// Supervised (contained) execution — DESIGN.md §14: run_attempt() executes
-// one attempt of a session with every defined failure mode caught INSIDE
-// the call, while the session's Network is still alive, and folded into a
-// structured FailureRecord (exception taxonomy kind, failing round, blame
-// set). The supervisor (supervisor.hpp) builds its crash-containment and
-// retry story entirely on this primitive.
+// run_attempt() is the one way a session executes: every defined failure
+// mode is caught INSIDE the call, while the session's Network is still
+// alive, and folded into a structured FailureRecord (exception taxonomy
+// kind, failing round, blame set). The supervisor (supervisor.hpp) builds
+// its crash-containment and retry story entirely on this primitive.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +49,10 @@
 
 namespace gfor14::server {
 
-/// Everything that defines one logical session. Plain data; the engine
-/// copies it into the session and echoes it back in the result.
+/// Everything that defines one logical session. Plain data; the runtime
+/// copies it into the attempt and echoes it back in the result.
 struct SessionConfig {
-  std::uint64_t id = 0;  ///< unique per engine run: scope name + Rng lineage
+  std::uint64_t id = 0;  ///< unique per runtime: scope name + Rng lineage
   std::size_t n = 5;
   vss::SchemeKind scheme = vss::SchemeKind::kRB;
   std::size_t kappa = 3;     ///< cut-and-choose copies (practical profile)
@@ -74,7 +72,6 @@ struct SessionConfig {
   /// pool forbids two parallel levels), which is transcript-equivalent by
   /// the DESIGN.md §8 lane-count-independence contract.
   std::size_t lanes = 1;
-  bool record_payloads = true;  ///< full-fidelity vs header-only recording
   /// Metrics scope name under the process root; "" = "session/<id>".
   std::string scope_label;
 
@@ -88,7 +85,7 @@ struct SessionConfig {
   std::string effective_scope_label() const;
 };
 
-/// The session's independent randomness, forked from the engine master
+/// The session's independent randomness, forked from the runtime master
 /// seed by session id and attempt number. Pure function of
 /// (master_seed, id, attempt): independent of submission order, scheduling,
 /// and every other session's draws. Attempt 0 reproduces the original
@@ -104,7 +101,10 @@ SessionSeeds derive_seeds(std::uint64_t master_seed, std::uint64_t session_id,
 /// attempt of the session this is (selects the Rng lineage) plus the
 /// containment limits the supervisor imposes. Plain data, deterministic —
 /// the supervisor derives it purely from (policy, session id, attempt).
+/// A default AttemptSpec is the plain solo run.
 struct AttemptSpec {
+  /// Selects the Rng lineage. Retries (attempt > 0) run with the config's
+  /// fault plan cleared: the crashed member was replaced.
   std::size_t attempt = 0;
   /// Per-attempt round budget enforced by the Network watchdog; the attempt
   /// dies with a kRoundLimit FailureRecord when exceeded. 0 = unlimited.
@@ -112,16 +112,9 @@ struct AttemptSpec {
   /// Chaos injection: throw net::InjectedCrash after this many round
   /// barriers, simulating the session strand dying mid-run.
   std::optional<std::size_t> crash_at_round;
-  /// Run this attempt with the config's fault plan cleared (retry policy's
-  /// "crashed member replaced" model).
-  bool drop_faults = false;
   /// Minimum honest deliveries for the attempt to count as success; a
   /// completed run below this fails with kDeliveryShortfall. 0 = off.
   std::size_t min_delivered = 0;
-  /// Per-attempt wall-clock ceiling (environmental safety net, never part
-  /// of determinism claims); exceeding it fails with kDeadlineExceeded.
-  /// 0 = off.
-  double wall_deadline_ms = 0.0;
 };
 
 /// Structured containment record of one failed attempt: what died, where,
@@ -144,7 +137,7 @@ struct FailureRecord {
 
 /// Everything one completed session produced.
 struct SessionResult {
-  SessionConfig config;  ///< the config as EXECUTED (faults may be dropped)
+  SessionConfig config;  ///< the config as EXECUTED (retries drop faults)
   SessionSeeds seeds;
   std::size_t attempt = 0;  ///< lineage attempt that produced this result
   anonchan::Output output;
@@ -168,42 +161,18 @@ struct SessionOutcome {
   bool ok() const { return result.has_value(); }
 };
 
-/// Executes ONE supervised attempt of a session: attaches the session's
-/// metrics scope, builds the private Network/VSS/AnonChan stack with the
-/// (master_seed, id, attempt) Rng lineage, applies the AttemptSpec's
-/// containment limits, and catches every failure (taxonomy of
+/// Executes ONE attempt of a session on the calling thread (plus the
+/// session's own lanes when not nested in a pool strand): attaches the
+/// session's metrics scope, builds the private Network/VSS/AnonChan stack
+/// with the (master_seed, id, attempt) Rng lineage, applies the
+/// AttemptSpec's containment limits, and catches every failure (taxonomy of
 /// net/failure.hpp) into a FailureRecord while the Network is still alive —
-/// so the record carries the failing round and the blame set. With a
-/// default AttemptSpec the success path is byte-identical to
-/// Session::run(). Thread-safe in the same sense as Session::run(): may be
-/// called from any pool strand.
+/// so the record carries the failing round and the blame set. On success
+/// the scope is rolled up into the process root before `counters` is
+/// snapshotted. Thread-safe: everything it touches is session-private or
+/// thread-safe, so it may run on any pool strand.
 SessionOutcome run_attempt(const SessionConfig& config,
                            std::uint64_t master_seed, const AttemptSpec& spec);
-
-/// One runnable session. Construction only captures configuration; run()
-/// performs the whole protocol execution on the calling thread (plus the
-/// session's own lanes when not nested) and may be invoked from a pool
-/// strand — everything it touches is session-private or thread-safe.
-class Session {
- public:
-  Session(SessionConfig config, std::uint64_t master_seed);
-
-  const SessionConfig& config() const { return config_; }
-  const SessionSeeds& seeds() const { return seeds_; }
-
-  /// Executes the session: attaches its metrics scope to the calling
-  /// thread, builds the Network/VSS/AnonChan stack inside that attachment,
-  /// runs one full channel invocation, rolls the scope up into the process
-  /// root and returns the collected result. A Session is single-use.
-  /// Uncontained: exceptions propagate (use run_attempt for supervision).
-  SessionResult run();
-
- private:
-  SessionConfig config_;
-  std::uint64_t master_seed_ = 0;
-  SessionSeeds seeds_;
-  bool spent_ = false;
-};
 
 /// Re-executes a result's configuration solo (fresh Network, same
 /// (id, attempt) lineage, serial engine context) with a ReplayVerifier

@@ -234,9 +234,6 @@ AttemptSpec SupervisedRuntime::make_attempt_spec(const Entry& entry) const {
   spec.attempt = entry.attempt;
   spec.round_budget = options_.retry.round_budget;
   spec.min_delivered = options_.retry.min_delivered;
-  spec.wall_deadline_ms = options_.retry.wall_deadline_ms;
-  spec.drop_faults =
-      entry.attempt > 0 && options_.retry.drop_faults_on_retry;
   spec.crash_at_round = chaos_crash_round(options_.chaos, options_.master_seed,
                                           entry.config.id, entry.attempt);
   return spec;

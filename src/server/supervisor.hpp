@@ -1,5 +1,6 @@
-// Supervised streaming session runtime (DESIGN.md §14): the long-lived
-// replacement for the single-shot batch engine.
+// Supervised streaming session runtime (DESIGN.md §14): the one way
+// sessions execute, whether a caller streams them or admits a whole batch
+// up front and drains it in one wave.
 //
 // Three pieces, one determinism story:
 //
@@ -13,7 +14,7 @@
 //  * Crash containment. Every attempt executes through
 //    server::run_attempt(), which catches the whole failure taxonomy of
 //    net/failure.hpp (RoundLimitExceeded, ProtocolError, ContractViolation,
-//    chaos-injected strand crashes, delivery shortfalls, wall deadlines)
+//    chaos-injected strand crashes, delivery shortfalls)
 //    INSIDE the session — a failing session becomes a FailureRecord
 //    carrying the exception kind, the failing round and the blame set, and
 //    never an exception propagating out of the runtime or a hung strand.
@@ -67,8 +68,8 @@ enum class SessionState : std::uint8_t {
 const char* session_state_name(SessionState state);
 
 /// Deterministic retry policy: everything here is logical (attempts, waves,
-/// rounds) except wall_deadline_ms, which is an environmental safety net
-/// excluded from the schedule-replay contract.
+/// rounds, deliveries), so failures replay with the schedule. Retries always
+/// run with the session's fault plan cleared (AttemptSpec::attempt).
 struct RetryPolicy {
   /// Total attempts per session (1 = no retry).
   std::size_t max_attempts = 3;
@@ -77,13 +78,8 @@ struct RetryPolicy {
   std::size_t backoff_cap = 8;
   /// Per-attempt round budget (Network watchdog); 0 = unlimited.
   std::size_t round_budget = 0;
-  /// Per-attempt wall deadline in ms; 0 = off. Environmental only.
-  double wall_deadline_ms = 0.0;
   /// Minimum honest deliveries for success; 0 = off.
   std::size_t min_delivered = 0;
-  /// Retries run with the session's fault plan cleared — the transient
-  /// infrastructure fault (crashed member) is repaired before the rerun.
-  bool drop_faults_on_retry = true;
 
   /// Backoff in waves before attempt `attempt` (>= 1) becomes eligible.
   std::size_t backoff_waves(std::size_t attempt) const;
@@ -186,7 +182,7 @@ struct RuntimeReport {
 };
 
 /// q-quantile of an ascending-sorted sample (nearest-rank with rounding);
-/// 0 on an empty sample — shared by the runtime and engine report math.
+/// 0 on an empty sample.
 double percentile_sorted(const std::vector<double>& sorted, double q);
 
 /// The supervised streaming runtime. Admission is thread-safe (feeders may

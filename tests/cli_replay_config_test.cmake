@@ -39,3 +39,24 @@ expect_rejected(fractional_n "${n_field}" "\\13.5" "config\\.n")
 expect_rejected(receiver_out_of_range "(\"receiver\": )2" "\\13"
                 "config\\.receiver 3 is out of range")
 expect_rejected(kappa_zero "(\"kappa\": )2" "\\10" "config\\.kappa must be in")
+
+# Replay's trailing flags go through the live parser's strict rules: a
+# value with trailing junk is rejected with a diagnostic naming the flag.
+function(expect_flag_rejected name diagnostic)
+  execute_process(
+    COMMAND "${CLI}" replay "${WORK}/good.json" ${ARGN}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "${name}: replay exited '${rc}', want a nonzero code\n${err}")
+  endif()
+  if(NOT err MATCHES "${diagnostic}")
+    message(FATAL_ERROR "${name}: no '${diagnostic}' diagnostic in:\n${err}")
+  endif()
+endfunction()
+
+expect_flag_rejected(threads_junk "invalid value '2x' for --threads" --threads 2x)
+expect_flag_rejected(threads_zero "--threads must be at least 1" --threads 0)
+expect_flag_rejected(sample_every_junk "invalid value '3junk' for --sample-every"
+                     --sample-every 3junk)
+expect_flag_rejected(missing_value "--threads requires a value" --threads)
+expect_flag_rejected(shape_flag "unknown option '--n'" --n 4)

@@ -34,7 +34,7 @@
 #include "net/adversary.hpp"
 #include "net/faultplan.hpp"
 #include "net/recorder.hpp"
-#include "server/session_engine.hpp"
+#include "server/supervisor.hpp"
 #include "vss/schemes.hpp"
 
 namespace gfor14 {
@@ -495,23 +495,32 @@ TEST_F(FaultSoakTest, ConcurrentFaultySessionsDoNotPerturbCleanOnes) {
     return cfg;
   };
 
-  // Solo baselines first, serially, under distinct scopes.
+  // Solo baselines first, on the test thread, under distinct scopes.
   std::vector<server::SessionResult> solo;
   for (std::size_t id = 0; id < kSessions; ++id) {
     server::SessionConfig cfg = make_config(id);
     cfg.scope_label = "solo-soak/" + std::to_string(id);
-    server::Session session(cfg, master_seed);
-    solo.push_back(session.run());
+    solo.push_back(server::run_attempt(cfg, master_seed, server::AttemptSpec{})
+                       .result.value());
   }
 
-  server::SessionEngine engine({master_seed, 4});
+  // Then the whole fleet in one wave of the runtime: one attempt each, so a
+  // faulty session is never retried with its plan cleared.
+  server::SupervisorOptions sup;
+  sup.master_seed = master_seed;
+  sup.threads = 4;
+  sup.retry.max_attempts = 1;
+  server::SupervisedRuntime runtime(sup);
   for (std::size_t id = 0; id < kSessions; ++id)
-    engine.submit(make_config(id));
-  const auto report = engine.run_all();
+    ASSERT_TRUE(runtime.try_submit(make_config(id)));
+  const auto report = runtime.drain();
+  ASSERT_TRUE(report.failures.empty());
+  ASSERT_EQ(report.completed.size(), kSessions);
 
   std::size_t faults_applied = 0;
   for (std::size_t id = 0; id < kSessions; ++id) {
-    const auto& co = report.sessions[id];
+    const auto& co = report.completed[id];
+    ASSERT_EQ(co.config.id, id);
     SCOPED_TRACE("session=" + std::to_string(id) +
                  (id % 2 == 1 ? " (faulty)" : " (clean)") +
                  " master_seed=" + std::to_string(master_seed));

@@ -1,23 +1,24 @@
-// Session-isolation differential suite for the multi-session engine
+// Session-isolation differential suite for the session runtime
 // (DESIGN.md §13).
 //
-// The engine's contract extends PR 3's "byte-identical at any lane count"
-// to "byte-identical at any session interleaving": for every submitted
+// The runtime's contract extends §8's "byte-identical at any lane count"
+// to "byte-identical at any session interleaving": for every admitted
 // session, the delivered transcript, protocol output, CostReport,
 // blame/fault logs and scoped metrics counters must match the same
-// SessionConfig executed alone on an idle process — at any engine thread
+// SessionConfig executed alone on the test thread — at any runtime thread
 // count, co-scheduled with any mix of other sessions (different n, scheme,
 // params profile, lane request, fault plan). Every comparison below goes
 // through the flight recorder so a violation pins the exact (round,
 // channel, byte) where one session observed another.
 //
-// The suite also pins the engine's supporting invariants: session scopes
+// The suite also pins the runtime's supporting invariants: session scopes
 // roll up exactly into the process root, the Rng lineage is a pure
 // function of (master seed, session id) — independent of submission order
 // — and the process-wide LagrangeCache keeps its hit+miss accounting exact
 // under cross-session contention (the split may shift, the sum may not).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <string>
@@ -30,7 +31,7 @@
 #include "common/thread_pool.hpp"
 #include "math/lagrange_cache.hpp"
 #include "math/poly.hpp"
-#include "server/session_engine.hpp"
+#include "server/supervisor.hpp"
 
 namespace gfor14 {
 namespace {
@@ -83,7 +84,7 @@ net::FaultPlan in_model_faults() {
 
 /// The mixed fleet: session id i deterministically picks its shape, so the
 /// same fleet can be rebuilt for solo baselines, permuted submission and
-/// different engine thread counts. Mixes n ∈ {4,5,6}, all three VSS
+/// different runtime thread counts. Mixes n ∈ {4,5,6}, all three VSS
 /// schemes, kappa ∈ {2,3}, both params profiles, lanes ∈ {1,4,hw} and
 /// clean vs faulty sessions. (Field width is compile-time — GF(2^64) — so
 // "different field" mixing is out of scope; see DESIGN.md §13.)
@@ -104,39 +105,62 @@ server::SessionConfig fleet_config(std::size_t i) {
   return cfg;
 }
 
-/// Runs one config alone, serially, under a distinct "solo/<id>" scope —
-/// the baseline every engine execution is compared against.
+/// Runs one config alone on the test thread under a distinct "solo/<id>"
+/// scope — the baseline every co-scheduled execution is compared against.
 server::SessionResult solo_baseline(std::size_t i) {
   server::SessionConfig cfg = fleet_config(i);
   cfg.scope_label = "solo/" + std::to_string(i);
-  server::Session session(cfg, kMasterSeed);
-  return session.run();
+  return server::run_attempt(cfg, kMasterSeed, server::AttemptSpec{})
+      .result.value();
+}
+
+/// Admits every config up front and drains the runtime — one wave, one
+/// attempt per session. Completed results come back in admission order.
+std::vector<server::SessionResult> run_fleet(
+    const std::vector<server::SessionConfig>& fleet, std::size_t threads) {
+  server::SupervisorOptions sup;
+  sup.master_seed = kMasterSeed;
+  sup.threads = threads;
+  sup.retry.max_attempts = 1;
+  server::SupervisedRuntime runtime(sup);
+  for (const auto& cfg : fleet) EXPECT_TRUE(runtime.try_submit(cfg));
+  auto report = runtime.drain();
+  EXPECT_TRUE(report.failures.empty());
+  EXPECT_EQ(report.waves, 1u);
+  return std::move(report.completed);
+}
+
+std::vector<server::SessionConfig> fleet_of(std::size_t sessions) {
+  std::vector<server::SessionConfig> fleet;
+  for (std::size_t i = 0; i < sessions; ++i) fleet.push_back(fleet_config(i));
+  return fleet;
 }
 
 void expect_session_equal(const server::SessionResult& solo,
-                          const server::SessionResult& engine) {
-  EXPECT_TRUE(identical(solo.recording, engine.recording));
-  EXPECT_EQ(solo.transcript_digest, engine.transcript_digest);
-  EXPECT_EQ(solo.costs, engine.costs);
-  EXPECT_EQ(serialize_output(solo.output), serialize_output(engine.output));
-  EXPECT_EQ(solo.messages_delivered, engine.messages_delivered);
-  EXPECT_EQ(serialize_blames(solo.blames), serialize_blames(engine.blames));
+                          const server::SessionResult& co) {
+  EXPECT_EQ(solo.config.id, co.config.id);
+  EXPECT_TRUE(identical(solo.recording, co.recording));
+  EXPECT_EQ(solo.transcript_digest, co.transcript_digest);
+  EXPECT_EQ(solo.costs, co.costs);
+  EXPECT_EQ(serialize_output(solo.output), serialize_output(co.output));
+  EXPECT_EQ(solo.messages_delivered, co.messages_delivered);
+  EXPECT_EQ(serialize_blames(solo.blames), serialize_blames(co.blames));
   EXPECT_EQ(serialize_faults(solo.fault_events),
-            serialize_faults(engine.fault_events));
+            serialize_faults(co.fault_events));
   // The scoped counters are the per-session resource attribution (net.*,
   // vss.* and friends); names are scope-relative, so "solo/3" and
   // "session/3" snapshots compare directly.
-  EXPECT_EQ(solo.counters, engine.counters);
-  EXPECT_EQ(solo.seeds.net_seed, engine.seeds.net_seed);
-  EXPECT_EQ(solo.seeds.fault_seed, engine.seeds.fault_seed);
+  EXPECT_EQ(solo.counters, co.counters);
+  EXPECT_EQ(solo.seeds.net_seed, co.seeds.net_seed);
+  EXPECT_EQ(solo.seeds.fault_seed, co.seeds.fault_seed);
 }
 
-class SessionEngineTest : public ::testing::Test {
+class SessionIsolationTest : public ::testing::Test {
  protected:
   void SetUp() override { metrics::Registry::reset_for_test(); }
 };
 
-TEST_F(SessionEngineTest, ConcurrentSessionsMatchSoloBaselinesByteForByte) {
+TEST_F(SessionIsolationTest, ConcurrentSessionsMatchSoloBaselinesByteForByte) {
   // Solo baselines once for the largest fleet; every K reuses its prefix.
   constexpr std::size_t kMaxSessions = 16;
   std::vector<server::SessionResult> solo;
@@ -148,79 +172,68 @@ TEST_F(SessionEngineTest, ConcurrentSessionsMatchSoloBaselinesByteForByte) {
   }
 
   for (std::size_t sessions : {std::size_t{1}, std::size_t{4}, kMaxSessions}) {
-    server::SessionEngine engine({kMasterSeed, 4});
-    for (std::size_t i = 0; i < sessions; ++i) engine.submit(fleet_config(i));
-    const auto report = engine.run_all();
-    ASSERT_EQ(report.sessions.size(), sessions);
+    const auto results = run_fleet(fleet_of(sessions), 4);
+    ASSERT_EQ(results.size(), sessions);
     for (std::size_t i = 0; i < sessions; ++i) {
       SCOPED_TRACE("K=" + std::to_string(sessions) + " session=" +
                    std::to_string(i));
-      expect_session_equal(solo[i], report.sessions[i]);
+      expect_session_equal(solo[i], results[i]);
     }
   }
 }
 
-TEST_F(SessionEngineTest, InterleavingIsThreadCountIndependent) {
-  // The same fleet at 1 engine strand and at 4: per-session payloads must
-  // be byte-identical (only wall-clock fields may differ).
+TEST_F(SessionIsolationTest, InterleavingIsThreadCountIndependent) {
+  // The same fleet at 1 runtime strand and at 4: per-session payloads
+  // must be byte-identical (only wall-clock fields may differ).
   constexpr std::size_t kSessions = 8;
-  server::SessionEngine serial({kMasterSeed, 1});
-  server::SessionEngine parallel({kMasterSeed, 4});
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    serial.submit(fleet_config(i));
-    parallel.submit(fleet_config(i));
-  }
-  const auto a = serial.run_all();
-  const auto b = parallel.run_all();
-  ASSERT_EQ(a.sessions.size(), b.sessions.size());
+  const auto a = run_fleet(fleet_of(kSessions), 1);
+  const auto b = run_fleet(fleet_of(kSessions), 4);
+  ASSERT_EQ(a.size(), kSessions);
+  ASSERT_EQ(b.size(), kSessions);
   for (std::size_t i = 0; i < kSessions; ++i) {
     SCOPED_TRACE("session=" + std::to_string(i));
-    expect_session_equal(a.sessions[i], b.sessions[i]);
+    expect_session_equal(a[i], b[i]);
   }
 }
 
-TEST_F(SessionEngineTest, SubmissionOrderDoesNotChangeAnySession) {
+TEST_F(SessionIsolationTest, SubmissionOrderDoesNotChangeAnySession) {
   // Seeds derive from (master, id) alone, scopes are keyed by id, and the
-  // report preserves submission order — so a permuted fleet must produce
+  // report preserves admission order — so a permuted fleet must produce
   // the identical per-id results.
   constexpr std::size_t kSessions = 6;
-  server::SessionEngine forward({kMasterSeed, 4});
-  server::SessionEngine reversed({kMasterSeed, 4});
-  for (std::size_t i = 0; i < kSessions; ++i) forward.submit(fleet_config(i));
-  for (std::size_t i = kSessions; i-- > 0;)
-    reversed.submit(fleet_config(i));
-  const auto a = forward.run_all();
-  const auto b = reversed.run_all();
+  auto reversed_fleet = fleet_of(kSessions);
+  std::reverse(reversed_fleet.begin(), reversed_fleet.end());
+  const auto a = run_fleet(fleet_of(kSessions), 4);
+  const auto b = run_fleet(reversed_fleet, 4);
+  ASSERT_EQ(a.size(), kSessions);
+  ASSERT_EQ(b.size(), kSessions);
   for (std::size_t i = 0; i < kSessions; ++i) {
     SCOPED_TRACE("session=" + std::to_string(i));
-    expect_session_equal(a.sessions[i],
-                         b.sessions[kSessions - 1 - i]);
+    expect_session_equal(a[i], b[kSessions - 1 - i]);
   }
 }
 
-TEST_F(SessionEngineTest, EverySessionReplayVerifiesAgainstItsRecording) {
-  // The engine-run recordings drive a solo re-execution through the audit
-  // verifier — the same check `serve --verify` and the CI job perform.
-  server::SessionEngine engine({kMasterSeed, 4});
-  for (std::size_t i = 0; i < 4; ++i) engine.submit(fleet_config(i));
-  const auto report = engine.run_all();
-  for (const auto& s : report.sessions) {
+TEST_F(SessionIsolationTest, EverySessionReplayVerifiesAgainstItsRecording) {
+  // The co-scheduled recordings drive a solo re-execution through the
+  // audit verifier — the same check `serve --verify` and the CI job perform.
+  const auto results = run_fleet(fleet_of(4), 4);
+  ASSERT_EQ(results.size(), 4u);
+  for (const auto& s : results) {
     const auto divergence = server::replay_verify(s, kMasterSeed);
     EXPECT_FALSE(divergence.has_value())
         << "session " << s.config.id << ": " << divergence->format();
   }
 }
 
-TEST_F(SessionEngineTest, SessionScopesRollUpExactlyIntoTheRoot) {
-  server::SessionEngine engine({kMasterSeed, 4});
+TEST_F(SessionIsolationTest, SessionScopesRollUpExactlyIntoTheRoot) {
   constexpr std::size_t kSessions = 4;
-  for (std::size_t i = 0; i < kSessions; ++i) engine.submit(fleet_config(i));
-  const auto report = engine.run_all();
+  const auto results = run_fleet(fleet_of(kSessions), 4);
+  ASSERT_EQ(results.size(), kSessions);
 
   // Sum each counter across the per-session snapshots; the root (zeroed in
   // SetUp) must hold exactly that total for every such counter.
   std::map<std::string, std::uint64_t> expected;
-  for (const auto& s : report.sessions)
+  for (const auto& s : results)
     for (const auto& [name, value] : s.counters) expected[name] += value;
   ASSERT_FALSE(expected.empty());
   auto& root = metrics::Registry::instance();
@@ -233,24 +246,21 @@ TEST_F(SessionEngineTest, SessionScopesRollUpExactlyIntoTheRoot) {
     EXPECT_EQ(root.counter(name).value(), total) << name;
 }
 
-TEST_F(SessionEngineTest, DuplicateSessionIdsAreRejected) {
-  server::SessionEngine engine({kMasterSeed, 2});
-  engine.submit(fleet_config(0));
-  EXPECT_THROW(engine.submit(fleet_config(0)), ContractViolation);
+TEST_F(SessionIsolationTest, DuplicateSessionIdsAreRejected) {
+  server::SupervisedRuntime runtime(server::SupervisorOptions{});
+  EXPECT_TRUE(runtime.try_submit(fleet_config(0)));
+  EXPECT_THROW(runtime.try_submit(fleet_config(0)), ContractViolation);
 }
 
-TEST_F(SessionEngineTest, SessionsAndEnginesAreSingleUse) {
-  server::SessionEngine engine({kMasterSeed, 2});
-  engine.submit(fleet_config(0));
-  (void)engine.run_all();
-  EXPECT_THROW(engine.submit(fleet_config(1)), ContractViolation);
-  EXPECT_THROW((void)engine.run_all(), ContractViolation);
-  server::Session session(fleet_config(0), kMasterSeed);
-  (void)session.run();
-  EXPECT_THROW((void)session.run(), ContractViolation);
+TEST_F(SessionIsolationTest, DrainedRuntimeAdmitsNothingMore) {
+  server::SupervisedRuntime runtime(server::SupervisorOptions{});
+  EXPECT_TRUE(runtime.try_submit(fleet_config(0)));
+  (void)runtime.drain();
+  EXPECT_FALSE(runtime.try_submit(fleet_config(1)));
+  EXPECT_EQ(runtime.run_wave(), 0u);
 }
 
-TEST_F(SessionEngineTest, SeedLineageIsAPureFunctionOfMasterAndId) {
+TEST_F(SessionIsolationTest, SeedLineageIsAPureFunctionOfMasterAndId) {
   const auto a = server::derive_seeds(kMasterSeed, 7);
   const auto b = server::derive_seeds(kMasterSeed, 7);
   EXPECT_EQ(a.net_seed, b.net_seed);
@@ -268,7 +278,7 @@ TEST_F(SessionEngineTest, SeedLineageIsAPureFunctionOfMasterAndId) {
   EXPECT_NE(a.net_seed, other.net_seed);
 }
 
-TEST_F(SessionEngineTest, LagrangeCacheStaysExactUnderContention) {
+TEST_F(SessionIsolationTest, LagrangeCacheStaysExactUnderContention) {
   // 16 raw threads (more than the pool would grant) hammer overlapping
   // coefficient keys and encode plans concurrently. The invariant the
   // cache promises (lagrange_cache.hpp): every coefficients() call bumps

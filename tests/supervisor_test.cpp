@@ -12,12 +12,12 @@
 //     blame set) — never a propagated exception, and never a session left
 //     in a non-terminal state after drain.
 //  3. Isolation under churn: clean co-scheduled sessions stay byte-identical
-//     to solo Session::run() baselines while their neighbours crash and
+//     to solo run_attempt() baselines while their neighbours crash and
 //     retry; a retried session's transcript differs from its attempt-0
 //     recording only through the (master, id, attempt) Rng lineage.
 //
-// Plus the engine-report rate-math guards (zero wall clock / empty batch
-// never yields inf or NaN) and the bounded-queue backpressure behavior.
+// Plus the report rate-math guards (empty sample / empty drain never
+// yields inf or NaN) and the bounded-queue backpressure behavior.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,7 +30,6 @@
 #include "audit/replay.hpp"
 #include "common/expect.hpp"
 #include "common/metrics.hpp"
-#include "server/session_engine.hpp"
 #include "server/supervisor.hpp"
 
 namespace gfor14 {
@@ -97,6 +96,15 @@ server::RuntimeReport run_fleet(server::SupervisorOptions sup,
   return runtime.drain();
 }
 
+/// The attempt-0 solo baseline of fleet_config(id), run on the test thread
+/// under its own "solo/<id>" scope.
+server::SessionResult solo_baseline(std::uint64_t id) {
+  server::SessionConfig cfg = fleet_config(id);
+  cfg.scope_label = "solo/" + std::to_string(id);
+  return server::run_attempt(cfg, kMasterSeed, server::AttemptSpec{})
+      .result.value();
+}
+
 std::string describe_failures(const std::vector<server::FailureRecord>& fs) {
   std::string s;
   for (const auto& f : fs) s += f.describe() + "\n";
@@ -145,7 +153,7 @@ TEST_F(SupervisorTest, ScheduleReplaysIdenticallyAtAnyThreadCount) {
 
 TEST_F(SupervisorTest, CleanSessionsStayByteIdenticalWhileNeighborsCrash) {
   // ids 0, 3, 6 crash on attempt 0 and retry; the others run clean. Every
-  // clean session must be byte-identical to its solo Session::run()
+  // clean session must be byte-identical to its solo run_attempt()
   // baseline — the §13 isolation contract extended across churn.
   constexpr std::size_t kSessions = 8;
   const auto report = run_fleet(churn_options(4), kSessions);
@@ -155,10 +163,7 @@ TEST_F(SupervisorTest, CleanSessionsStayByteIdenticalWhileNeighborsCrash) {
   for (const auto& result : report.completed) {
     if (result.attempt != 0) continue;  // retried neighbours checked below
     SCOPED_TRACE("session " + std::to_string(result.config.id));
-    server::SessionConfig solo_cfg = fleet_config(result.config.id);
-    solo_cfg.scope_label = "solo/" + std::to_string(result.config.id);
-    server::Session solo(solo_cfg, kMasterSeed);
-    const auto baseline = solo.run();
+    const auto baseline = solo_baseline(result.config.id);
     EXPECT_TRUE(identical(baseline.recording, result.recording));
     EXPECT_EQ(baseline.transcript_digest, result.transcript_digest);
     EXPECT_EQ(baseline.costs, result.costs);
@@ -196,10 +201,7 @@ TEST_F(SupervisorTest, RetryLineageIsFreshButPinnedToSessionAndAttempt) {
         server::derive_seeds(kMasterSeed, result.config.id, 1);
     EXPECT_EQ(result.seeds.net_seed, expect_seeds.net_seed);
 
-    server::SessionConfig solo_cfg = fleet_config(result.config.id);
-    solo_cfg.scope_label = "solo/" + std::to_string(result.config.id);
-    server::Session solo(solo_cfg, kMasterSeed);
-    const auto attempt0 = solo.run();
+    const auto attempt0 = solo_baseline(result.config.id);
     EXPECT_NE(attempt0.transcript_digest, result.transcript_digest);
 
     // And the retried transcript still replay-verifies under its own
@@ -370,31 +372,6 @@ TEST_F(SupervisorTest, HealthCountersTrackTheSchedule) {
 }
 
 TEST_F(SupervisorTest, EngineRateMathNeverYieldsInfOrNaN) {
-  // Empty batch, zero wall clock.
-  server::EngineReport empty;
-  server::finalize_engine_report(empty);
-  EXPECT_EQ(empty.messages_per_sec, 0.0);
-  EXPECT_EQ(empty.p50_session_ms, 0.0);
-  EXPECT_EQ(empty.p95_session_ms, 0.0);
-  EXPECT_TRUE(std::isfinite(empty.messages_per_sec));
-
-  // Instant batch: deliveries but wall_ms == 0 must not divide by zero.
-  server::EngineReport instant;
-  instant.sessions.resize(2);
-  instant.sessions[0].messages_delivered = 3;
-  instant.sessions[0].wall_ms = 1.5;
-  instant.sessions[1].messages_delivered = 4;
-  instant.sessions[1].wall_ms = 2.5;
-  instant.wall_ms = 0.0;
-  server::finalize_engine_report(instant);
-  EXPECT_EQ(instant.messages_delivered, 7u);
-  EXPECT_EQ(instant.messages_per_sec, 0.0);
-  EXPECT_TRUE(std::isfinite(instant.messages_per_sec));
-  // Nearest-rank with rounding: the midpoint of a two-sample batch rounds
-  // up to the second order statistic (the seed engine's behavior).
-  EXPECT_EQ(instant.p50_session_ms, 2.5);
-  EXPECT_EQ(instant.p95_session_ms, 2.5);
-
   // percentile_sorted is total on empty samples.
   EXPECT_EQ(server::percentile_sorted({}, 0.5), 0.0);
 
@@ -408,20 +385,38 @@ TEST_F(SupervisorTest, EngineRateMathNeverYieldsInfOrNaN) {
 }
 
 TEST_F(SupervisorTest, BatchEngineContainsFailuresInsteadOfThrowing) {
-  // The rewrapped SessionEngine surfaces a dead session as a FailureRecord
-  // in EngineReport.failures; the healthy session is untouched.
+  // A config that violates a precondition (n >= 3) dies inside its strand
+  // before its Network exists; the wave's catch-all turns it into exactly
+  // one FailureRecord, and its healthy neighbour in the same wave completes
+  // byte-identical to its solo run.
   server::SessionConfig bad = fleet_config(0);
-  bad.n = 2;  // violates the n >= 3 precondition inside the strand
-  server::SessionConfig good = fleet_config(1);
-  server::SessionEngine engine({kMasterSeed, 2});
-  engine.submit(bad);
-  engine.submit(good);
-  const auto report = engine.run_all();
+  bad.n = 2;
+  server::SupervisorOptions sup;
+  sup.master_seed = kMasterSeed;
+  sup.threads = 2;
+  sup.retry.max_attempts = 1;
+  server::SupervisedRuntime runtime(sup);
+  ASSERT_TRUE(runtime.try_submit(bad));
+  ASSERT_TRUE(runtime.try_submit(fleet_config(1)));
+  const auto report = runtime.drain();
+
+  EXPECT_EQ(report.waves, 1u);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].session_id, bad.id);
-  ASSERT_EQ(report.sessions.size(), 2u);
-  EXPECT_EQ(report.sessions[0].recording.rounds.size(), 0u);  // placeholder
-  EXPECT_GT(report.sessions[1].messages_delivered, 0u);
+  EXPECT_EQ(report.failures[0].kind, net::FailureKind::kContractViolation);
+  EXPECT_EQ(report.failed_sessions, 1u);
+  EXPECT_EQ(runtime.state_of(bad.id), server::SessionState::kFailed);
+
+  ASSERT_EQ(report.completed.size(), 1u);
+  const auto& good = report.completed[0];
+  EXPECT_EQ(good.config.id, 1u);
+  const auto baseline = solo_baseline(1);
+  EXPECT_TRUE(identical(baseline.recording, good.recording));
+  EXPECT_EQ(baseline.transcript_digest, good.transcript_digest);
+  EXPECT_EQ(baseline.costs, good.costs);
+  EXPECT_EQ(baseline.messages_delivered, good.messages_delivered);
+  EXPECT_GT(good.messages_delivered, 0u);
+  EXPECT_EQ(baseline.counters, good.counters);
 }
 
 TEST_F(SupervisorTest, RetryRateSloBreachesAndRecoversIdenticallyAcrossLanes) {
