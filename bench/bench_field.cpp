@@ -1,13 +1,15 @@
 // Microbenchmarks of the computational substrate (supports experiment E8):
 // GF(2^k) arithmetic across field sizes AND across carry-less-multiply
-// kernels (bitloop oracle / windowed table / PCLMUL-PMULL hardware),
+// kernels (bitloop oracle / PCLMUL-PMULL hardware),
 // polynomial evaluation, Lagrange interpolation, Berlekamp–Welch decoding.
 //
 // The custom main first runs a kernel sweep: for each selectable kernel it
 // differential-checks field products against the bit-loop oracle, times the
 // core multiply, and emits one row per (kernel, field) into
-// BENCH_E8_field.json — the kernel-dispatch columns E8 reports. The regular
-// Google Benchmark suites then run on the dispatched (auto) kernel.
+// BENCH_E8_field.json — the kernel-dispatch columns E8 reports. A kernel
+// that disagrees with the oracle fails the run (nonzero exit, after the
+// artifact is written). The regular Google Benchmark suites then run on the
+// dispatched (auto) kernel.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -75,9 +77,10 @@ std::size_t differential_mismatches(std::size_t trials) {
   return bad;
 }
 
-/// The kernel sweep: one table row + JSON row per (kernel, field).
-void kernel_sweep(benchjson::Artifact& artifact) {
-  std::vector<ff::Kernel> kernels = {ff::Kernel::kBitloop, ff::Kernel::kTable};
+/// The kernel sweep: one table row + JSON row per (kernel, field). Returns
+/// the total differential mismatches across kernels.
+std::size_t kernel_sweep(benchjson::Artifact& artifact) {
+  std::vector<ff::Kernel> kernels = {ff::Kernel::kBitloop};
   if (ff::hardware_available()) {
     // Exactly one hardware kernel is valid per host; probe which.
     for (ff::Kernel hw : {ff::Kernel::kPclmul, ff::Kernel::kPmull})
@@ -89,6 +92,7 @@ void kernel_sweep(benchjson::Artifact& artifact) {
   std::printf("%-8s %12s %12s %12s %12s %10s\n", "kernel", "f64 ns/mul",
               "f128 ns/mul", "f64 x", "f128 x", "diff-ok");
   double base64 = 0, base128 = 0;
+  std::size_t mismatches = 0;
   for (ff::Kernel k : kernels) {
     if (!ff::set_kernel(k)) continue;
     const std::size_t bad = differential_mismatches<F64>(10000) +
@@ -115,9 +119,11 @@ void kernel_sweep(benchjson::Artifact& artifact) {
     if (bad != 0)
       std::fprintf(stderr, "FATAL: kernel %s disagrees with bitloop oracle\n",
                    ff::kernel_name(k));
+    mismatches += bad;
   }
   ff::reset_kernel();
   std::printf("\n");
+  return mismatches;
 }
 
 /// Fused span operations vs their scalar equivalents, on the auto kernel.
@@ -173,7 +179,7 @@ void span_ops_table(benchjson::Artifact& artifact) {
 /// compare ops; MB/s compares kernels against memory bandwidth — the
 /// ceiling the zero-copy roadmap item is chasing.
 void throughput_table(benchjson::Artifact& artifact) {
-  std::vector<ff::Kernel> kernels = {ff::Kernel::kBitloop, ff::Kernel::kTable};
+  std::vector<ff::Kernel> kernels = {ff::Kernel::kBitloop};
   if (ff::hardware_available()) {
     for (ff::Kernel hw : {ff::Kernel::kPclmul, ff::Kernel::kPmull})
       if (ff::set_kernel(hw)) kernels.push_back(hw);
@@ -229,9 +235,8 @@ void throughput_table(benchjson::Artifact& artifact) {
 }
 
 /// Span-kernel batch layer (ff/batch.hpp): per-field MB/s of the wide
-/// batch axpy/dot and the generator-LUT constant multiplier, on the
-/// dispatched kernels. Uses byte_size() per field (the satellite fix above)
-/// so GF(2^8)/GF(2^16) gather kernels are not credited for limb padding.
+/// batch axpy/dot, on the dispatched kernels. Uses byte_size() per field so
+/// GF(2^8)/GF(2^16) gather kernels are not credited for limb padding.
 template <typename F>
 void batch_field_rows(benchjson::Artifact& artifact, const char* name) {
   constexpr std::size_t kLen = 4096;
@@ -264,19 +269,6 @@ void batch_field_rows(benchjson::Artifact& artifact, const char* name) {
   row.set("batch_dot_mb_s", dot_mb_s);
   row.set("batch_axpy_ns", axpy_ns);
   row.set("batch_dot_ns", dot_ns);
-  if constexpr (F::kBits == 64) {
-    // Generator-LUT constant multiply: the software-kernel encode path for
-    // Reed-Solomon / Lagrange rows (LagrangeCache::encode_plan).
-    const ff::batch::ConstMul64Lut lut(c);
-    const double lut_ns = time_ns_per_op(2000, [&] {
-      lut.axpy(std::span<const F>(a), std::span<F>(y));
-      benchmark::DoNotOptimize(y.data());
-    });
-    const double lut_mb_s = bytes * 1000.0 / lut_ns;
-    std::printf(" %12.1f", lut_mb_s);
-    row.set("lut_axpy_mb_s", lut_mb_s);
-    row.set("lut_axpy_ns", lut_ns);
-  }
   std::printf("\n");
 }
 
@@ -284,8 +276,7 @@ void batch_throughput_table(benchjson::Artifact& artifact) {
   std::printf(
       "=== batch span kernels (operand MB/s, len 4096, kernel %s/%s) ===\n",
       ff::active_kernel_name(), ff::active_span_kernel_name());
-  std::printf("%-8s %12s %12s %12s\n", "field", "batch_axpy", "batch_dot",
-              "lut_axpy");
+  std::printf("%-8s %12s %12s\n", "field", "batch_axpy", "batch_dot");
   batch_field_rows<F8>(artifact, "F8");
   batch_field_rows<F16>(artifact, "F16");
   batch_field_rows<F32>(artifact, "F32");
@@ -398,11 +389,11 @@ int main(int argc, char** argv) {
   benchjson::Artifact artifact(
       "E8_field",
       "Field/polynomial kernel layer: hardware clmul is >= 5x the bit-loop "
-      "GF(2^64) multiply and the windowed table path >= 2x, with identical "
-      "outputs across kernels; fused span ops cut reductions and inversions");
+      "GF(2^64) multiply, with identical outputs across kernels; fused span "
+      "ops cut reductions and inversions");
   artifact.param("fields", std::string("F8 F16 F32 F64 F128"));
   artifact.param("hardware_available", ff::hardware_available());
-  kernel_sweep(artifact);
+  const std::size_t mismatches = kernel_sweep(artifact);
   span_ops_table(artifact);
   throughput_table(artifact);
   batch_throughput_table(artifact);
@@ -410,6 +401,7 @@ int main(int argc, char** argv) {
   artifact.param("span_kernel", std::string(ff::active_span_kernel_name()));
   artifact.set("metrics", benchjson::metrics_snapshot());
   artifact.write();
+  if (mismatches != 0) return 1;
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   return 0;

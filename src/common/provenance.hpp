@@ -22,7 +22,7 @@ const char* compiler();
 /// {"git_sha", "compiler", "build_type", "field", "ff_kernel",
 ///  "hardware_threads", "default_threads"} — the environment half of a
 /// provenance block. ff_kernel reports the *currently dispatched* kernel,
-/// so collect after any GFOR14_FF_KERNEL/set_kernel override.
+/// so collect after any set_kernel override.
 json::Value collect();
 
 }  // namespace gfor14::provenance

@@ -1,7 +1,6 @@
 #include "ff/batch.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 
 #include "common/expect.hpp"
@@ -12,7 +11,7 @@
 // attributes, compiled out entirely when CMake's probe failed. On aarch64
 // the scalar kernel already dispatches to PMULL per element and there is no
 // cross-lane carry-less multiply to gain from, so the wide path there (and
-// on any non-x86 target) degrades to LUT/table-gather loops.
+// on any non-x86 target) keeps only the small-field table gathers.
 #if defined(__x86_64__) && !defined(GFOR14_DISABLE_HW_CLMUL)
 #include <immintrin.h>
 #define GFOR14_BATCH_X86 1
@@ -50,28 +49,10 @@ void activate_span(SpanKernel k) {
       .add();
 }
 
-SpanKernel resolve_span_from_env() {
-  const char* env = std::getenv("GFOR14_FF_BATCH");
-  const std::string want = env ? env : "auto";
-  if (want == "scalar") return SpanKernel::kScalar;
-  return SpanKernel::kWide;  // auto | wide | anything else
-}
-
 SpanKernel resolved_span() {
   if (!g_span_resolved.load(std::memory_order_relaxed))
-    activate_span(resolve_span_from_env());
+    activate_span(SpanKernel::kWide);
   return g_span.load(std::memory_order_relaxed);
-}
-
-// Per-call LUT builds only pay for themselves on long spans; below this the
-// unrolled scalar-table loop wins.
-constexpr std::size_t kLutBuildThreshold = 256;
-
-std::uint64_t xtime64(std::uint64_t x) {
-  // Multiply by the generator polynomial x modulo x^64 + 0x1B, branchless.
-  return (x << 1) ^ (static_cast<std::uint64_t>(
-                         static_cast<std::int64_t>(x) >> 63) &
-                     Gf2Modulus<64>::low);
 }
 
 }  // namespace
@@ -97,12 +78,6 @@ bool set_span_kernel(SpanKernel k) {
 
 void reset_span_kernel() {
   g_span_resolved.store(false, std::memory_order_relaxed);
-}
-
-bool span_prefers_lut() {
-  if (resolved_span() != SpanKernel::kWide) return false;
-  const Kernel k = active_kernel();
-  return k == Kernel::kTable || k == Kernel::kBitloop;
 }
 
 // --- x86 vector kernels ----------------------------------------------------
@@ -330,84 +305,14 @@ void dot64_hw(const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
 
 #endif  // GFOR14_BATCH_X86
 
-// --- generator-LUT constant multiplier -------------------------------------
-
 namespace batch {
-
-ConstMul64Lut::ConstMul64Lut(F64 c) : c_(c) {
-  // Single-bit entries by 64 doubling steps: entry for bit 8j+b is
-  // c * x^(8j+b). Composite bytes fill by subset XOR — tab[v] =
-  // tab[v without lowest bit] ^ tab[lowest bit], both already filled since
-  // they are smaller than v.
-  std::uint64_t cur = c.to_u64();
-  for (auto& t : tab_) {
-    t[0] = 0;
-    for (unsigned bit = 0; bit < 8; ++bit) {
-      t[std::size_t{1} << bit] = cur;
-      cur = xtime64(cur);
-    }
-    for (std::size_t v = 3; v < 256; ++v)
-      if ((v & (v - 1)) != 0) t[v] = t[v & (v - 1)] ^ t[v & (~v + 1)];
-  }
-}
-
-void ConstMul64Lut::axpy(std::span<const F64> x, std::span<F64> y) const {
-  GFOR14_EXPECTS(y.size() >= x.size());
-  if (x.empty()) return;
-  const std::uint64_t* xs = raw(x);
-  std::uint64_t* ys = raw(y);
-  for (std::size_t i = 0; i < x.size(); ++i) ys[i] ^= mul_raw(xs[i]);
-}
-
-void ConstMul64Lut::fold(std::span<F64> acc, std::span<const F64> plane) const {
-  GFOR14_EXPECTS(plane.empty() || plane.size() >= acc.size());
-  if (acc.empty()) return;
-  std::uint64_t* as = raw(acc);
-  const std::uint64_t* ps = plane.empty() ? nullptr : raw(plane);
-  for (std::size_t i = 0; i < acc.size(); ++i)
-    as[i] = mul_raw(as[i]) ^ (ps != nullptr ? ps[i] : 0);
-}
-
-EncodePlan64::EncodePlan64(std::span<const F64> coeffs) {
-  luts_.reserve(coeffs.size());
-  for (F64 c : coeffs) luts_.emplace_back(c);
-}
-
-F64 EncodePlan64::dot(std::span<const F64> ys) const {
-  GFOR14_EXPECTS(ys.size() == luts_.size());
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < ys.size(); ++i)
-    acc ^= luts_[i].mul_raw(ys[i].to_u64());
-  return F64::from_u64(acc);
-}
 
 // --- dispatched span entry points ------------------------------------------
 
 namespace {
 
-// The scalar loops below ARE the oracle: byte-for-byte the code ff::axpy /
-// ff::dot ran before the batch layer existed.
-
-template <unsigned Bits>
-void axpy_scalar(GF2E<Bits> c, std::span<const GF2E<Bits>> x,
-                 std::span<GF2E<Bits>> y) {
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += c * x[i];
-}
-
-template <unsigned Bits>
-GF2E<Bits> dot_scalar(std::span<const GF2E<Bits>> a,
-                      std::span<const GF2E<Bits>> b) {
-  if constexpr (Bits <= 16) {
-    GF2E<Bits> acc;
-    for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-    return acc;
-  } else {
-    typename GF2E<Bits>::Wide acc{};
-    for (std::size_t i = 0; i < a.size(); ++i)
-      GF2E<Bits>::mul_acc_wide(a[i], b[i], acc);
-    return GF2E<Bits>::reduce_wide(acc);
-  }
-}
+// The scalar span path is the element-at-a-time oracle: ff::axpy / ff::dot
+// (ff/ops.hpp) plus the matching Horner loop.
 
 template <unsigned Bits>
 void horner_scalar(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
@@ -471,56 +376,43 @@ void axpy(GF2E<Bits> c, std::span<const GF2E<Bits>> x,
           std::span<GF2E<Bits>> y) {
   GFOR14_EXPECTS(y.size() >= x.size());
   if (x.empty() || c.is_zero()) return;
-  if (resolved_span() == SpanKernel::kScalar) {
-    axpy_scalar(c, x, y);
-    return;
-  }
-  if constexpr (Bits <= 16) {
-    axpy_small_wide(c, x, y);
-  } else if constexpr (Bits == 64) {
-    switch (active_kernel()) {
+  if (resolved_span() == SpanKernel::kWide) {
+    if constexpr (Bits <= 16) {
+      axpy_small_wide(c, x, y);
+      return;
+    }
 #if defined(GFOR14_BATCH_X86)
-      case Kernel::kPclmul:
+    if constexpr (Bits == 64) {
+      if (active_kernel() == Kernel::kPclmul) {
         axpy64_hw(c.to_u64(), raw(x), raw(y), x.size());
         return;
-#endif
-      case Kernel::kTable:
-        if (x.size() >= kLutBuildThreshold) {
-          batch::ConstMul64Lut(c).axpy(x, y);
-          return;
-        }
-        break;
-      default:
-        break;
+      }
     }
-    axpy_scalar(c, x, y);
-  } else {
-    // GF(2^32): the scalar multiply is already a single dispatched clmul +
-    // constant fold. GF(2^128): gains come from the lazy Wide accumulation
-    // that the scalar ops already use.
-    axpy_scalar(c, x, y);
+#endif
   }
+  // The scalar oracle also serves GF(2^32), whose multiply is already one
+  // dispatched clmul + constant fold, GF(2^128), and GF(2^64) without
+  // PCLMUL.
+  ff::axpy(c, x, y);
 }
 
 template <unsigned Bits>
 GF2E<Bits> dot(std::span<const GF2E<Bits>> a, std::span<const GF2E<Bits>> b) {
   GFOR14_EXPECTS(a.size() == b.size());
   if (a.empty()) return GF2E<Bits>{};
-  if (resolved_span() == SpanKernel::kScalar) return dot_scalar(a, b);
-  if constexpr (Bits <= 16) {
-    return dot_small_wide(a, b);
-  } else if constexpr (Bits == 64) {
+  if (resolved_span() == SpanKernel::kWide) {
+    if constexpr (Bits <= 16) return dot_small_wide(a, b);
 #if defined(GFOR14_BATCH_X86)
-    if (active_kernel() == Kernel::kPclmul) {
-      typename GF2E<Bits>::Wide acc{};
-      dot64_hw(raw(a), raw(b), a.size(), acc.data());
-      return GF2E<Bits>::reduce_wide(acc);
+    if constexpr (Bits == 64) {
+      if (active_kernel() == Kernel::kPclmul) {
+        typename GF2E<Bits>::Wide acc{};
+        dot64_hw(raw(a), raw(b), a.size(), acc.data());
+        return GF2E<Bits>::reduce_wide(acc);
+      }
     }
 #endif
-    return dot_scalar(a, b);
-  } else {
-    return dot_scalar(a, b);
   }
+  return ff::dot(a, b);
 }
 
 template <unsigned Bits>
@@ -528,33 +420,22 @@ void horner_fold(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
                  std::span<const GF2E<Bits>> plane) {
   GFOR14_EXPECTS(plane.empty() || plane.size() >= acc.size());
   if (acc.empty()) return;
-  if (resolved_span() == SpanKernel::kScalar) {
-    horner_scalar(x, acc, plane);
-    return;
-  }
-  if constexpr (Bits <= 16) {
-    horner_small_wide(x, acc, plane);
-  } else if constexpr (Bits == 64) {
-    switch (active_kernel()) {
+  if (resolved_span() == SpanKernel::kWide) {
+    if constexpr (Bits <= 16) {
+      horner_small_wide(x, acc, plane);
+      return;
+    }
 #if defined(GFOR14_BATCH_X86)
-      case Kernel::kPclmul:
+    if constexpr (Bits == 64) {
+      if (active_kernel() == Kernel::kPclmul) {
         horner64_hw(x.to_u64(), raw(acc),
                     plane.empty() ? nullptr : raw(plane), acc.size());
         return;
-#endif
-      case Kernel::kTable:
-        if (acc.size() >= kLutBuildThreshold) {
-          batch::ConstMul64Lut(x).fold(acc, plane);
-          return;
-        }
-        break;
-      default:
-        break;
+      }
     }
-    horner_scalar(x, acc, plane);
-  } else {
-    horner_scalar(x, acc, plane);
+#endif
   }
+  horner_scalar(x, acc, plane);
 }
 
 template <unsigned Bits>

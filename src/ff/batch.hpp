@@ -9,31 +9,24 @@
 //     GF(2^64) elements per iteration (VPCLMULQDQ four), with the modular
 //     reduction folded inside the vector registers — two extra clmuls per
 //     lane instead of a scalar fold;
-//   * generator-LUT encode (the word-packed `generator_lut` technique from
-//     Reed–Solomon encoders): a constant multiplier becomes 8 byte-indexed
-//     tables of 256 words, so c*x is 8 loads + 7 XORs with no multiply at
-//     all — the software fast path, and the precomputable shape behind
-//     EncodePlan64 for the Berlekamp–Welch / Lagrange rows;
 //   * GF(2^8)/GF(2^16) table-gather multiply-accumulate: the exp/log
 //     tables with the constant's log hoisted out of the loop.
 //
-// Dispatch mirrors ff/kernel.hpp: resolved once from the environment
-// (GFOR14_FF_BATCH = auto | wide | scalar), overridable from tests with
-// set_span_kernel(), counted in the metrics registry as
-// ff.batch.kernel.<name>. The SCALAR path is, by construction, the exact
-// loop the pre-batch code ran — it is kept as the differential oracle, and
-// every wide kernel must agree with it bit-for-bit on every input (GF(2^k)
-// arithmetic is exact, so this is equality, not tolerance). Forcing
-// GFOR14_FF_KERNEL=bitloop additionally degrades the wide path to the
-// scalar loops, so the full oracle stack remains reachable end-to-end.
+// Dispatch mirrors ff/kernel.hpp: the wide path is the default,
+// overridable from tests and benches with set_span_kernel(), counted in the
+// metrics registry as ff.batch.kernel.<name>. The SCALAR path calls the
+// element-at-a-time ff::axpy / ff::dot of ff/ops.hpp — it is kept as the
+// differential oracle, and every wide kernel must agree with it bit-for-bit
+// on every input (GF(2^k) arithmetic is exact, so this is equality, not
+// tolerance). Forcing the bitloop scalar kernel additionally degrades the
+// GF(2^64) wide path to those loops, so the full oracle stack remains
+// reachable end-to-end.
 //
 // All entry points are safe on empty spans (no data() dereference).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "ff/gf2e.hpp"
 
@@ -41,14 +34,14 @@ namespace gfor14::ff {
 
 enum class SpanKernel {
   kScalar,  ///< element-at-a-time loops (differential oracle)
-  kWide,    ///< vectorized clmul / LUT / table-gather spans
+  kWide,    ///< vectorized clmul / table-gather spans
 };
 
 /// Stable lowercase name ("scalar", "wide").
 const char* span_kernel_name(SpanKernel k);
 
-/// The span kernel currently answering batch calls; resolves on first use
-/// from GFOR14_FF_BATCH (auto | wide | scalar; default wide).
+/// The span kernel currently answering batch calls; kWide unless
+/// overridden.
 SpanKernel active_span_kernel();
 const char* active_span_kernel_name();
 
@@ -56,14 +49,8 @@ const char* active_span_kernel_name();
 /// degrades internally to whatever the active scalar kernel allows.
 bool set_span_kernel(SpanKernel k);
 
-/// Drops any override and re-resolves from GFOR14_FF_BATCH.
+/// Drops any override; the next batch call resolves to kWide again.
 void reset_span_kernel();
-
-/// True when long GF(2^64) constant-multiplies are cheapest through a
-/// precomputed byte-sliced LUT (wide path active, no hardware clmul).
-/// Callers holding reusable coefficient rows (Lagrange/Berlekamp-Welch)
-/// use this to decide whether an EncodePlan64 is worth fetching.
-bool span_prefers_lut();
 
 namespace batch {
 
@@ -110,54 +97,6 @@ extern template void horner_fold<64>(F64, std::span<F64>,
                                      std::span<const F64>);
 extern template void horner_fold<128>(F128, std::span<F128>,
                                       std::span<const F128>);
-
-/// Byte-sliced constant multiplier over GF(2^64) — the generator-LUT shape:
-/// tab[j][b] = c * (b << 8j), so c*x = XOR_j tab[j][byte_j(x)]. 16 KiB per
-/// constant; building one costs 64 doubling steps plus a subset-XOR fill,
-/// amortized over spans of a few hundred elements or over reuse across
-/// calls (EncodePlan64).
-class ConstMul64Lut {
- public:
-  explicit ConstMul64Lut(F64 c);
-
-  F64 constant() const { return c_; }
-
-  /// Raw-representation product c * x (already reduced).
-  std::uint64_t mul_raw(std::uint64_t x) const {
-    const auto b = [x](unsigned j) {
-      return static_cast<unsigned>((x >> (8 * j)) & 0xFF);
-    };
-    return tab_[0][b(0)] ^ tab_[1][b(1)] ^ tab_[2][b(2)] ^ tab_[3][b(3)] ^
-           tab_[4][b(4)] ^ tab_[5][b(5)] ^ tab_[6][b(6)] ^ tab_[7][b(7)];
-  }
-
-  /// y[i] += c * x[i] through the tables.
-  void axpy(std::span<const F64> x, std::span<F64> y) const;
-  /// acc[i] = c * acc[i] + plane[i] through the tables (plane may be empty).
-  void fold(std::span<F64> acc, std::span<const F64> plane) const;
-
- private:
-  alignas(64) std::array<std::array<std::uint64_t, 256>, 8> tab_;
-  F64 c_;
-};
-
-/// A precomputed LUT per coefficient of a fixed row — the cached encode
-/// shape for Reed-Solomon / Lagrange reconstruction: out = sum_i c_i * row_i
-/// becomes size() LUT-axpys, and a per-value dot against a share column is
-/// size() table gathers. Cached process-wide by LagrangeCache::encode_plan.
-class EncodePlan64 {
- public:
-  explicit EncodePlan64(std::span<const F64> coeffs);
-
-  std::size_t size() const { return luts_.size(); }
-  const ConstMul64Lut& lut(std::size_t i) const { return luts_[i]; }
-
-  /// sum_i coeffs[i] * ys[i]; ys.size() must equal size().
-  F64 dot(std::span<const F64> ys) const;
-
- private:
-  std::vector<ConstMul64Lut> luts_;
-};
 
 }  // namespace batch
 }  // namespace gfor14::ff

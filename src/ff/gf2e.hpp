@@ -10,8 +10,8 @@
 // Representation: polynomial basis modulo a fixed irreducible polynomial
 // (low-weight trinomials/pentanomials; the 128-bit field uses the GCM
 // polynomial). Addition is XOR; multiplication is a carry-less multiply
-// (dispatched at runtime between PCLMULQDQ/PMULL hardware and a windowed
-// software path — see ff/kernel.hpp) followed by modular reduction, except
+// (dispatched at runtime between PCLMULQDQ/PMULL hardware and a portable
+// bit loop — see ff/kernel.hpp) followed by modular reduction, except
 // for GF(2^8)/GF(2^16) which use constexpr exp/log tables; inversion is
 // Fermat (a^(2^k - 2)), or one table lookup for the small fields — no
 // timing side channels matter in a simulator, only correctness and
@@ -33,23 +33,6 @@
 #include "ff/kernel.hpp"
 
 namespace gfor14 {
-
-namespace detail {
-
-/// Carry-less (GF(2)[x]) product of two 64-bit polynomials; 128-bit result.
-/// The original bit-at-a-time loop, kept ONLY as the differential-test
-/// oracle — production multiplies go through ff::clmul64 (kernel dispatch).
-inline unsigned __int128 clmul64(std::uint64_t a, std::uint64_t b) {
-  unsigned __int128 acc = 0;
-  while (b != 0) {
-    const int i = __builtin_ctzll(b);
-    acc ^= static_cast<unsigned __int128>(a) << i;
-    b &= b - 1;
-  }
-  return acc;
-}
-
-}  // namespace detail
 
 /// Irreducible reduction polynomials, given as the low part (polynomial
 /// minus the leading x^k term). All are standard choices.

@@ -1,6 +1,5 @@
 #include "ff/kernel.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -8,7 +7,7 @@
 
 // GFOR14_DISABLE_HW_CLMUL comes from CMake ISA detection: when the
 // toolchain cannot compile the target-attribute intrinsics, the hardware
-// path is compiled out and dispatch settles on the table kernel.
+// path is compiled out and dispatch settles on the bit-loop kernel.
 #if defined(__x86_64__) && !defined(GFOR14_DISABLE_HW_CLMUL)
 #include <immintrin.h>
 #define GFOR14_HW_KERNEL_X86 1
@@ -30,43 +29,6 @@ u128 clmul64_bitloop(std::uint64_t a, std::uint64_t b) {
     b &= b - 1;
   }
   return acc;
-}
-
-u128 clmul64_table(std::uint64_t a, std::uint64_t b) {
-  // 4-bit window: 16 precomputed multiples of a, one constant-shifted XOR
-  // per nibble of b — 16 data-independent steps instead of up to 64
-  // data-dependent ones. The nibble contributions are gathered as two
-  // independent XOR trees with compile-time shift amounts, so the compiler
-  // schedules them in parallel instead of a serial (acc << 4) chain.
-  // Table build as independent XORs of the four shifted copies (depth 2)
-  // rather than a serial doubling chain.
-  const u128 a0 = a;
-  const u128 a1 = a0 << 1;
-  const u128 a2 = a0 << 2;
-  const u128 a3 = a0 << 3;
-  u128 tab[16];
-  tab[0] = 0;
-  tab[1] = a0;
-  tab[2] = a1;
-  tab[3] = a1 ^ a0;
-  tab[4] = a2;
-  tab[5] = a2 ^ a0;
-  tab[6] = a2 ^ a1;
-  tab[7] = a2 ^ tab[3];
-  tab[8] = a3;
-  tab[9] = a3 ^ a0;
-  tab[10] = a3 ^ a1;
-  tab[11] = a3 ^ tab[3];
-  tab[12] = a3 ^ a2;
-  tab[13] = a3 ^ tab[5];
-  tab[14] = a3 ^ tab[6];
-  tab[15] = a3 ^ tab[7];
-  const auto at = [&](unsigned s) { return tab[(b >> s) & 0xF] << s; };
-  const u128 even = at(0) ^ at(8) ^ at(16) ^ at(24) ^ at(32) ^ at(40) ^
-                    at(48) ^ at(56);
-  const u128 odd = at(4) ^ at(12) ^ at(20) ^ at(28) ^ at(36) ^ at(44) ^
-                   at(52) ^ at(60);
-  return even ^ odd;
 }
 
 #if defined(GFOR14_HW_KERNEL_X86)
@@ -118,13 +80,13 @@ constexpr Kernel kHardwareKernel = Kernel::kPmull;
 u128 clmul64_hardware(std::uint64_t a, std::uint64_t b) {
   // Unreachable by contract (hardware_available() is false); keep a correct
   // fallback rather than UB in case a caller skips the check.
-  return clmul64_table(a, b);
+  return clmul64_bitloop(a, b);
 }
 
 bool hardware_available() { return false; }
 
 namespace {
-constexpr Kernel kHardwareKernel = Kernel::kTable;
+constexpr Kernel kHardwareKernel = Kernel::kBitloop;
 }
 
 #endif
@@ -132,7 +94,6 @@ constexpr Kernel kHardwareKernel = Kernel::kTable;
 const char* kernel_name(Kernel k) {
   switch (k) {
     case Kernel::kBitloop: return "bitloop";
-    case Kernel::kTable: return "table";
     case Kernel::kPclmul: return "pclmul";
     case Kernel::kPmull: return "pmull";
   }
@@ -141,17 +102,16 @@ const char* kernel_name(Kernel k) {
 
 namespace {
 
-std::atomic<Kernel> g_active{Kernel::kTable};
+std::atomic<Kernel> g_active{Kernel::kBitloop};
 std::atomic<bool> g_resolved{false};
 
 detail::Clmul64Fn fn_of(Kernel k) {
   switch (k) {
     case Kernel::kBitloop: return &clmul64_bitloop;
-    case Kernel::kTable: return &clmul64_table;
     case Kernel::kPclmul:
     case Kernel::kPmull: return &clmul64_hardware;
   }
-  return &clmul64_table;
+  return &clmul64_bitloop;
 }
 
 void activate(Kernel k) {
@@ -166,21 +126,12 @@ void activate(Kernel k) {
       .add();
 }
 
-/// GFOR14_FF_KERNEL: auto (default) | hard | pclmul | pmull | soft | table |
-/// bitloop. Unknown values and unavailable hardware fall back to auto.
-Kernel resolve_from_env() {
-  const char* env = std::getenv("GFOR14_FF_KERNEL");
-  const std::string want = env ? env : "auto";
-  if (want == "bitloop") return Kernel::kBitloop;
-  if (want == "soft" || want == "table") return Kernel::kTable;
-  if ((want == "hard" || want == "pclmul" || want == "pmull") &&
-      hardware_available())
-    return kHardwareKernel;
-  return hardware_available() ? kHardwareKernel : Kernel::kTable;
+Kernel resolve() {
+  return hardware_available() ? kHardwareKernel : Kernel::kBitloop;
 }
 
 u128 clmul64_resolve_trampoline(std::uint64_t a, std::uint64_t b) {
-  activate(resolve_from_env());
+  activate(resolve());
   return detail::g_clmul64.load(std::memory_order_relaxed)(a, b);
 }
 
@@ -192,7 +143,7 @@ std::atomic<Clmul64Fn> g_clmul64{&clmul64_resolve_trampoline};
 
 Kernel active_kernel() {
   if (!g_resolved.load(std::memory_order_relaxed))
-    activate(resolve_from_env());
+    activate(resolve());
   return g_active.load(std::memory_order_relaxed);
 }
 

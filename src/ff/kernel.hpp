@@ -6,19 +6,15 @@
 //
 //   * kPclmul  — x86-64 PCLMULQDQ, one instruction per product;
 //   * kPmull   — aarch64 NEON PMULL (the 64-bit polynomial multiply);
-//   * kTable   — portable 4-bit-window precomputed-table multiply (the
-//                software fast path, ~2x the bit-loop);
-//   * kBitloop — the original one-bit-at-a-time loop, kept as the
-//                differential-test oracle and as the force-selectable
-//                slowest path.
+//   * kBitloop — one bit at a time: the portable path on hosts without
+//                carry-less-multiply hardware, and the differential-test
+//                oracle everywhere.
 //
-// The kernel is resolved once, lazily, from CPU detection plus the
-// GFOR14_FF_KERNEL environment variable (auto | hard | pclmul | pmull |
-// soft | table | bitloop; "hard"/"soft" pick the best hardware/software
-// path). Tests and benches may override the choice at runtime with
-// set_kernel(). Each resolution or override bumps a metrics counter
-// ff.kernel.<name> so BENCH_*.json artifacts record which path produced
-// their numbers.
+// The kernel is resolved once, lazily, from CPU detection alone: the
+// hardware kernel when hardware_available(), otherwise kBitloop. Tests and
+// benches may override the choice at runtime with set_kernel(). Each
+// resolution or override bumps a metrics counter ff.kernel.<name> so
+// BENCH_*.json artifacts record which path produced their numbers.
 #pragma once
 
 #include <atomic>
@@ -29,13 +25,12 @@ namespace gfor14::ff {
 using u128 = unsigned __int128;
 
 enum class Kernel {
-  kBitloop,  ///< one bit of b per iteration (test oracle)
-  kTable,    ///< 4-bit window, 16-entry table per multiplicand
+  kBitloop,  ///< one bit of b per iteration (portable path, test oracle)
   kPclmul,   ///< x86-64 PCLMULQDQ
   kPmull,    ///< aarch64 NEON PMULL
 };
 
-/// Stable lowercase name ("bitloop", "table", "pclmul", "pmull").
+/// Stable lowercase name ("bitloop", "pclmul", "pmull").
 const char* kernel_name(Kernel k);
 
 /// The kernel currently answering clmul64(); resolves on first use.
@@ -50,7 +45,7 @@ bool hardware_available();
 /// kernel unchanged — when the host cannot execute `k`.
 bool set_kernel(Kernel k);
 
-/// Drops any override and re-resolves from CPU + GFOR14_FF_KERNEL.
+/// Drops any override and re-resolves from CPU detection.
 void reset_kernel();
 
 namespace detail {
@@ -69,7 +64,6 @@ inline u128 clmul64(std::uint64_t a, std::uint64_t b) {
 
 // Direct entry points for differential tests (bypass dispatch).
 u128 clmul64_bitloop(std::uint64_t a, std::uint64_t b);
-u128 clmul64_table(std::uint64_t a, std::uint64_t b);
 /// Requires hardware_available().
 u128 clmul64_hardware(std::uint64_t a, std::uint64_t b);
 

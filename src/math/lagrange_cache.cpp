@@ -38,24 +38,4 @@ const std::vector<Fld>& LagrangeCache::coefficients(std::span<const Fld> xs,
   return cache_.try_emplace(std::move(key), std::move(coeffs)).first->second;
 }
 
-const ff::batch::EncodePlan64& LagrangeCache::encode_plan(
-    std::span<const Fld> xs, Fld at) {
-  Key key;
-  key.reserve(xs.size() + 1);
-  key.push_back(at.to_u64());
-  for (Fld x : xs) key.push_back(x.to_u64());
-  {
-    std::shared_lock lock(mu_);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) return it->second;
-  }
-  // coefficients() handles its own locking and hit/miss accounting; the
-  // 16 KiB-per-point table build happens outside any lock (pure, possibly
-  // duplicated under contention — first insertion wins, references stable).
-  const std::vector<Fld>& lambda = coefficients(xs, at);
-  ff::batch::EncodePlan64 plan{std::span<const Fld>(lambda)};
-  std::unique_lock lock(mu_);
-  return plans_.try_emplace(std::move(key), std::move(plan)).first->second;
-}
-
 }  // namespace gfor14

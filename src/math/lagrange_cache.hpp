@@ -25,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "ff/batch.hpp"
 #include "ff/gf2e.hpp"
 
 namespace gfor14 {
@@ -39,13 +38,6 @@ class LagrangeCache {
   /// until clear().
   const std::vector<Fld>& coefficients(std::span<const Fld> xs, Fld at);
 
-  /// Generator-LUT encode plan for the same coefficient vector: one
-  /// 16 KiB constant-multiplication table per lambda_i, amortizing the
-  /// table build across every value reconstructed at this point set. Only
-  /// profitable when ff::span_prefers_lut() — callers fall back to
-  /// coefficients() + ff::dot otherwise. Same stability contract.
-  const ff::batch::EncodePlan64& encode_plan(std::span<const Fld> xs, Fld at);
-
   std::size_t size() const {
     std::shared_lock lock(mu_);
     return cache_.size();
@@ -53,7 +45,6 @@ class LagrangeCache {
   void clear() {
     std::unique_lock lock(mu_);
     cache_.clear();
-    plans_.clear();
   }
 
  private:
@@ -63,7 +54,6 @@ class LagrangeCache {
   using Key = std::vector<std::uint64_t>;
   mutable std::shared_mutex mu_;
   std::map<Key, std::vector<Fld>> cache_;
-  std::map<Key, ff::batch::EncodePlan64> plans_;
 };
 
 }  // namespace gfor14

@@ -234,11 +234,10 @@ void Network::end_round() {
   meters_.p2p_elements->add(round_delta.p2p_elements);
   meters_.broadcast_elements->add(round_delta.broadcast_elements);
   // Round barrier: push this scope's counter deltas into its parent, so
-  // parent totals (and anything the hook/observers — e.g. the telemetry
+  // parent totals (and anything the observers — e.g. the telemetry
   // sampler — read) are exact here regardless of lane count.
   if (registry_->parent() != nullptr) registry_->roll_up();
 
-  if (round_hook_) round_hook_(*this, round_delta);
   // Observers last: they see the fully settled round (delivered traffic,
   // costs, metrics, blame/tamper/fault logs) on the orchestrating thread.
   for (const auto& obs : observers_) obs->on_round_end(*this, round_delta);

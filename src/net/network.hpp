@@ -162,12 +162,13 @@ struct TamperRecord {
 class FaultEngine;
 class Network;
 
-/// Passive end-of-round observer: called by end_round() after delivery,
-/// cost accounting, metrics and the round hook, on the orchestrating
+/// Passive end-of-round observer — the network's one end-of-round
+/// callback: called by end_round() after delivery, cost accounting and
+/// metrics, with this round's CostReport delta, on the orchestrating
 /// thread, in attachment order. Observers read delivered(), blames(),
 /// tamper_log() and the fault engine's event log; they must not mutate the
-/// network. The flight recorder (net/recorder.hpp) and the replay verifier
-/// (audit/replay.hpp) attach through this.
+/// network. The flight recorder (net/recorder.hpp), the replay verifier
+/// (audit/replay.hpp) and ad-hoc diagnostics attach through this.
 class RoundObserver {
  public:
   virtual ~RoundObserver() = default;
@@ -341,12 +342,6 @@ class Network {
     return party_costs_;
   }
 
-  /// Observer called by end_round() after delivery, with this round's
-  /// CostReport delta — the per-round hook the trace/metrics layer and
-  /// ad-hoc diagnostics attach to. One hook at a time; empty clears it.
-  using RoundHook = std::function<void(const Network&, const CostReport&)>;
-  void set_round_hook(RoundHook hook) { round_hook_ = std::move(hook); }
-
  private:
   friend class PendingView;
   friend class FaultEngine;
@@ -395,7 +390,6 @@ class Network {
   CostReport costs_;
   CostReport round_start_costs_;
   std::vector<PartyCosts> party_costs_;
-  RoundHook round_hook_;
   std::vector<std::shared_ptr<RoundObserver>> observers_;
   std::vector<TamperRecord> tamper_log_;
   std::size_t max_rounds_ = 0;  ///< 0 = watchdog off

@@ -832,10 +832,7 @@ std::vector<Fld> BivariateEngine::decode_received(
               distinct.end())
         distinct.push_back(acc_mask[vi]);
     auto& lcache = LagrangeCache::instance();
-    const bool use_lut = ff::span_prefers_lut();
     std::vector<const std::vector<Fld>*> set_lambda(distinct.size());
-    std::vector<const ff::batch::EncodePlan64*> set_plan(distinct.size(),
-                                                         nullptr);
     std::vector<Fld> xs;
     for (std::size_t s = 0; s < distinct.size(); ++s) {
       xs.clear();
@@ -843,9 +840,6 @@ std::vector<Fld> BivariateEngine::decode_received(
         if ((distinct[s] >> i) & 1) xs.push_back(eval_point<64>(i));
       set_lambda[s] =
           &lcache.coefficients(std::span<const Fld>(xs), Fld::zero());
-      if (use_lut)
-        set_plan[s] =
-            &lcache.encode_plan(std::span<const Fld>(xs), Fld::zero());
     }
     ThreadPool::instance().parallel_for(
         0, nchunks, net_.threads(), [&](std::size_t ci) {
@@ -857,9 +851,7 @@ std::vector<Fld> BivariateEngine::decode_received(
                 std::find(distinct.begin(), distinct.end(), acc_mask[vi]) -
                 distinct.begin());
             const std::span<const Fld> ys(acc_vals.data() + vi * need, need);
-            out[vi] = use_lut ? set_plan[s]->dot(ys)
-                              : ff::dot(std::span<const Fld>(*set_lambda[s]),
-                                        ys);
+            out[vi] = ff::dot(std::span<const Fld>(*set_lambda[s]), ys);
           }
         });
     return out;
@@ -896,17 +888,6 @@ std::vector<Fld> BivariateEngine::decode_received(
   tail_rows.reserve(navail - (t + 1));
   for (std::size_t i = t + 1; i < navail; ++i)
     tail_rows.push_back(&lcache.coefficients(head_x, xs[i]));
-  // Under software multiply kernels the encode rows amortize into
-  // generator LUTs (16 KiB per coefficient, shared across every value in
-  // every round at this point set) — built here, outside the parallel
-  // section, so lanes never duplicate table construction.
-  const bool use_lut = ff::span_prefers_lut();
-  const ff::batch::EncodePlan64* plan0 =
-      use_lut ? &lcache.encode_plan(head_x, Fld::zero()) : nullptr;
-  std::vector<const ff::batch::EncodePlan64*> tail_plans;
-  if (use_lut)
-    for (std::size_t i = t + 1; i < navail; ++i)
-      tail_plans.push_back(&lcache.encode_plan(head_x, xs[i]));
   // Chunked span decode: each sender's revealed vector is contiguous over
   // the value index, so the head interpolation at zero and at every tail
   // point are t + 1 span-axpys per chunk instead of per-value dots — the
@@ -927,25 +908,17 @@ std::vector<Fld> BivariateEngine::decode_received(
                                       len);
         };
         // Fast path for the whole chunk: interpolate the head senders at 0.
-        for (std::size_t i = 0; i <= t; ++i) {
-          if (use_lut)
-            plan0->lut(i).axpy(row(i), dst);
-          else
-            ff::batch::axpy<64>(lambda0[i], row(i), dst);
-        }
+        for (std::size_t i = 0; i <= t; ++i)
+          ff::batch::axpy<64>(lambda0[i], row(i), dst);
         // Consistency sweep: every tail share must lie on the head
         // interpolation; failures fall back to Berlekamp-Welch per value.
         std::vector<std::uint8_t> ok(len, 1);
         std::vector<Fld> pred(len);
         for (std::size_t j = 0; t + 1 + j < navail; ++j) {
           std::fill(pred.begin(), pred.end(), Fld::zero());
-          for (std::size_t i = 0; i <= t; ++i) {
-            if (use_lut)
-              tail_plans[j]->lut(i).axpy(row(i), std::span<Fld>(pred));
-            else
-              ff::batch::axpy<64>((*tail_rows[j])[i], row(i),
-                                  std::span<Fld>(pred));
-          }
+          for (std::size_t i = 0; i <= t; ++i)
+            ff::batch::axpy<64>((*tail_rows[j])[i], row(i),
+                                std::span<Fld>(pred));
           const std::span<const Fld> tail = row(t + 1 + j);
           for (std::size_t k = 0; k < len; ++k)
             if (pred[k] != tail[k]) ok[k] = 0;

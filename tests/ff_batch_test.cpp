@@ -2,12 +2,11 @@
 // batch operation must agree bit-for-bit with the scalar elementwise oracle
 // across all field widths, span lengths (including empty, odd, and
 // unaligned), and every kernel configuration reachable on the host —
-// scalar-kernel overrides (bitloop / table / hardware) crossed with the
-// span-kernel override (scalar / wide). The SoA share containers and the
-// generator-LUT encode plans ride the same contract, and a recorded
-// adversarial AnonChan session replays byte-identically at 1 and 4 worker
-// lanes under both span kernels, certifying that none of the wide paths
-// leaks into the wire transcript.
+// scalar-kernel overrides (bitloop / hardware) crossed with the span-kernel
+// override (scalar / wide). The SoA share containers ride the same
+// contract, and a recorded adversarial AnonChan session replays
+// byte-identically at 1 and 4 worker lanes under every configuration,
+// certifying that none of the kernel paths leaks into the wire transcript.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -35,7 +34,7 @@ namespace {
 
 /// Lengths that hit every vector-width boundary: empty, sub-lane, one lane,
 /// 2 and 4 element SIMD groups, the 256-bit (4x64) groups plus remainders,
-/// the LUT build threshold neighborhood, and a long tail.
+/// and long spans around 256 and beyond.
 const std::size_t kLens[] = {0,  1,  2,  3,   7,   8,   15,  16,  17,
                              31, 32, 63, 64,  65,  255, 256, 257, 1000};
 
@@ -50,8 +49,6 @@ std::vector<KernelConfig> host_configs() {
   std::vector<KernelConfig> configs = {
       {ff::Kernel::kBitloop, ff::SpanKernel::kScalar},
       {ff::Kernel::kBitloop, ff::SpanKernel::kWide},
-      {ff::Kernel::kTable, ff::SpanKernel::kScalar},
-      {ff::Kernel::kTable, ff::SpanKernel::kWide},
   };
   if (ff::hardware_available()) {
 #if defined(__x86_64__) || defined(_M_X64)
@@ -170,78 +167,6 @@ TYPED_TEST(FfBatchTest, ScaleAndHornerFoldMatchScalarOracle) {
       ASSERT_EQ(acc2, scale_expect) << "horner_fold empty plane len=" << len;
     }
   }
-}
-
-TEST(ConstMul64Lut, MatchesOperatorAcrossOperands) {
-  Rng rng(229);
-  for (int trial = 0; trial < 32; ++trial) {
-    const F64 c = trial == 0 ? F64::zero() : F64::random(rng);
-    const ff::batch::ConstMul64Lut lut(c);
-    EXPECT_EQ(lut.constant(), c);
-    for (const std::uint64_t raw :
-         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0x1B},
-          std::uint64_t{1} << 63, ~std::uint64_t{0}, rng.next_u64()}) {
-      const F64 x = F64::from_u64(raw);
-      EXPECT_EQ(F64::from_u64(lut.mul_raw(raw)), c * x)
-          << "c=" << c.to_u64() << " x=" << raw;
-    }
-    const auto xs = random_vec<F64>(rng, 131);
-    auto ys = random_vec<F64>(rng, 131);
-    auto expect = ys;
-    for (std::size_t i = 0; i < xs.size(); ++i) expect[i] += c * xs[i];
-    lut.axpy(std::span<const F64>(xs), std::span<F64>(ys));
-    EXPECT_EQ(ys, expect);
-    auto acc = random_vec<F64>(rng, 131);
-    auto fold_expect = acc;
-    for (std::size_t i = 0; i < acc.size(); ++i)
-      fold_expect[i] = c * fold_expect[i] + xs[i];
-    lut.fold(std::span<F64>(acc), std::span<const F64>(xs));
-    EXPECT_EQ(acc, fold_expect);
-  }
-}
-
-TEST(EncodePlan64, DotMatchesWideDotAndCachesInLagrangeCache) {
-  auto& cache = LagrangeCache::instance();
-  cache.clear();
-  Rng rng(233);
-  std::vector<Fld> xs;
-  for (std::size_t i = 0; i < 4; ++i) xs.push_back(eval_point<64>(i));
-  const auto& lambda = cache.coefficients(xs, Fld::zero());
-  const auto& plan = cache.encode_plan(xs, Fld::zero());
-  ASSERT_EQ(plan.size(), lambda.size());
-  for (std::size_t i = 0; i < plan.size(); ++i)
-    EXPECT_EQ(plan.lut(i).constant(), lambda[i]);
-  for (int trial = 0; trial < 16; ++trial) {
-    const auto ys = random_vec<Fld>(rng, lambda.size());
-    EXPECT_EQ(plan.dot(std::span<const Fld>(ys)),
-              ff::dot(std::span<const Fld>(lambda),
-                      std::span<const Fld>(ys)));
-  }
-  // Second fetch is the same stored plan (stable reference contract).
-  EXPECT_EQ(&plan, &cache.encode_plan(xs, Fld::zero()));
-  cache.clear();
-}
-
-TEST(SpanKernelDispatch, LutPreferenceTracksKernels) {
-  // Under a software multiply kernel the wide path prefers generator LUTs;
-  // with the span layer forced scalar it never does.
-  {
-    ScopedKernels guard({ff::Kernel::kTable, ff::SpanKernel::kWide});
-    EXPECT_TRUE(ff::span_prefers_lut());
-  }
-  {
-    ScopedKernels guard({ff::Kernel::kTable, ff::SpanKernel::kScalar});
-    EXPECT_FALSE(ff::span_prefers_lut());
-  }
-  if (ff::hardware_available()) {
-#if defined(__x86_64__) || defined(_M_X64)
-    ScopedKernels guard({ff::Kernel::kPclmul, ff::SpanKernel::kWide});
-#else
-    ScopedKernels guard({ff::Kernel::kPmull, ff::SpanKernel::kWide});
-#endif
-    EXPECT_FALSE(ff::span_prefers_lut());
-  }
-  EXPECT_NE(ff::active_span_kernel_name(), nullptr);
 }
 
 // --- SoA share containers (vss/soa.hpp) ------------------------------------
@@ -408,10 +333,10 @@ std::optional<audit::Divergence> replay_run(const net::Recording& reference,
 }
 
 TEST(BatchByteIdentity, ReplayHoldsAcrossLanesAndSpanKernels) {
-  // Record under the default (wide) span kernel at one lane, then certify
-  // the transcript byte-for-byte at 1 and 4 lanes, and again with the span
-  // layer forced scalar: the SoA/batch hot paths must be invisible on the
-  // wire regardless of lane count or kernel choice.
+  // Record under the default kernels at one lane, then certify the
+  // transcript byte-for-byte at 1 and 4 lanes, and again at 4 lanes under
+  // every host kernel configuration: the SoA/batch hot paths must be
+  // invisible on the wire regardless of lane count or kernel choice.
   LagrangeCache::instance().clear();
   const net::Recording reference = record_run(4241, 1);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -421,12 +346,14 @@ TEST(BatchByteIdentity, ReplayHoldsAcrossLanesAndSpanKernels) {
         << "diverged at " << threads << " lanes: round "
         << divergence->round;
   }
-  {
-    ScopedKernels guard({ff::Kernel::kTable, ff::SpanKernel::kScalar});
+  for (const KernelConfig cfg : host_configs()) {
+    ScopedKernels guard(cfg);
     LagrangeCache::instance().clear();
     const auto divergence = replay_run(reference, 4241, 4);
     EXPECT_FALSE(divergence.has_value())
-        << "scalar span kernel diverged: round " << divergence->round;
+        << ff::kernel_name(cfg.scalar) << "/"
+        << ff::span_kernel_name(cfg.span) << " diverged: round "
+        << divergence->round;
   }
   LagrangeCache::instance().clear();
 }

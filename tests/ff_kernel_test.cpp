@@ -1,11 +1,12 @@
-// Differential tests for the carry-less-multiply kernel layer: the windowed
-// table path and the hardware path (when present) must agree bit-for-bit
-// with the original bit-loop oracle, across every field size that rides on
-// them, and the batch-inversion / span kernels must match their elementwise
-// references. Run under GFOR14_FF_KERNEL=soft in CI to pin the software
-// path on hardware hosts.
+// Differential tests for the carry-less-multiply kernel layer: the hardware
+// path (when present) must agree bit-for-bit with the bit-loop oracle,
+// across every field size that rides on it, dispatch must resolve from CPU
+// detection alone, and the batch-inversion / span kernels must match their
+// elementwise references. The tests force the bit-loop kernel themselves,
+// so hardware hosts cover the portable path too.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -38,20 +39,6 @@ std::vector<std::uint64_t> edge_operands() {
           0x00000000FFFFFFFFULL};
 }
 
-TEST(FfKernel, TableMatchesBitloopOracle) {
-  Rng rng(101);
-  for (std::uint64_t a : edge_operands())
-    for (std::uint64_t b : edge_operands())
-      EXPECT_EQ(ff::clmul64_table(a, b), ff::clmul64_bitloop(a, b));
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t a = rng.next_u64();
-    const std::uint64_t b = rng.next_u64();
-    const ff::u128 expect = ff::clmul64_bitloop(a, b);
-    ASSERT_EQ(ff::clmul64_table(a, b), expect)
-        << "a=" << a << " b=" << b;
-  }
-}
-
 TEST(FfKernel, HardwareMatchesBitloopOracle) {
   if (!ff::hardware_available()) GTEST_SKIP() << "no clmul hardware";
   Rng rng(103);
@@ -72,7 +59,7 @@ TEST(FfKernel, HardwareMatchesBitloopOracle) {
 /// clmul64; the table-driven small fields do not).
 template <typename F>
 void field_products_match_across_kernels() {
-  std::vector<ff::Kernel> kernels = {ff::Kernel::kBitloop, ff::Kernel::kTable};
+  std::vector<ff::Kernel> kernels = {ff::Kernel::kBitloop};
   if (ff::hardware_available())
     kernels.push_back(ff::active_kernel() == ff::Kernel::kPmull
                           ? ff::Kernel::kPmull
@@ -105,17 +92,32 @@ TEST(FfKernel, F128ProductsMatchAcrossKernels) {
 TEST(FfKernel, SetKernelRejectsUnavailableHardware) {
   // Exactly one of the two hardware kernels can be valid on any host; the
   // other must be rejected without changing the active kernel.
-  ASSERT_TRUE(ff::set_kernel(ff::Kernel::kTable));
+  ASSERT_TRUE(ff::set_kernel(ff::Kernel::kBitloop));
   const bool pclmul_ok = ff::set_kernel(ff::Kernel::kPclmul);
-  if (!pclmul_ok) EXPECT_EQ(ff::active_kernel(), ff::Kernel::kTable);
-  ASSERT_TRUE(ff::set_kernel(ff::Kernel::kTable));
+  if (!pclmul_ok) EXPECT_EQ(ff::active_kernel(), ff::Kernel::kBitloop);
+  ASSERT_TRUE(ff::set_kernel(ff::Kernel::kBitloop));
   const bool pmull_ok = ff::set_kernel(ff::Kernel::kPmull);
-  if (!pmull_ok) EXPECT_EQ(ff::active_kernel(), ff::Kernel::kTable);
+  if (!pmull_ok) EXPECT_EQ(ff::active_kernel(), ff::Kernel::kBitloop);
   EXPECT_FALSE(pclmul_ok && pmull_ok);  // mutually exclusive ISAs
   EXPECT_EQ(pclmul_ok || pmull_ok, ff::hardware_available());
   ff::reset_kernel();
-  // After reset the kernel re-resolves (env / CPU detection) on next use.
+  // After reset the kernel re-resolves from CPU detection on next use.
   EXPECT_NE(ff::active_kernel_name(), nullptr);
+  ff::reset_kernel();
+}
+
+TEST(FfKernel, ResolvesFromCpuOnly) {
+  // The environment has no say in dispatch: a stale kernel override
+  // variable must not pull the resolution off the host's best kernel.
+  setenv("GFOR14_FF_KERNEL", "bitloop", 1);
+  ff::reset_kernel();
+  const ff::Kernel resolved = ff::active_kernel();
+#if defined(__x86_64__)
+  const ff::Kernel hw = ff::Kernel::kPclmul;
+#else
+  const ff::Kernel hw = ff::Kernel::kPmull;
+#endif
+  EXPECT_EQ(resolved, ff::hardware_available() ? hw : ff::Kernel::kBitloop);
   ff::reset_kernel();
 }
 

@@ -201,29 +201,37 @@ TEST(Network, ReplacePendingAccountsResizedSubstituteLists) {
   ASSERT_EQ(net.delivered().p2p[2][0].size(), 3u);
 }
 
-TEST(Network, RoundHookReceivesPerRoundDeltas) {
-  Network net(3, 1);
-  std::vector<CostReport> deltas;
-  net.set_round_hook([&](const Network& n, const CostReport& d) {
-    EXPECT_EQ(n.n(), 3u);
+/// Collects each round's CostReport delta.
+class DeltaObserver : public RoundObserver {
+ public:
+  void on_round_end(const Network& net, const CostReport& d) override {
+    EXPECT_EQ(net.n(), 3u);
     deltas.push_back(d);
-  });
+  }
+  std::vector<CostReport> deltas;
+};
+
+TEST(Network, ObserverReceivesPerRoundDeltas) {
+  Network net(3, 1);
+  const auto obs = std::make_shared<DeltaObserver>();
+  net.attach_observer(obs);
   net.begin_round();
   net.send(0, 1, pay({1, 2}));
   net.end_round();
   net.begin_round();
   net.broadcast(2, pay({3}));
   net.end_round();
+  const auto& deltas = obs->deltas;
   ASSERT_EQ(deltas.size(), 2u);
   EXPECT_EQ(deltas[0].rounds, 1u);
   EXPECT_EQ(deltas[0].p2p_elements, 2u);
   EXPECT_EQ(deltas[0].broadcast_invocations, 0u);
   EXPECT_EQ(deltas[1].broadcast_rounds, 1u);
   EXPECT_EQ(deltas[1].broadcast_elements, 1u);
-  net.set_round_hook({});
+  net.detach_observer(obs.get());
   net.begin_round();
   net.end_round();
-  EXPECT_EQ(deltas.size(), 2u);  // cleared hook no longer fires
+  EXPECT_EQ(deltas.size(), 2u);  // a detached observer no longer fires
 }
 
 // Regression: the recorded adversary view of a full AnonChan run must be

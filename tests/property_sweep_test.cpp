@@ -132,6 +132,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
                            return "seed" + std::to_string(info.param);
                          });
 
+/// Appends every round's cost delta and delivered traffic to a string.
+class TranscriptObserver : public net::RoundObserver {
+ public:
+  void on_round_end(const net::Network& nw,
+                    const net::CostReport& delta) override {
+    transcript += std::to_string(delta.p2p_elements) + "|" +
+                  std::to_string(delta.broadcast_elements) + ":";
+    const auto& tr = nw.delivered();
+    for (std::size_t to = 0; to < nw.n(); ++to)
+      for (std::size_t from = 0; from < nw.n(); ++from)
+        for (const auto& payload : tr.p2p[to][from])
+          for (Fld f : payload) transcript += std::to_string(f.to_u64()) + ",";
+    for (std::size_t from = 0; from < nw.n(); ++from)
+      for (const auto& payload : tr.bcast[from])
+        for (Fld f : payload) transcript += std::to_string(f.to_u64()) + ",";
+    transcript += "\n";
+  }
+  std::string transcript;
+};
+
 TEST(ParallelSweep, RandomConfigurationsMatchSerialByteForByte) {
   // Property: for RANDOM configurations (n, scheme, receiver, corruption,
   // lane count, inputs), a parallel execution is byte-identical to the
@@ -172,27 +192,13 @@ TEST(ParallelSweep, RandomConfigurationsMatchSerialByteForByte) {
       net::Network net(n, net_seed);
       net.set_threads(lanes);
       if (corrupt_one && receiver != 0) net.set_corrupt(0, true);
-      std::string transcript;
-      net.set_round_hook([&](const net::Network& nw,
-                             const net::CostReport& delta) {
-        transcript += std::to_string(delta.p2p_elements) + "|" +
-                      std::to_string(delta.broadcast_elements) + ":";
-        const auto& tr = nw.delivered();
-        for (std::size_t to = 0; to < nw.n(); ++to)
-          for (std::size_t from = 0; from < nw.n(); ++from)
-            for (const auto& payload : tr.p2p[to][from])
-              for (Fld f : payload)
-                transcript += std::to_string(f.to_u64()) + ",";
-        for (std::size_t from = 0; from < nw.n(); ++from)
-          for (const auto& payload : tr.bcast[from])
-            for (Fld f : payload)
-              transcript += std::to_string(f.to_u64()) + ",";
-        transcript += "\n";
-      });
+      const auto obs = std::make_shared<TranscriptObserver>();
+      net.attach_observer(obs);
       auto vss = make_vss(kind, net);
       anonchan::AnonChan chan(net, *vss,
                               anonchan::Params::practical(n, kappa));
       const auto out = chan.run_many(receiver, many);
+      std::string transcript = std::move(obs->transcript);
       for (const auto& session : out.sessions)
         for (Fld f : session.y)
           transcript += "y" + std::to_string(f.to_u64());
