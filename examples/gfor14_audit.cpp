@@ -19,18 +19,18 @@
 //                                            RSS, round wall, alloc domains,
 //                                            engine SLO health)
 //   gfor14-audit critpath   RECORDING [--wall]
-//                                            per-round critical path through
-//                                            the causal event graph + phase
-//                                            attribution (logical weights;
-//                                            --wall adds recorded wall
-//                                            columns). Exit 1 on a malformed
-//                                            graph.
+//                                            per-round critical path (the
+//                                            heaviest party's compute+send
+//                                            chain) + phase attribution
+//                                            (logical weights; --wall adds
+//                                            recorded wall columns). Exit 1
+//                                            on a malformed recording.
 //   gfor14-audit waterfall  RECORDING [--width N]
 //                                            per-round latency waterfall:
 //                                            recorded round wall split across
 //                                            the round's critical segments
 //
-// Exit codes: 0 clean, 1 unreadable input or malformed event graph, 2
+// Exit codes: 0 clean, 1 unreadable input or malformed recording, 2
 // usage, 3 divergence or regression found. Recordings come from
 // `gfor14_cli ... --record PATH` or the test harnesses; bench artifacts
 // from the bench/ binaries; telemetry documents from
@@ -232,8 +232,8 @@ int run_critpath(int argc, char** argv, bool waterfall) {
   std::string error;
   const auto report = audit::analyze(*rec, &error);
   if (!report) {
-    // Malformed event graphs must fail loudly, never render a plausible
-    // profile (ISSUE acceptance: nonzero exit).
+    // Malformed recordings must fail loudly (nonzero exit), never render a
+    // plausible profile.
     std::fprintf(stderr, "critical-path analysis failed: %s\n", error.c_str());
     return 1;
   }

@@ -1,25 +1,17 @@
 #include "audit/critpath.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
+
+#include "audit/report.hpp"
 
 namespace gfor14::audit {
 
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
-
 /// Canonical per-party view of one recorded round: the party's sends in
-/// recording order plus their element total.
+/// recording order plus their element total. Callers have range-checked
+/// every sender against n.
 struct PartySends {
   std::vector<const net::RecordedMessage*> messages;
   std::size_t elements = 0;
@@ -29,7 +21,6 @@ std::vector<PartySends> sends_by_party(const net::RecordedRound& round,
                                        std::size_t n) {
   std::vector<PartySends> out(n);
   for (const net::RecordedMessage& m : round.messages) {
-    if (m.from >= n) continue;  // build_event_graph validates separately
     out[m.from].messages.push_back(&m);
     out[m.from].elements += m.elements;
   }
@@ -47,110 +38,6 @@ std::uint64_t send_weight(const net::RecordedMessage& m) {
 
 }  // namespace
 
-events::EventGraph build_event_graph(const net::Recording& rec) {
-  events::EventGraph g;
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t prev_barrier = kNone;
-  for (const net::RecordedRound& round : rec.rounds) {
-    const auto per_party = sends_by_party(round, rec.n);
-    const std::size_t barrier =
-        g.add({events::EventKind::kBarrier, round.index, 0, 0, kBarrierWeight,
-               fmt("barrier r%zu", round.index)});
-    for (net::PartyId p = 0; p < rec.n; ++p) {
-      const std::size_t compute =
-          g.add({events::EventKind::kCompute, round.index, p, 0,
-                 compute_weight(per_party[p]),
-                 fmt("compute r%zu p%zu", round.index, p)});
-      if (prev_barrier != kNone) g.link(prev_barrier, compute);
-      std::size_t tail = compute;
-      std::size_t seq = 0;
-      for (const net::RecordedMessage* m : per_party[p].messages) {
-        const std::size_t send =
-            g.add({events::EventKind::kSend, round.index, p, seq++,
-                   send_weight(*m),
-                   fmt("send r%zu p%zu %s->%zu", round.index, p,
-                       m->broadcast ? "bc" : "p2p",
-                       m->broadcast ? rec.n : static_cast<std::size_t>(m->to))});
-        g.link(tail, send);
-        tail = send;
-      }
-      g.link(tail, barrier);
-    }
-    // Messages whose sender is out of range produce a malformed graph via
-    // an out-of-range edge, which validate() reports. The endpoint must
-    // stay invalid no matter how many nodes later rounds add, so it hangs
-    // off the top of the id space rather than off the current node count.
-    for (const net::RecordedMessage& m : round.messages)
-      if (m.from >= rec.n)
-        g.link(static_cast<std::size_t>(-1) - m.from, barrier);
-    prev_barrier = barrier;
-  }
-  return g;
-}
-
-events::EventGraph build_schedule_graph(
-    const std::vector<ScheduleRecord>& log) {
-  events::EventGraph g;
-  // Attempt nodes keyed (session, attempt); wave barriers keyed by wave.
-  std::map<std::pair<std::uint64_t, std::size_t>, std::size_t> attempts;
-  std::map<std::size_t, std::vector<std::size_t>> wave_members;
-  std::map<std::pair<std::uint64_t, std::size_t>, std::size_t> retries;
-  for (const ScheduleRecord& r : log) {
-    switch (r.kind) {
-      case ScheduleRecord::Kind::kComplete:
-      case ScheduleRecord::Kind::kFail: {
-        const std::size_t node = g.add(
-            {events::EventKind::kAttempt, r.wave, r.session_id, r.attempt,
-             1 + static_cast<std::uint64_t>(r.attempt),
-             fmt("s%llu#%zu %s", static_cast<unsigned long long>(r.session_id),
-                 r.attempt,
-                 r.kind == ScheduleRecord::Kind::kComplete ? "ok" : "fail")});
-        attempts[{r.session_id, r.attempt}] = node;
-        wave_members[r.wave].push_back(node);
-        break;
-      }
-      case ScheduleRecord::Kind::kRetry: {
-        // Weight = the backoff it imposes, in waves.
-        const std::uint64_t backoff =
-            r.eligible_wave > r.wave ? r.eligible_wave - r.wave : 1;
-        const std::size_t node = g.add(
-            {events::EventKind::kRetry, r.wave, r.session_id, r.attempt,
-             backoff,
-             fmt("retry s%llu#%zu +%llu",
-                 static_cast<unsigned long long>(r.session_id), r.attempt,
-                 static_cast<unsigned long long>(backoff))});
-        retries[{r.session_id, r.attempt}] = node;
-        break;
-      }
-      case ScheduleRecord::Kind::kAdmit:
-      case ScheduleRecord::Kind::kGiveUp:
-        break;  // queue bookkeeping; no logical work of their own
-    }
-  }
-  // Wave barriers, chained in wave order; every attempt feeds its wave's
-  // barrier and hangs off the previous one.
-  std::size_t prev_barrier = static_cast<std::size_t>(-1);
-  for (const auto& [wave, members] : wave_members) {
-    const std::size_t barrier =
-        g.add({events::EventKind::kBarrier, wave, 0, 0, kBarrierWeight,
-               fmt("wave %zu", wave)});
-    for (std::size_t node : members) {
-      if (prev_barrier != static_cast<std::size_t>(-1))
-        g.link(prev_barrier, node);
-      g.link(node, barrier);
-    }
-    prev_barrier = barrier;
-  }
-  // Retry lineage: attempt k -> its retry -> attempt k+1.
-  for (const auto& [key, retry_node] : retries) {
-    const auto attempt = attempts.find(key);
-    if (attempt != attempts.end()) g.link(attempt->second, retry_node);
-    const auto next = attempts.find({key.first, key.second + 1});
-    if (next != attempts.end()) g.link(retry_node, next->second);
-  }
-  return g;
-}
-
 std::optional<CritPathReport> analyze(const net::Recording& rec,
                                       std::string* error) {
   const auto fail = [&](const std::string& why) -> std::optional<CritPathReport> {
@@ -158,15 +45,12 @@ std::optional<CritPathReport> analyze(const net::Recording& rec,
     return std::nullopt;
   };
   if (rec.rounds.empty()) return fail("recording has no rounds");
+  if (rec.n == 0) return fail("recording has no parties");
   for (const net::RecordedRound& round : rec.rounds)
     for (const net::RecordedMessage& m : round.messages)
       if (m.from >= rec.n || (!m.broadcast && m.to >= rec.n))
         return fail(fmt("round %zu: message endpoint out of range (n=%zu)",
                         round.index, rec.n));
-
-  events::EventGraph graph = build_event_graph(rec);
-  if (const auto problem = graph.validate())
-    return fail("malformed event graph: " + *problem);
 
   CritPathReport report;
   std::map<net::PartyId, std::size_t> dominance;
@@ -177,9 +61,8 @@ std::optional<CritPathReport> analyze(const net::Recording& rec,
     rc.round = round.index;
     rc.wall_us = round.profile.wall_us;
     rc.phase = round.profile.phase;
-    // The layered graph's per-round critical chain is just the max over
-    // parties of compute + sends; computing it directly keeps the report
-    // exact while graph.critical_weight() cross-checks the DAG below.
+    // The synchronous round's critical chain: the max over parties of
+    // compute + sends, ties to the smaller id.
     std::uint64_t best_chain = 0;
     for (net::PartyId p = 0; p < rec.n; ++p) {
       std::uint64_t chain = compute_weight(per_party[p]);
@@ -242,16 +125,6 @@ std::optional<CritPathReport> analyze(const net::Recording& rec,
 
     report.rounds.push_back(std::move(rc));
   }
-
-  // Cross-check: the generic longest-path over the DAG must agree with the
-  // layered per-round computation. A disagreement means the builder and the
-  // analysis have diverged — treat as malformed rather than report one of
-  // two different answers.
-  if (graph.critical_weight() != report.total_weight)
-    return fail(fmt("event graph critical weight %llu disagrees with "
-                    "per-round chain sum %llu",
-                    static_cast<unsigned long long>(graph.critical_weight()),
-                    static_cast<unsigned long long>(report.total_weight)));
 
   for (const auto& [party, rounds] : dominance)
     if (rounds > report.dominant_rounds) {

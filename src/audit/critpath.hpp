@@ -1,34 +1,23 @@
-// Causal critical-path profiler (DESIGN.md §15).
+// Critical-path profiler (DESIGN.md §15).
 //
-// Builds event graphs (common/events.hpp) from the two deterministic streams
-// the repo records and answers "where did this run's time go":
-//
-//  * build_event_graph(Recording): per round r, one compute node per party
-//    (weight 1 + elements the party sends that round), one send node per
-//    delivered message in canonical order (weight 1 + payload elements),
-//    and one barrier node (weight 1) that merges the round. Causal edges:
-//    barrier(r-1) -> compute(r,p) -> that party's sends, in sequence ->
-//    barrier(r). The critical path through this DAG names, per round, the
-//    party whose compute+send chain dominates — a LOGICAL model of the
-//    synchronous network (weights are element counts, not microseconds), so
-//    the path is byte-identical across lane counts, exactly like the
-//    recording it came from.
-//
-//  * build_schedule_graph(ScheduleRecord log): one attempt node per executed
-//    attempt (weight 1 + attempt's ordinal: later attempts carry their
-//    retries' queueing), retry nodes for requeues, wave barriers merging
-//    each wave. Retry lineage (attempt k -> retry -> attempt k+1) plus
-//    wave-barrier edges reproduce the supervisor's logical timeline; the
-//    critical path names the session chain that stretched the run.
+// Answers "where did this run's time go" straight from a flight recording.
+// The network is synchronous (paper §2), so a round's critical chain is the
+// heaviest party's compute-plus-sends chain followed by the merge barrier:
+// per round r and party p, compute weight 1 + elements p sends in r, one
+// send of weight 1 + payload elements per delivered message, and a barrier
+// of weight 1. analyze() takes the max over parties per round (ties to the
+// smaller id). Weights are LOGICAL — element counts, not microseconds — so
+// the report is byte-identical across lane counts, exactly like the
+// recording it came from.
 //
 // Wall-clock enters ONLY in the waterfall view: each round's recorded wall
-// (RoundProfile.wall_us, the recorder's view of the round's
-// net.round_wall_us sample) is distributed across the round's critical
-// segments proportionally to their logical weights, with the final segment
-// taking the exact remainder — so per round, segment walls sum to the
-// recorded wall bit-for-bit. analyze() also attributes the deterministic
-// net.alloc.* / vss.alloc.* deltas to phases via the rounds' recorded
-// phase annotations.
+// (RoundProfile.wall_us, the network's one round-clock sample, the same
+// value net.round_wall_us observed) is distributed across the round's
+// critical segments proportionally to their logical weights, with the final
+// segment taking the exact remainder — so per round, segment walls sum to
+// the recorded wall bit-for-bit. analyze() also attributes the
+// deterministic net.alloc.* / vss.alloc.* deltas to phases via the rounds'
+// recorded phase annotations.
 #pragma once
 
 #include <cstdint>
@@ -36,22 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "common/events.hpp"
 #include "common/json.hpp"
 #include "net/recorder.hpp"
 
 namespace gfor14::audit {
-
-/// Server-agnostic mirror of one supervisor ScheduleEvent (kept here so the
-/// audit layer needs no dependency on src/server).
-struct ScheduleRecord {
-  enum class Kind : std::uint8_t { kAdmit, kComplete, kFail, kRetry, kGiveUp };
-  Kind kind = Kind::kAdmit;
-  std::size_t wave = 0;
-  std::uint64_t session_id = 0;
-  std::size_t attempt = 0;
-  std::size_t eligible_wave = 0;  ///< kRetry only
-};
 
 /// One segment of a round's critical chain. `weight` is logical; `wall_us`
 /// is that segment's share of the round's recorded wall (0 when the report
@@ -103,20 +80,10 @@ struct CritPathReport {
   json::Value to_json(bool include_wall) const;
 };
 
-/// The per-round message DAG of a recording. Always structurally valid for
-/// a recording our recorder produced; validate() is the caller's guard
-/// against hand-edited or corrupt inputs.
-events::EventGraph build_event_graph(const net::Recording& rec);
-
-/// The supervisor's wave/retry DAG. Records may arrive in any order; they
-/// are bucketed by wave internally.
-events::EventGraph build_schedule_graph(
-    const std::vector<ScheduleRecord>& log);
-
 /// Full analysis of a recording: per-round critical chains, phase
-/// attribution, dominance. Fails (nullopt + diagnostic) when the derived
-/// event graph does not validate — malformed recordings must not produce
-/// plausible-looking profiles.
+/// attribution, dominance. Fails (nullopt + diagnostic) on an empty
+/// recording or a message endpoint outside [0, n) — malformed recordings
+/// must not produce plausible-looking profiles.
 std::optional<CritPathReport> analyze(const net::Recording& rec,
                                       std::string* error = nullptr);
 

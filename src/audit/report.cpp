@@ -7,16 +7,23 @@
 
 namespace gfor14::audit {
 
-namespace {
-
-std::string fmt(const char* f, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, f);
-  std::vsnprintf(buf, sizeof buf, f, ap);
-  va_end(ap);
-  return buf;
+std::string fmt(const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list sizing;
+  va_copy(sizing, args);
+  const int len = std::vsnprintf(nullptr, 0, format, sizing);
+  va_end(sizing);
+  std::string out;
+  if (len > 0) {
+    out.resize(static_cast<std::size_t>(len));
+    std::vsnprintf(out.data(), out.size() + 1, format, args);
+  }
+  va_end(args);
+  return out;
 }
+
+namespace {
 
 std::string party_str(net::PartyId p) {
   if (p == net::kPublicBlame) return "public";

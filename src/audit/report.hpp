@@ -15,6 +15,11 @@
 
 namespace gfor14::audit {
 
+/// printf into a std::string sized from vsnprintf's return value, so rows
+/// of any length (wide waterfalls, long phase paths) come back whole.
+std::string fmt(const char* format, ...)
+    __attribute__((format(printf, 1, 2)));
+
 /// Per-party communication matrix: p2p field elements sent from row party
 /// to column party, plus per-sender broadcast totals and per-party sums.
 std::string render_matrix(const net::Recording& rec);

@@ -1,6 +1,5 @@
 #include "common/trace.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <fstream>
 
@@ -40,7 +39,6 @@ json::Value cost_to_json(const net::CostReport& c) {
 
 json::Value SpanNode::to_json() const {
   json::Value o = json::Value::object();
-  o.set("id", static_cast<double>(id));
   o.set("name", name);
   o.set("wall_us", wall_us);
   o.set("costs", cost_to_json(costs));
@@ -120,8 +118,6 @@ void Span::open(std::string_view name, const net::Network* net) {
   if (!tr.enabled()) return;
   Tracer::ThreadState& ts = Tracer::state();
   auto node = std::make_unique<SpanNode>();
-  static std::atomic<std::uint64_t> next_id{1};
-  node->id = next_id.fetch_add(1, std::memory_order_relaxed);
   node->name = std::string(name);
   node_ = node.get();
   ts.pending.push_back(std::move(node));

@@ -42,11 +42,6 @@ namespace gfor14::trace {
 /// One completed phase: its cost delta, wall time, numeric annotations and
 /// sub-phases.
 struct SpanNode {
-  /// Process-unique span id, assigned at open in open order. Event-graph
-  /// consumers (src/audit/critpath) use it to reference spans stably; it is
-  /// NOT part of the determinism contract (open order on worker threads is
-  /// scheduling-dependent).
-  std::uint64_t id = 0;
   std::string name;
   net::CostReport costs;  ///< resources spent while the span was open
   double wall_us = 0.0;
@@ -99,8 +94,8 @@ class Tracer {
   /// Names of the calling thread's open spans joined with '/', outermost
   /// first ("protocol/share/commit"). Empty when tracing is disabled or no
   /// span is open. The Recorder annotates each round with this path so the
-  /// event graph can attribute rounds to phases; it reads only the calling
-  /// thread's own stack, so it costs nothing across threads.
+  /// critical-path profiler can attribute rounds to phases; it reads only
+  /// the calling thread's own stack, so it costs nothing across threads.
   static std::string current_path();
 
  private:

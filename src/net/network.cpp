@@ -52,6 +52,7 @@ Network::Network(std::size_t n, std::uint64_t seed)
       registry_(metrics::Registry::current_shared()),
       corrupt_(n, false),
       adv_rng_(seed ^ 0xADE5A11ULL),
+      prev_barrier_(std::chrono::steady_clock::now()),
       party_costs_(n),
       channel_stamp_(n * n, 0),
       blame_(n + 1) {
@@ -114,7 +115,6 @@ void Network::detach_observer(const RoundObserver* obs) {
 }
 
 void Network::run_round(const PartyHandler& handler) {
-  const auto wall_start = std::chrono::steady_clock::now();
   begin_round();
   // Handlers only touch their own lane, their own party slots and their own
   // forked rng_of(p) stream, so they can run on any number of workers; the
@@ -137,11 +137,6 @@ void Network::run_round(const PartyHandler& handler) {
     }
   }
   end_round();
-  // Per-round latency distribution: --metrics reports p50/p95 of this, not
-  // just the aggregate counters.
-  meters_.round_wall->observe(std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - wall_start)
-                                  .count());
 }
 
 void Network::for_each_party(const std::function<void(PartyId)>& fn) const {
@@ -233,6 +228,12 @@ void Network::end_round() {
   meters_.p2p_messages->add(round_delta.p2p_messages);
   meters_.p2p_elements->add(round_delta.p2p_elements);
   meters_.broadcast_elements->add(round_delta.broadcast_elements);
+  // The round clock: one read per round, barrier to barrier.
+  const auto now = std::chrono::steady_clock::now();
+  last_round_wall_us_ =
+      std::chrono::duration<double, std::micro>(now - prev_barrier_).count();
+  prev_barrier_ = now;
+  meters_.round_wall->observe(last_round_wall_us_);
   // Round barrier: push this scope's counter deltas into its parent, so
   // parent totals (and anything the observers — e.g. the telemetry
   // sampler — read) are exact here regardless of lane count.

@@ -28,8 +28,16 @@
 //                             uses exactly 2);
 //   * broadcast_invocations — individual broadcast() calls;
 //   * p2p_messages / field elements transferred on each channel type.
+//
+// Round clock: end_round() reads steady_clock exactly once per round, after
+// delivery and cost accounting and before the observers run. The reading is
+// the barrier-to-barrier wall since the previous end_round() (since
+// construction for the first round); it feeds the net.round_wall_us
+// histogram for every round, however the round was driven, and observers
+// read it through last_round_wall_us() instead of keeping their own clock.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -163,12 +171,13 @@ class FaultEngine;
 class Network;
 
 /// Passive end-of-round observer — the network's one end-of-round
-/// callback: called by end_round() after delivery, cost accounting and
-/// metrics, with this round's CostReport delta, on the orchestrating
-/// thread, in attachment order. Observers read delivered(), blames(),
-/// tamper_log() and the fault engine's event log; they must not mutate the
-/// network. The flight recorder (net/recorder.hpp), the replay verifier
-/// (audit/replay.hpp) and ad-hoc diagnostics attach through this.
+/// callback: called by end_round() after delivery, cost accounting, the
+/// round clock read and metrics, with this round's CostReport delta, on the
+/// orchestrating thread, in attachment order. Observers read delivered(),
+/// last_round_wall_us(), blames(), tamper_log() and the fault engine's
+/// event log; they must not mutate the network. The flight recorder
+/// (net/recorder.hpp), the replay verifier (audit/replay.hpp) and ad-hoc
+/// diagnostics attach through this.
 class RoundObserver {
  public:
   virtual ~RoundObserver() = default;
@@ -307,6 +316,10 @@ class Network {
 
   /// Traffic delivered by the most recent end_round().
   const RoundTraffic& delivered() const { return delivered_; }
+  /// Barrier-to-barrier wall of the most recent end_round() in
+  /// microseconds — the value it observed into net.round_wall_us.
+  /// Environmental; 0 before the first round.
+  double last_round_wall_us() const { return last_round_wall_us_; }
 
   // --- Rushing-adversary visibility (valid between begin/end round) -------
   /// Pending payloads addressed to a corrupt party this round. Views, not
@@ -389,6 +402,10 @@ class Network {
   bool round_used_broadcast_ = false;
   CostReport costs_;
   CostReport round_start_costs_;
+  /// The round clock: previous barrier (construction before round 0) and
+  /// the wall it closed.
+  std::chrono::steady_clock::time_point prev_barrier_;
+  double last_round_wall_us_ = 0.0;
   std::vector<PartyCosts> party_costs_;
   std::vector<std::shared_ptr<RoundObserver>> observers_;
   std::vector<TamperRecord> tamper_log_;

@@ -108,8 +108,7 @@ std::optional<std::uint64_t> parse_hex_u64(std::string_view s) {
   return v;
 }
 
-Recorder::Recorder(Options opt, json::Value config)
-    : opt_(opt), prev_barrier_(std::chrono::steady_clock::now()) {
+Recorder::Recorder(Options opt, json::Value config) : opt_(opt) {
   // Profile fidelity implies header-only: a payload copy without a digest
   // would be an incoherent tier (bytes stored but nothing certifying them).
   if (!opt_.digests) opt_.payloads = false;
@@ -137,16 +136,14 @@ void Recorder::on_round_end(const Network& net, const CostReport& delta) {
 
   // Profile annotations. end_round() rolls child scopes up before observers
   // run, so the counter reads are barrier-exact; the first observed round
-  // charges everything since the recorder attached. Wall time spans barrier
-  // to barrier (first round: attach to barrier).
-  const auto now = std::chrono::steady_clock::now();
+  // charges everything since the recorder attached. The wall is the
+  // network's own round clock, read once in end_round().
   metrics::Registry& reg = net.registry();
   const std::uint64_t nac = reg.counter("net.alloc.count").value();
   const std::uint64_t nab = reg.counter("net.alloc.bytes").value();
   const std::uint64_t vac = reg.counter("vss.alloc.count").value();
   const std::uint64_t vab = reg.counter("vss.alloc.bytes").value();
-  round.profile.wall_us =
-      std::chrono::duration<double, std::micro>(now - prev_barrier_).count();
+  round.profile.wall_us = net.last_round_wall_us();
   round.profile.net_alloc_count = nac - prev_net_alloc_count_;
   round.profile.net_alloc_bytes = nab - prev_net_alloc_bytes_;
   round.profile.vss_alloc_count = vac - prev_vss_alloc_count_;
@@ -156,7 +153,6 @@ void Recorder::on_round_end(const Network& net, const CostReport& delta) {
   prev_net_alloc_bytes_ = nab;
   prev_vss_alloc_count_ = vac;
   prev_vss_alloc_bytes_ = vab;
-  prev_barrier_ = now;
 
   const RoundTraffic& tr = net.delivered();
   const auto record = [&](bool broadcast, PartyId from, PartyId to,

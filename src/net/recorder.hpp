@@ -42,7 +42,6 @@
 // certifies no payload bytes: every stored digest is zero by definition.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -78,12 +77,14 @@ struct RecordedMessage {
 /// deltas are barrier-exact differences of the deterministic `net.alloc.*` /
 /// `vss.alloc.*` counters and the phase string is the orchestrating thread's
 /// open-span path at the round barrier — both replay-stable under the §8
-/// contract. `wall_us` measures the machine and is environmental. None of
+/// contract. `wall_us` is the network's round clock for this round
+/// (Network::last_round_wall_us, the same sample net.round_wall_us
+/// observed); it measures the machine and is environmental. None of
 /// these fields is absorbed into the frozen channel/transcript digests or
 /// compared by the replay differ; recordings written before this block parse
 /// with all-zero profiles.
 struct RoundProfile {
-  double wall_us = 0.0;  ///< environmental: wall time since the last barrier
+  double wall_us = 0.0;  ///< environmental: barrier-to-barrier round wall
   std::uint64_t net_alloc_count = 0;
   std::uint64_t net_alloc_bytes = 0;
   std::uint64_t vss_alloc_count = 0;
@@ -161,13 +162,12 @@ class Recorder : public RoundObserver {
   std::size_t faults_seen_ = 0;
   std::size_t tampers_seen_ = 0;
   std::map<PartyId, std::size_t> blames_seen_;  ///< per accuser bucket
-  /// Previous barrier's view of the profiled alloc counters / clock, so
-  /// each RoundProfile stores per-round deltas.
+  /// Previous barrier's view of the profiled alloc counters, so each
+  /// RoundProfile stores per-round deltas.
   std::uint64_t prev_net_alloc_count_ = 0;
   std::uint64_t prev_net_alloc_bytes_ = 0;
   std::uint64_t prev_vss_alloc_count_ = 0;
   std::uint64_t prev_vss_alloc_bytes_ = 0;
-  std::chrono::steady_clock::time_point prev_barrier_;
 };
 
 }  // namespace gfor14::net

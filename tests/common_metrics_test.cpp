@@ -4,17 +4,21 @@
 // summary so the JSON export can report p50/p95 without unbounded memory.
 // These tests pin the quantile math on known distributions, the export
 // schema, the decimation bound, thread safety of observe() from worker
-// lanes, and the net.round_wall_us histogram the network feeds from
-// run_round.
+// lanes, and the net.round_wall_us histogram the network feeds from its
+// one round clock in end_round.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <numeric>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "net/network.hpp"
+#include "net/recorder.hpp"
 
 namespace gfor14 {
 namespace {
@@ -100,19 +104,54 @@ TEST(Histogram, ConcurrentObserveFromWorkerLanes) {
   EXPECT_LT(p50, static_cast<double>(kLanes * kPerLane));
 }
 
+/// Captures the network's round-clock reading at every barrier.
+struct WallProbe : net::RoundObserver {
+  std::vector<double> walls;
+  void on_round_end(const net::Network& net, const net::CostReport&) override {
+    walls.push_back(net.last_round_wall_us());
+  }
+};
+
 TEST_F(MetricsRegistryTest, NetworkRunRoundFeedsRoundWallHistogram) {
   auto& h = metrics::Registry::instance().histogram("net.round_wall_us");
   const std::uint64_t before = h.summary().count();
+  ASSERT_EQ(before, 0u);  // SetUp reset the registry
   net::Network net(4, 2014);
+  auto recorder =
+      std::make_shared<net::Recorder>(net::Recorder::Options::profile());
+  auto probe = std::make_shared<WallProbe>();
+  net.attach_observer(recorder);
+  net.attach_observer(probe);
   net.run_round([](net::PartyId p, net::RoundLane& lane) {
     lane.send((p + 1) % 4, {Fld::from_u64(p)});
   });
   net.run_round([](net::PartyId p, net::RoundLane& lane) {
     lane.broadcast({Fld::from_u64(p)});
   });
-  EXPECT_EQ(h.summary().count(), before + 2);
+  // A round driven by hand rather than through run_round is timed too.
+  net.begin_round();
+  net.send(0, 1, {Fld::from_u64(7)});
+  net.end_round();
+  EXPECT_EQ(h.summary().count() - before, net.costs().rounds);
   // Wall times are nonnegative microseconds.
   EXPECT_GE(h.summary().min(), 0.0);
+
+  // The recorder carries the network's samples, not a clock of its own:
+  // every RoundProfile::wall_us is the reading end_round observed into the
+  // histogram for that round.
+  const net::Recording& rec = recorder->recording();
+  ASSERT_EQ(rec.rounds.size(), net.costs().rounds);
+  ASSERT_EQ(probe->walls.size(), rec.rounds.size());
+  for (std::size_t r = 0; r < rec.rounds.size(); ++r)
+    EXPECT_EQ(rec.rounds[r].profile.wall_us, probe->walls[r]) << "round " << r;
+  EXPECT_EQ(h.summary().min(),
+            *std::min_element(probe->walls.begin(), probe->walls.end()));
+  EXPECT_EQ(h.summary().max(),
+            *std::max_element(probe->walls.begin(), probe->walls.end()));
+  const double sum =
+      std::accumulate(probe->walls.begin(), probe->walls.end(), 0.0);
+  EXPECT_NEAR(h.summary().mean() * static_cast<double>(probe->walls.size()),
+              sum, 1e-9 * (1.0 + sum));
 }
 
 }  // namespace
