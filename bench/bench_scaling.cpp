@@ -232,9 +232,8 @@ void print_tables() {
 
   // --- profiling overhead (DESIGN.md §15 budget: <5% with the profiling
   // stack attached: profile-fidelity recorder + tracer + telemetry
-  // sampler). Profile fidelity is the point: full-fidelity flight
-  // recording copies and digests every payload element — O(traffic) work
-  // that can double a fast run's wall — while the profiler only needs
+  // sampler). Profile fidelity is the point: the richer tiers digest every
+  // payload element — O(traffic) work — while the profiler only needs
   // message headers and round annotations, which cost O(messages).
   // Best-of-3 against the same plain run; the CI profiler job pins
   // "profiling.overhead_pct" with a bench-diff --max ceiling. The profiled

@@ -1,6 +1,7 @@
 #include "audit/replay.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace gfor14::audit {
 
@@ -18,8 +19,8 @@ std::string coords_str(const net::RecordedMessage& m) {
 
 /// Offset of the first differing byte in the little-endian serialization of
 /// the two payloads (8 bytes per element); nullopt when identical.
-std::optional<std::size_t> first_diff_byte(const net::Payload& a,
-                                           const net::Payload& b) {
+std::optional<std::size_t> first_diff_byte(std::span<const Fld> a,
+                                           std::span<const Fld> b) {
   const std::size_t common = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < common; ++i) {
     const std::uint64_t x = a[i].to_u64();

@@ -7,10 +7,15 @@
 //    tagged with a Domain that charges every allocate/deallocate to a
 //    process-global atomic ledger (live bytes, peak bytes, allocation
 //    count). The Network's per-round pending/delivered queues, the VSS
-//    engine's share staging and the recorder's stored payload copies run on
-//    it, so `gfor14-audit top` and the bench telemetry block can show where
-//    buffer churn happens. Charges are relaxed atomics: exact totals at
-//    round barriers, no ordering cost on the hot path.
+//    engine's share staging and the payload storage of recordings loaded
+//    from JSON run on it, so `gfor14-audit top` and the bench telemetry
+//    block can show where buffer churn happens. A live recorder copies no
+//    payload (it retains the network's delivered queues, which stay on
+//    the kNetQueue ledger until the recording is destroyed), so kRecorder
+//    is charged only by Recording::from_json and credited when the last
+//    Recording sharing a loaded round goes away. Charges are relaxed
+//    atomics: exact totals at round barriers, no ordering cost on the hot
+//    path.
 //
 //  * RSS readers — VmRSS/VmHWM from /proc/self/status, for the peak-RSS
 //    per-phase gauges. Environmental (OS-dependent), so they are reported
@@ -39,7 +44,7 @@ namespace gfor14::alloc {
 enum class Domain : std::size_t {
   kNetQueue = 0,  ///< Network pending/delivered round-traffic queues
   kVss = 1,       ///< VSS engine share staging buffers
-  kRecorder = 2,  ///< flight-recorder stored payload copies
+  kRecorder = 2,  ///< payload storage of recordings loaded from JSON
   kCount = 3,
 };
 

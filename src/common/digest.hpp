@@ -1,19 +1,34 @@
-// Running 64-bit transcript digest for the flight recorder (DESIGN.md §10).
+// Transcript digests for the flight recorder (DESIGN.md §10).
 //
-// The recorder needs a cheap, incremental, platform-independent fingerprint
-// of channel traffic so that header-only recordings can still certify byte
-// identity and full-fidelity recordings can be spot-checked without
-// re-reading every payload. FNV-1a over the little-endian byte expansion of
-// each absorbed word is enough: this is an integrity check against
-// *accidental* divergence (a nondeterminism bug, a corrupted recording
-// file), not a cryptographic commitment — the simulator's adversary is a
-// C++ object with direct queue access, so collision resistance buys
-// nothing here. The definition below (offset basis, prime, absorption
-// order) is frozen as part of the recording format: changing any of it is a
-// format version bump.
+// The recorder needs a cheap, platform-independent fingerprint of channel
+// traffic so that header-only recordings can still certify byte identity
+// and full-fidelity recordings can be spot-checked without re-reading every
+// payload. Two frozen pieces make it up (changing either, or the recorder's
+// absorption order, is a recording-format version bump):
+//
+//   * message_digest — a word-wise polynomial hash of one payload over the
+//     field, h = sum_k w_k * K^(k+1) with the fixed non-zero key
+//     kMessageKey. Because every K^k is non-zero, changing any single word
+//     always changes h. It is evaluated in 1024-word blocks with the span
+//     dot-product kernel against one process-wide table K^1..K^1024, the
+//     blocks combined by Horner in K^1024, so the per-byte cost is one
+//     field multiply-accumulate and the function keeps no state
+//     (thread-safe). The block size does not affect the value.
+//   * Digest64 — incremental FNV-1a/64 over the little-endian byte
+//     expansion of each absorbed word. The recorder feeds it a few
+//     header words plus one message_digest per message, so its serial
+//     chain costs O(messages), not O(bytes).
+//
+// This is an integrity check against *accidental* divergence (a
+// nondeterminism bug, a corrupted recording file), not a cryptographic
+// commitment — the simulator's adversary is a C++ object with direct queue
+// access, so collision resistance buys nothing here.
 #pragma once
 
 #include <cstdint>
+#include <span>
+
+#include "ff/gf2e.hpp"
 
 namespace gfor14 {
 
@@ -42,5 +57,11 @@ class Digest64 {
  private:
   std::uint64_t state_ = kOffsetBasis;
 };
+
+/// The message-digest key K (frozen; any non-zero field element works).
+inline constexpr std::uint64_t kMessageKey = 0x9e3779b97f4a7c15ULL;
+
+/// sum_k words[k] * K^(k+1) over Fld; zero for an empty message.
+Fld message_digest(std::span<const Fld> words);
 
 }  // namespace gfor14

@@ -204,6 +204,9 @@ class Parser {
       if (!eat(':')) return std::nullopt;
       auto v = parse_value();
       if (!v) return std::nullopt;
+      // A repeated key has no single meaning (set() would keep the last
+      // one silently), so the document is rejected.
+      if (obj.find(*key) != nullptr) return std::nullopt;
       obj.set(std::move(*key), std::move(*v));
       if (eat('}')) return obj;
       if (!eat(',')) return std::nullopt;

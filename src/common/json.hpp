@@ -33,6 +33,7 @@ class Value {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
+  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_array() const { return kind_ == Kind::kArray; }
@@ -88,7 +89,8 @@ class Value {
   std::string dump(int indent = -1) const;
 
   /// Strict parse of a complete document; nullopt on any syntax error,
-  /// trailing garbage, or array/object nesting deeper than 256 levels.
+  /// trailing garbage, a key repeated within one object, or array/object
+  /// nesting deeper than 256 levels.
   static std::optional<Value> parse(std::string_view text);
 
   bool operator==(const Value& o) const;

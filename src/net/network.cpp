@@ -71,7 +71,7 @@ Network::Network(std::size_t n, std::uint64_t seed)
   party_rng_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) party_rng_.push_back(root.fork(i));
   pending_.reset(n);
-  delivered_.reset(n);
+  delivered_ = std::make_shared<const RoundTraffic>(pending_);  // empty
 }
 
 void Network::set_corrupt(PartyId p, bool corrupt) {
@@ -217,7 +217,7 @@ void Network::end_round() {
   in_round_ = false;
   costs_.rounds += 1;
   if (round_used_broadcast_) costs_.broadcast_rounds += 1;
-  delivered_ = std::move(pending_);
+  delivered_ = std::make_shared<const RoundTraffic>(std::move(pending_));
   pending_.reset(n_);
 
   const CostReport round_delta = costs_ - round_start_costs_;

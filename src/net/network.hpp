@@ -315,7 +315,13 @@ class Network {
   void end_round();
 
   /// Traffic delivered by the most recent end_round().
-  const RoundTraffic& delivered() const { return delivered_; }
+  const RoundTraffic& delivered() const { return *delivered_; }
+  /// The same traffic as a shared handle: every round's delivered traffic
+  /// is immutable once published, so an observer may keep it alive past
+  /// the round (the flight recorder retains payloads this way, uncopied).
+  const std::shared_ptr<const RoundTraffic>& delivered_shared() const {
+    return delivered_;
+  }
   /// Barrier-to-barrier wall of the most recent end_round() in
   /// microseconds — the value it observed into net.round_wall_us.
   /// Environmental; 0 before the first round.
@@ -398,7 +404,8 @@ class Network {
   bool in_round_ = false;
   bool in_adversary_turn_ = false;
   RoundTraffic pending_;
-  RoundTraffic delivered_;
+  /// Published at end_round() and never mutated afterwards.
+  std::shared_ptr<const RoundTraffic> delivered_;
   bool round_used_broadcast_ = false;
   CostReport costs_;
   CostReport round_start_costs_;

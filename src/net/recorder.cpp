@@ -11,6 +11,12 @@ namespace gfor14::net {
 
 namespace {
 
+/// A loaded recording's per-round payload storage. The kRecorder ledger
+/// sees exactly these buffers: charged on allocation, credited when the
+/// last Recording sharing the round is destroyed.
+using RecordingWords =
+    std::vector<Fld, alloc::TrackingAllocator<Fld, alloc::Domain::kRecorder>>;
+
 // Channel keys for the per-channel digest map: p2p channels are ordered
 // (from, to) pairs, broadcast channels are senders. Party ids are < 2^20
 // by a wide margin (the simulator caps n at 32).
@@ -109,7 +115,7 @@ std::optional<std::uint64_t> parse_hex_u64(std::string_view s) {
 }
 
 Recorder::Recorder(Options opt, json::Value config) : opt_(opt) {
-  // Profile fidelity implies header-only: a payload copy without a digest
+  // Profile fidelity implies header-only: retained payloads without a digest
   // would be an incoherent tier (bytes stored but nothing certifying them).
   if (!opt_.digests) opt_.payloads = false;
   rec_.payloads = opt_.payloads;
@@ -155,6 +161,9 @@ void Recorder::on_round_end(const Network& net, const CostReport& delta) {
   prev_vss_alloc_bytes_ = vab;
 
   const RoundTraffic& tr = net.delivered();
+  // Full fidelity retains the round's delivered traffic itself: the
+  // payload spans below point into it, so nothing is copied.
+  if (opt_.payloads) round.owner = net.delivered_shared();
   const auto record = [&](bool broadcast, PartyId from, PartyId to,
                           std::size_t seq, const Payload& payload) {
     RecordedMessage msg;
@@ -164,8 +173,9 @@ void Recorder::on_round_end(const Network& net, const CostReport& delta) {
     msg.seq = seq;
     msg.elements = payload.size();
     if (opt_.digests) {
-      // The per-element absorption below is the recorder's dominant CPU
-      // cost; profile fidelity skips this whole block (msg.digest stays 0).
+      // The message digest is the recorder's only per-element work;
+      // profile fidelity skips this whole block (msg.digest stays 0).
+      const std::uint64_t h = message_digest(payload).to_u64();
       Digest64& ch =
           channels_
               .try_emplace(broadcast ? bcast_key(from) : p2p_key(from, to))
@@ -173,26 +183,18 @@ void Recorder::on_round_end(const Network& net, const CostReport& delta) {
       ch.absorb_u64(round.index);
       ch.absorb_u64(seq);
       ch.absorb_u64(payload.size());
+      ch.absorb_u64(h);
       transcript_.absorb_u64(broadcast ? 1 : 0);
       transcript_.absorb_u64(from);
       transcript_.absorb_u64(msg.to);
       transcript_.absorb_u64(round.index);
       transcript_.absorb_u64(seq);
       transcript_.absorb_u64(payload.size());
-      for (Fld f : payload) {
-        ch.absorb_u64(f.to_u64());
-        transcript_.absorb_u64(f.to_u64());
-      }
+      transcript_.absorb_u64(h);
       msg.digest = ch.value();
     }
-    if (opt_.payloads) {
-      // Stored payload copies are the recorder's dominant allocation; the
-      // kRecorder ledger is what `gfor14-audit top` reports for them.
-      alloc::domain_stats(alloc::Domain::kRecorder)
-          .charge(payload.size() * sizeof(Fld));
-      msg.payload = payload;
-    }
-    round.messages.push_back(std::move(msg));
+    if (opt_.payloads) msg.payload = payload;
+    round.messages.push_back(msg);
   };
 
   // Canonical (sender, receiver, sequence) order, p2p before broadcasts —
@@ -404,6 +406,9 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
     const json::Value* msgs = ro.find("messages");
     if (msgs == nullptr || !msgs->is_array())
       return fail("round entry missing 'messages'");
+    // One flat word vector per round; the message spans are bound to it
+    // once it has stopped growing.
+    auto words = std::make_shared<RecordingWords>();
     for (const json::Value& mo : msgs->items()) {
       if (!mo.is_object()) return fail("message entry is not an object");
       RecordedMessage msg;
@@ -436,10 +441,18 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
           if (!e.is_string()) return fail("payload element is not a string");
           const auto word = parse_hex_u64(e.as_string());
           if (!word) return fail("malformed payload element");
-          msg.payload.push_back(Fld::from_u64(*word));
+          words->push_back(Fld::from_u64(*word));
         }
       }
-      round.messages.push_back(std::move(msg));
+      round.messages.push_back(msg);
+    }
+    if (rec.payloads) {
+      std::size_t offset = 0;
+      for (RecordedMessage& m : round.messages) {
+        m.payload = std::span<const Fld>(*words).subspan(offset, m.elements);
+        offset += m.elements;
+      }
+      round.owner = std::move(words);
     }
     if (const json::Value* ts = ro.find("tampers")) {
       if (!ts->is_array()) return fail("'tampers' is not an array");
@@ -451,7 +464,8 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
         const json::Value* bc = to.find("bc");
         if (!count_from_json(round_field, t.round) ||
             !count_from_json(from, t.from) ||
-            !count_from_json(target, t.to) || bc == nullptr)
+            !count_from_json(target, t.to) || bc == nullptr ||
+            !bc->is_bool())
           return fail("malformed tamper record");
         t.broadcast = bc->as_bool();
         round.tampers.push_back(t);
@@ -477,6 +491,7 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
         const json::Value* elems = fo.find("elements_delta");
         if (!party_from_json(from, f.spec.from) ||
             !party_from_json(to, f.spec.to) || bc == nullptr ||
+            !bc->is_bool() ||
             !count_from_json(spec_round, f.spec.round) ||
             !count_from_json(amount, f.spec.amount) ||
             !count_from_json(round_field, f.round) ||

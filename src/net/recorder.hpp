@@ -18,23 +18,36 @@
 // (audit/replay.hpp) re-runs the recorded configuration and reports the
 // first divergence down to the byte offset.
 //
-// Digest definition (frozen; changing it bumps kVersion): each channel —
-// one per ordered (from, to) pair plus one per broadcasting sender — and
-// the whole-transcript stream keep an incremental FNV-1a/64 (Digest64).
+// Digest definition (frozen; changing it bumps kVersion): every message
+// first gets its word-wise message digest h = message_digest(payload)
+// (common/digest.hpp: sum_k w_k * K^(k+1) over Fld). Each channel — one
+// per ordered (from, to) pair plus one per broadcasting sender — and the
+// whole-transcript stream then keep an incremental FNV-1a/64 (Digest64).
 // For every message, in canonical order, the channel digest absorbs
-//   round, seq, element_count, elements[0..], (each as one u64)
+//   round, seq, element_count, h
 // and the transcript digest absorbs
 //   channel_tag (0 = p2p, 1 = bcast), from, to (0 for bcast), round, seq,
-//   element_count, elements[0..].
-// Field elements are absorbed as their 64-bit representation (Fld::to_u64).
-// Header-only recordings skip payload storage but NOT payload absorption,
-// so their digests still certify full byte identity.
+//   element_count, h
+// (each as one u64; h as its 64-bit representation, Fld::to_u64). The
+// per-byte work is one field multiply-accumulate inside message_digest;
+// the FNV chains cost O(messages). Header-only recordings skip payload
+// retention but NOT the message digest, so their digests still certify
+// full byte identity. Recordings of other format versions are rejected on
+// load.
+//
+// Ownership: a live recorder copies no payload. Network publishes each
+// round's delivered traffic as an immutable shared RoundTraffic; at full
+// fidelity the RecordedRound keeps that storage alive through its
+// type-erased `owner` and every RecordedMessage::payload is a span into
+// it. A loaded recording owns one flat word vector per round instead
+// (charged to the alloc::Domain::kRecorder ledger). Copying a Recording
+// shares that storage; payloads are read-only in both cases.
 //
 // Fidelity tiers: "full" (headers + digests + payloads, replayable to the
 // byte), "headers" (headers + digests; replay certifies bytes through the
 // digests), and "profile" (headers + per-round profile annotations only).
-// Profile fidelity skips every per-element pass — no payload copy, no
-// digest absorption — so its per-round cost is O(messages), not
+// Profile fidelity skips every per-element pass — no message digest, no
+// payload retention — so its per-round cost is O(messages), not
 // O(traffic bytes); it exists so the §15 causal profiler can ride along a
 // run inside the <5% overhead budget. Profile recordings drive critpath /
 // waterfall / top exactly like the richer tiers, and replaying one still
@@ -44,7 +57,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,7 +85,9 @@ struct RecordedMessage {
   std::size_t seq = 0;          ///< index within its channel queue this round
   std::size_t elements = 0;     ///< payload length in field elements
   std::uint64_t digest = 0;     ///< running channel digest after this message
-  Payload payload;              ///< empty in header-only recordings
+  /// Read-only view into the owning round's storage (RecordedRound::owner);
+  /// empty in header-only recordings.
+  std::span<const Fld> payload;
 };
 
 /// Post-hoc profiling annotations of one round (DESIGN.md §15). The alloc
@@ -101,13 +118,17 @@ struct RecordedRound {
   std::vector<TamperRecord> tampers;
   std::vector<FaultEvent> faults;
   std::vector<BlameRecord> blames;
+  /// Keeps the storage the message payload spans point into alive: the
+  /// network's delivered RoundTraffic for a live recording, one flat word
+  /// vector for a loaded one; null when no payload is retained.
+  std::shared_ptr<const void> owner;
 };
 
 /// A complete recording: header (format version, provenance, config) plus
 /// the per-round stream and the final transcript digest.
 struct Recording {
   static constexpr const char* kFormat = "gfor14.recording";
-  static constexpr std::size_t kVersion = 1;
+  static constexpr std::size_t kVersion = 2;
 
   std::size_t n = 0;
   bool payloads = true;    ///< full fidelity vs. headers + digests only

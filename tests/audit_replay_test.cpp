@@ -1,25 +1,32 @@
 // Flight recorder + replay verifier + audit toolchain (DESIGN.md §10).
 //
-// Covers the full recording lifecycle: digest determinism, the versioned
-// JSON format round-trip (in-memory and through a file), replay
-// verification of a faulty adversarial run at 1 and 4 worker lanes, the
-// first-divergence report for a deliberately perturbed recording (exact
-// round/channel/byte coordinates), header-only recordings certifying
-// identity through digests alone, the Chrome trace-event exporter, the
-// BENCH_*.json regression diff, and the gfor14-audit report renderers.
+// Covers the full recording lifecycle: digest determinism and the message
+// digest's algebraic properties, the versioned JSON format round-trip
+// (in-memory and through a file), zero-copy payload lifetimes and the
+// loaded-payload ledger, loader strictness, replay verification of a
+// faulty adversarial run at 1 and 4 worker lanes, the first-divergence
+// report for a deliberately perturbed recording (exact round/channel/byte
+// coordinates), header-only recordings certifying identity through digests
+// alone, the Chrome trace-event exporter, the BENCH_*.json regression
+// diff, and the gfor14-audit report renderers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anonchan/anonchan.hpp"
 #include "audit/bench_diff.hpp"
 #include "audit/replay.hpp"
 #include "audit/report.hpp"
+#include "common/alloc_stats.hpp"
 #include "common/chrome_trace.hpp"
 #include "common/digest.hpp"
+#include "common/rng.hpp"
 #include "common/trace.hpp"
 #include "net/adversary.hpp"
 #include "net/faultplan.hpp"
@@ -44,6 +51,69 @@ TEST(Digest64, MatchesFnv1aReferenceValues) {
   c.absorb_u64(1);
   EXPECT_EQ(a.value(), b.value());
   EXPECT_NE(a.value(), c.value());
+}
+
+/// sum_k words[k] * K^(k+1), one element at a time (no blocks, no span
+/// kernel): the reference message_digest must agree with.
+Fld naive_message_digest(const std::vector<Fld>& words) {
+  const Fld key = Fld::from_u64(kMessageKey);
+  Fld h = Fld::zero();
+  Fld power = key;
+  for (const Fld& w : words) {
+    h += w * power;
+    power *= key;
+  }
+  return h;
+}
+
+std::vector<Fld> random_words(std::size_t len, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Fld> words(len);
+  for (Fld& w : words) w = Fld::random(rng);
+  return words;
+}
+
+TEST(MessageDigest, BlockedEvaluationEqualsNaiveSum) {
+  EXPECT_EQ(message_digest({}), Fld::zero());
+  for (std::size_t len : {1u, 2u, 1023u, 1024u, 1025u, 2048u, 5000u}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    const std::vector<Fld> words = random_words(len, len);
+    EXPECT_EQ(message_digest(words), naive_message_digest(words));
+  }
+}
+
+TEST(MessageDigest, EverySingleWordChangeChangesTheDigest) {
+  // h is linear in the words and every K^(k+1) is non-zero, so changing
+  // word k by any non-zero delta moves h by delta * K^(k+1) != 0.
+  for (std::size_t len : {0u, 1u, 1023u, 1024u, 1025u, 5000u}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    std::vector<Fld> words = random_words(len, 17 + len);
+    const Fld h = message_digest(words);
+    for (std::size_t k = 0; k < len; ++k) {
+      const Fld saved = words[k];
+      words[k] = Fld::from_u64(saved.to_u64() ^ (1ULL << (k % 64)));
+      ASSERT_NE(message_digest(words), h) << "word " << k;
+      words[k] = saved;
+    }
+  }
+}
+
+TEST(MessageDigest, SwappingUnequalWordsChangesTheDigest) {
+  for (std::size_t len : {2u, 1023u, 1024u, 1025u, 5000u}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    std::vector<Fld> words = random_words(len, 99 + len);
+    const Fld h = message_digest(words);
+    std::vector<std::pair<std::size_t, std::size_t>> pairs = {{0, len - 1}};
+    for (std::size_t i = 0; i + 1 < len; i += 7) pairs.push_back({i, i + 1});
+    for (std::size_t i = 0; i + 1024 < len; i += 97)
+      pairs.push_back({i, i + 1024});  // same offset in adjacent blocks
+    for (const auto& [i, j] : pairs) {
+      ASSERT_NE(words[i], words[j]);
+      std::swap(words[i], words[j]);
+      ASSERT_NE(message_digest(words), h) << i << " <-> " << j;
+      std::swap(words[i], words[j]);
+    }
+  }
 }
 
 TEST(RecorderFormat, HexU64RoundTripsAndRejectsJunk) {
@@ -145,9 +215,17 @@ TEST(Recorder, SaveLoadRoundTripsThroughAFile) {
   ASSERT_TRUE(rec.save(path));
   std::string error;
   const auto back = net::Recording::load(path, &error);
+  std::ifstream in(path);
+  std::ostringstream saved;
+  saved << in.rdbuf();
+  in.close();
   std::remove(path.c_str());
   ASSERT_TRUE(back.has_value()) << error;
   EXPECT_FALSE(audit::first_divergence(rec, *back).has_value());
+  // Loaded payloads live in flat per-round storage instead of the network's
+  // traffic, which must not show in the serialized form: saving the loaded
+  // recording would write the same bytes.
+  EXPECT_EQ(back->to_json().dump(1) + "\n", saved.str());
 }
 
 TEST(Recorder, LoadRejectsNonRecordingJson) {
@@ -197,6 +275,140 @@ TEST(Recorder, LoadRejectsOutOfRangeCounts) {
     }
 }
 
+// --- zero-copy payload lifetimes ------------------------------------------
+
+/// Deep-copies every delivered payload at record time, in the recorder's
+/// canonical order — an oracle independent of the recorder's storage.
+class CopyingObserver : public net::RoundObserver {
+ public:
+  void on_round_end(const net::Network& net, const net::CostReport&) override {
+    std::vector<std::vector<Fld>> round;
+    const net::RoundTraffic& tr = net.delivered();
+    for (net::PartyId from = 0; from < net.n(); ++from)
+      for (net::PartyId to = 0; to < net.n(); ++to)
+        for (const auto& p : tr.p2p[to][from]) round.emplace_back(p);
+    for (net::PartyId from = 0; from < net.n(); ++from)
+      for (const auto& p : tr.bcast[from]) round.emplace_back(p);
+    copies.push_back(std::move(round));
+  }
+  std::vector<std::vector<std::vector<Fld>>> copies;
+};
+
+TEST(RecorderLifetime, PayloadsOutliveTheNetworkAndTheRecorder) {
+  net::Recording rec;
+  std::vector<std::vector<std::vector<Fld>>> copies;
+  {
+    net::Network net(5, 8080);
+    net.corrupt_first(1);
+    net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
+    auto recorder = std::make_shared<net::Recorder>();
+    auto copier = std::make_shared<CopyingObserver>();
+    net.attach_observer(recorder);
+    net.attach_observer(copier);
+    auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
+    anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(5, 3));
+    std::vector<Fld> inputs;
+    for (std::size_t i = 0; i < 5; ++i)
+      inputs.push_back(i + 1 < 5 ? Fld::from_u64(100 + i) : Fld::zero());
+    chan.run(4, inputs);
+    rec = recorder->recording();  // a copy; the recorder dies with the scope
+    copies = std::move(copier->copies);
+  }
+  ASSERT_EQ(rec.rounds.size(), copies.size());
+  std::size_t words = 0;
+  for (std::size_t r = 0; r < rec.rounds.size(); ++r) {
+    ASSERT_EQ(rec.rounds[r].messages.size(), copies[r].size()) << r;
+    for (std::size_t i = 0; i < copies[r].size(); ++i) {
+      const auto& span = rec.rounds[r].messages[i].payload;
+      ASSERT_EQ(std::vector<Fld>(span.begin(), span.end()), copies[r][i])
+          << "round " << r << " message " << i;
+      words += span.size();
+    }
+  }
+  EXPECT_GT(words, 0u);
+}
+
+TEST(RecorderLifetime, CopiedRecordingSharesItsStorage) {
+  const net::Recording rec = record_run(2718, 1);
+  const net::Recording copy = rec;
+  ASSERT_EQ(copy.rounds.size(), rec.rounds.size());
+  for (std::size_t r = 0; r < rec.rounds.size(); ++r) {
+    EXPECT_EQ(copy.rounds[r].owner.get(), rec.rounds[r].owner.get());
+    for (std::size_t i = 0; i < rec.rounds[r].messages.size(); ++i)
+      EXPECT_EQ(copy.rounds[r].messages[i].payload.data(),
+                rec.rounds[r].messages[i].payload.data());
+  }
+}
+
+TEST(RecorderLedger, OnlyLoadedPayloadsAreChargedAndFreesCreditThem) {
+  const auto& ledger = alloc::domain_stats(alloc::Domain::kRecorder);
+  const std::uint64_t baseline = ledger.bytes_live.load();
+  const std::uint64_t allocs = ledger.allocs.load();
+  const net::Recording live = record_run(4141, 1);
+  // A live recording retains the network's traffic and charges nothing.
+  EXPECT_EQ(ledger.bytes_live.load(), baseline);
+  EXPECT_EQ(ledger.allocs.load(), allocs);
+  std::size_t words = 0;
+  for (const auto& r : live.rounds)
+    for (const auto& m : r.messages) words += m.payload.size();
+  ASSERT_GT(words, 0u);
+  {
+    const json::Value doc = live.to_json();
+    std::string error;
+    auto loaded = net::Recording::from_json(doc, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_GE(ledger.bytes_live.load(), baseline + words * sizeof(Fld));
+    const net::Recording shared = *loaded;  // shares, charges nothing more
+    const std::uint64_t charged = ledger.bytes_live.load();
+    loaded.reset();
+    EXPECT_EQ(ledger.bytes_live.load(), charged);  // `shared` still holds it
+  }
+  EXPECT_EQ(ledger.bytes_live.load(), baseline);
+}
+
+// --- loader strictness -----------------------------------------------------
+
+TEST(RecorderFormat, VersionOneIsRejected) {
+  const net::Recording rec = record_run(11, 1, /*payloads=*/false);
+  json::Value doc = rec.to_json();
+  doc.set("version", 1);
+  std::string error;
+  EXPECT_FALSE(net::Recording::from_json(doc, &error).has_value());
+  EXPECT_EQ(error, "unsupported recording version");
+}
+
+TEST(RecorderFormat, TamperAndFaultChannelFlagsMustBeBooleans) {
+  const net::Recording rec = record_run(2014, 1, /*payloads=*/false);
+  const std::string good = rec.to_json().dump();
+  {
+    std::string error;
+    ASSERT_TRUE(net::Recording::from_json(*json::Value::parse(good), &error)
+                    .has_value())
+        << error;
+  }
+  // Every "bc" field (tamper records and fault events; message channels
+  // are spelled "ch":"bc") with its boolean swapped for another type.
+  const std::string needle = "\"bc\":";
+  std::size_t tampers = 0, faults = 0;
+  for (std::size_t at = good.find(needle); at != std::string::npos;
+       at = good.find(needle, at + 1)) {
+    const std::size_t value = at + needle.size();
+    const std::size_t end = good.find_first_of(",}", value);
+    for (const std::string junk : {"0", "1", "\"true\"", "null"}) {
+      SCOPED_TRACE(good.substr(value, end - value) + " -> " + junk);
+      const auto doc = json::Value::parse(good.substr(0, value) + junk +
+                                          good.substr(end));
+      ASSERT_TRUE(doc.has_value());
+      std::string error;
+      EXPECT_FALSE(net::Recording::from_json(*doc, &error).has_value());
+      tampers += error == "malformed tamper record";
+      faults += error == "malformed fault event";
+    }
+  }
+  EXPECT_GT(tampers, 0u);
+  EXPECT_GT(faults, 0u);
+}
+
 // --- replay verification ---------------------------------------------------
 
 TEST(ReplayVerifier, FaultyAdversarialRunVerifiesAtOneAndFourLanes) {
@@ -216,25 +428,63 @@ TEST(ReplayVerifier, DifferentSeedDiverges) {
   EXPECT_EQ(divergence->round, 0u);
 }
 
+/// `doc` with word `elem` of message `msg` in round `round` replaced by
+/// `word` — recorded payloads are read-only spans, so corruption goes
+/// through the serialized form.
+json::Value with_payload_word(const json::Value& doc, std::size_t round,
+                              std::size_t msg, std::size_t elem,
+                              std::uint64_t word) {
+  json::Value rounds = json::Value::array();
+  for (std::size_t r = 0; r < doc.find("rounds")->size(); ++r) {
+    json::Value ro = doc.find("rounds")->at(r);
+    if (r == round) {
+      json::Value msgs = json::Value::array();
+      for (std::size_t i = 0; i < ro.find("messages")->size(); ++i) {
+        json::Value mo = ro.find("messages")->at(i);
+        if (i == msg) {
+          json::Value payload = json::Value::array();
+          for (std::size_t k = 0; k < mo.find("payload")->size(); ++k)
+            payload.push_back(k == elem ? json::Value(net::hex_u64(word))
+                                        : mo.find("payload")->at(k));
+          mo.set("payload", std::move(payload));
+        }
+        msgs.push_back(std::move(mo));
+      }
+      ro.set("messages", std::move(msgs));
+    }
+    rounds.push_back(std::move(ro));
+  }
+  json::Value out = doc;
+  out.set("rounds", std::move(rounds));
+  return out;
+}
+
 TEST(ReplayVerifier, PerturbedPayloadYieldsExactCoordinates) {
-  net::Recording rec = record_run(555, 1);
+  const net::Recording original = record_run(555, 1);
   // Find the first message with a payload and flip byte 5 of element 3
   // (falling back to element 0 for short payloads).
-  net::RecordedMessage* victim = nullptr;
-  std::size_t victim_round = 0;
-  for (auto& r : rec.rounds) {
-    for (auto& m : r.messages)
-      if (!m.payload.empty()) {
-        victim = &m;
-        victim_round = r.index;
+  std::size_t round_pos = 0, msg_pos = 0;
+  const net::RecordedMessage* found = nullptr;
+  for (std::size_t r = 0; r < original.rounds.size() && !found; ++r)
+    for (std::size_t i = 0; i < original.rounds[r].messages.size(); ++i)
+      if (!original.rounds[r].messages[i].payload.empty()) {
+        found = &original.rounds[r].messages[i];
+        round_pos = r;
+        msg_pos = i;
         break;
       }
-    if (victim) break;
-  }
-  ASSERT_NE(victim, nullptr);
-  const std::size_t elem = victim->payload.size() > 3 ? 3 : 0;
-  victim->payload[elem] =
-      Fld::from_u64(victim->payload[elem].to_u64() ^ (1ULL << 40));
+  ASSERT_NE(found, nullptr);
+  const std::size_t elem = found->payload.size() > 3 ? 3 : 0;
+  std::string error;
+  const auto loaded = net::Recording::from_json(
+      with_payload_word(original.to_json(), round_pos, msg_pos, elem,
+                        found->payload[elem].to_u64() ^ (1ULL << 40)),
+      &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  const net::Recording& rec = *loaded;
+  const net::RecordedMessage* victim = &rec.rounds[round_pos].messages[msg_pos];
+  const std::size_t victim_round = rec.rounds[round_pos].index;
+  ASSERT_NE(victim->payload[elem], found->payload[elem]);
   const auto divergence = replay_run(rec, 555, 1);
   ASSERT_TRUE(divergence.has_value());
   EXPECT_EQ(divergence->round, victim_round);

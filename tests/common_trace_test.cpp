@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -110,6 +111,34 @@ TEST(Json, DeepNestingFailsCleanly) {
   const auto ok =
       json::Value::parse(std::string(200, '[') + std::string(200, ']'));
   EXPECT_TRUE(ok.has_value());
+}
+
+TEST(Json, DuplicateKeysAreRejected) {
+  EXPECT_FALSE(json::Value::parse("{\"a\":1,\"a\":2}").has_value());
+  EXPECT_FALSE(
+      json::Value::parse("{\"a\":1,\"b\":{\"c\":true,\"c\":false}}")
+          .has_value());
+  EXPECT_FALSE(
+      json::Value::parse("[{\"x\":[],\"y\":0,\"x\":[]}]").has_value());
+  // The same key in sibling objects is fine.
+  EXPECT_TRUE(
+      json::Value::parse("[{\"a\":1},{\"a\":2},{\"b\":{\"a\":3}}]")
+          .has_value());
+}
+
+TEST(Json, CommittedBenchBaselinesParse) {
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(GFOR14_BASELINES_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().string());
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_TRUE(json::Value::parse(text.str()).has_value());
+    ++files;
+  }
+  EXPECT_GT(files, 0u);
 }
 
 TEST(Trace, SpanNestingBuildsTree) {

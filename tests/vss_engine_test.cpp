@@ -4,6 +4,7 @@
 // paper's comparison (E1/E2) consumes.
 #include <gtest/gtest.h>
 
+#include "common/digest.hpp"
 #include "net/adversary.hpp"
 #include "net/recorder.hpp"
 #include "vss/schemes.hpp"
@@ -442,12 +443,16 @@ TEST(VssFlatDecode, GgorMatchesScalarOracleAtOneAndFourLanes) {
 
 // Byte-for-byte pins on the sharing phase: every R1 slice, R2 cross value,
 // complaint, R4 resolution and R6 slice opening lands in a full-fidelity
-// recording, so one final digest per (scheme, dealer behaviour) covers the
-// whole transcript. The constants were captured from the per-secret
-// SymmetricBivariate dealer that the SoA engine replaced; both lane counts
-// must reproduce them. Dealer 0 is the corrupt one (when any), dealer 2
-// deals nothing, and dealers 1 and 3 span several of the sharing phase's
-// 512- and 1024-value chunks.
+// recording, so one digest per (scheme, dealer behaviour) covers the whole
+// transcript. The constants were captured from the per-secret
+// SymmetricBivariate dealer that the SoA engine replaced, as recording
+// format v1 transcript digests (FNV-1a over every header and payload
+// word). The recorder now writes v2 digests, so the pins are checked
+// through a test-local v1 oracle over the recorded messages, and the
+// recorder's own final digest against an independent element-wise v2
+// oracle; both lane counts must reproduce both. Dealer 0 is the corrupt
+// one (when any), dealer 2 deals nothing, and dealers 1 and 3 span several
+// of the sharing phase's 512- and 1024-value chunks.
 enum class GoldenCase {
   kHonest,
   kResolve,
@@ -456,8 +461,46 @@ enum class GoldenCase {
   kFalseComplaints,
 };
 
-std::uint64_t golden_share_digest(SchemeKind kind, GoldenCase c,
-                                  std::size_t lanes) {
+/// Recording format v1 transcript digest: per message, in canonical order,
+/// FNV-1a over (tag, from, to, round, seq, len, payload words...).
+std::uint64_t v1_transcript_digest(const net::Recording& rec) {
+  Digest64 d;
+  for (const auto& round : rec.rounds)
+    for (const auto& m : round.messages) {
+      d.absorb_u64(m.broadcast ? 1 : 0);
+      d.absorb_u64(m.from);
+      d.absorb_u64(m.to);
+      d.absorb_u64(round.index);
+      d.absorb_u64(m.seq);
+      d.absorb_u64(m.elements);
+      for (Fld w : m.payload) d.absorb_u64(w.to_u64());
+    }
+  return d.value();
+}
+
+/// Format v2 transcript digest with the message digest evaluated by
+/// Horner, one element at a time: h = (..((w_{L-1})K + w_{L-2})K ..)K.
+std::uint64_t v2_transcript_digest(const net::Recording& rec) {
+  const Fld key = Fld::from_u64(kMessageKey);
+  Digest64 d;
+  for (const auto& round : rec.rounds)
+    for (const auto& m : round.messages) {
+      Fld h = Fld::zero();
+      for (std::size_t k = m.payload.size(); k-- > 0;)
+        h = (h + m.payload[k]) * key;
+      d.absorb_u64(m.broadcast ? 1 : 0);
+      d.absorb_u64(m.from);
+      d.absorb_u64(m.to);
+      d.absorb_u64(round.index);
+      d.absorb_u64(m.seq);
+      d.absorb_u64(m.elements);
+      d.absorb_u64(h.to_u64());
+    }
+  return d.value();
+}
+
+net::Recording golden_share_recording(SchemeKind kind, GoldenCase c,
+                                      std::size_t lanes) {
   constexpr std::size_t kN = 5;
   net::Network net(kN, 4242);
   net.set_threads(lanes);
@@ -491,7 +534,7 @@ std::uint64_t golden_share_digest(SchemeKind kind, GoldenCase c,
     for (std::size_t k = 0; k < sizes[d]; ++k)
       batches[d].push_back(fe(7 + d * 1000003 + k * 104729));
   vss->share_all(batches);
-  return recorder->recording().final_digest;
+  return recorder->take();
 }
 
 void check_golden(SchemeKind kind, const std::uint64_t (&expected)[5]) {
@@ -499,12 +542,19 @@ void check_golden(SchemeKind kind, const std::uint64_t (&expected)[5]) {
                               GoldenCase::kRefuse, GoldenCase::kSilent,
                               GoldenCase::kFalseComplaints};
   for (std::size_t ci = 0; ci < 5; ++ci) {
-    const std::uint64_t one = golden_share_digest(kind, cases[ci], 1);
-    const std::uint64_t four = golden_share_digest(kind, cases[ci], 4);
-    EXPECT_EQ(one, four) << scheme_name(kind) << " case " << ci;
-    EXPECT_EQ(one, expected[ci])
+    const net::Recording one = golden_share_recording(kind, cases[ci], 1);
+    const net::Recording four = golden_share_recording(kind, cases[ci], 4);
+    ASSERT_TRUE(one.payloads);
+    EXPECT_EQ(one.final_digest, four.final_digest)
+        << scheme_name(kind) << " case " << ci;
+    EXPECT_EQ(one.final_digest, v2_transcript_digest(one))
+        << scheme_name(kind) << " case " << ci;
+    const std::uint64_t v1_one = v1_transcript_digest(one);
+    EXPECT_EQ(v1_one, v1_transcript_digest(four))
+        << scheme_name(kind) << " case " << ci;
+    EXPECT_EQ(v1_one, expected[ci])
         << scheme_name(kind) << " case " << ci << ": got 0x" << std::hex
-        << one;
+        << v1_one;
   }
 }
 
