@@ -1,11 +1,11 @@
 // Microbenchmarks of the computational substrate (supports experiment E8):
-// GF(2^k) arithmetic across field sizes AND across carry-less-multiply
-// kernels (bitloop oracle / PCLMUL-PMULL hardware),
+// GF(2^32)/GF(2^64) arithmetic across carry-less-multiply kernels (bitloop
+// oracle / PCLMUL-PMULL hardware),
 // polynomial evaluation, Lagrange interpolation, Berlekamp–Welch decoding.
 //
 // The custom main first runs a kernel sweep: for each selectable kernel it
-// differential-checks field products against the bit-loop oracle, times the
-// core multiply, and emits one row per (kernel, field) into
+// differential-checks GF(2^64) and GF(2^32) products against the bit-loop
+// oracle, times the GF(2^64) multiply, and emits one row per kernel into
 // BENCH_E8_field.json — the kernel-dispatch columns E8 reports. A kernel
 // that disagrees with the oracle fails the run (nonzero exit, after the
 // artifact is written). The regular Google Benchmark suites then run on the
@@ -77,8 +77,8 @@ std::size_t differential_mismatches(std::size_t trials) {
   return bad;
 }
 
-/// The kernel sweep: one table row + JSON row per (kernel, field). Returns
-/// the total differential mismatches across kernels.
+/// The kernel sweep: one table row + JSON row per kernel. Returns the total
+/// differential mismatches across kernels.
 std::size_t kernel_sweep(benchjson::Artifact& artifact) {
   std::vector<ff::Kernel> kernels = {ff::Kernel::kBitloop};
   if (ff::hardware_available()) {
@@ -88,33 +88,26 @@ std::size_t kernel_sweep(benchjson::Artifact& artifact) {
     ff::reset_kernel();
   }
 
-  std::printf("=== clmul kernel sweep (GF(2^64) / GF(2^128) multiply) ===\n");
-  std::printf("%-8s %12s %12s %12s %12s %10s\n", "kernel", "f64 ns/mul",
-              "f128 ns/mul", "f64 x", "f128 x", "diff-ok");
-  double base64 = 0, base128 = 0;
+  std::printf("=== clmul kernel sweep (GF(2^64) multiply) ===\n");
+  std::printf("%-8s %12s %12s %10s\n", "kernel", "f64 ns/mul", "f64 x",
+              "diff-ok");
+  double base64 = 0;
   std::size_t mismatches = 0;
   for (ff::Kernel k : kernels) {
     if (!ff::set_kernel(k)) continue;
     const std::size_t bad = differential_mismatches<F64>(10000) +
-                            differential_mismatches<F128>(10000);
+                            differential_mismatches<F32>(10000);
     ff::set_kernel(k);
     const double ns64 = time_field_mul<F64>();
-    const double ns128 = time_field_mul<F128>();
-    if (k == ff::Kernel::kBitloop) {
-      base64 = ns64;
-      base128 = ns128;
-    }
+    if (k == ff::Kernel::kBitloop) base64 = ns64;
     const double sp64 = base64 > 0 ? base64 / ns64 : 1.0;
-    const double sp128 = base128 > 0 ? base128 / ns128 : 1.0;
-    std::printf("%-8s %12.1f %12.1f %11.1fx %11.1fx %10s\n", ff::kernel_name(k),
-                ns64, ns128, sp64, sp128, bad == 0 ? "yes" : "NO");
+    std::printf("%-8s %12.1f %11.1fx %10s\n", ff::kernel_name(k), ns64, sp64,
+                bad == 0 ? "yes" : "NO");
     json::Value& row = artifact.row();
     row.set("case", "kernel_sweep");
     row.set("kernel", std::string(ff::kernel_name(k)));
     row.set("f64_mul_ns", ns64);
-    row.set("f128_mul_ns", ns128);
     row.set("f64_speedup_vs_bitloop", sp64);
-    row.set("f128_speedup_vs_bitloop", sp128);
     row.set("differential_mismatches", bad);
     if (bad != 0)
       std::fprintf(stderr, "FATAL: kernel %s disagrees with bitloop oracle\n",
@@ -210,9 +203,6 @@ void throughput_table(benchjson::Artifact& artifact) {
     });
     // MB/s = operand bytes per op * 1000 / (ns per op); each op reads two
     // element streams (axpy's accumulator read-modify-write counts as one).
-    // Bytes per element is the field's wire width (byte_size()), NOT
-    // sizeof(Fld): sub-64-bit fields pad their storage limb, and counting
-    // padding would overstate throughput by up to 8x.
     const double mul_mb_s = 2.0 * Fld::byte_size() * 1000.0 / mul_ns;
     const double dot_mb_s = 2.0 * kLen * Fld::byte_size() * 1000.0 / dot_ns;
     const double axpy_mb_s =
@@ -234,34 +224,36 @@ void throughput_table(benchjson::Artifact& artifact) {
   std::printf("\n");
 }
 
-/// Span-kernel batch layer (ff/batch.hpp): per-field MB/s of the wide
-/// batch axpy/dot, on the dispatched kernels. Uses byte_size() per field so
-/// GF(2^8)/GF(2^16) gather kernels are not credited for limb padding.
-template <typename F>
-void batch_field_rows(benchjson::Artifact& artifact, const char* name) {
+/// Span-kernel batch layer (ff/batch.hpp): MB/s of the wide batch axpy/dot
+/// over GF(2^64), on the dispatched kernels.
+void batch_throughput_table(benchjson::Artifact& artifact) {
+  std::printf(
+      "=== batch span kernels (operand MB/s, len 4096, kernel %s/%s) ===\n",
+      ff::active_kernel_name(), ff::active_span_kernel_name());
+  std::printf("%-8s %12s %12s\n", "field", "batch_axpy", "batch_dot");
   constexpr std::size_t kLen = 4096;
   Rng rng(9);
-  std::vector<F> a(kLen), b(kLen), y(kLen);
-  for (auto& x : a) x = F::random(rng);
-  for (auto& x : b) x = F::random(rng);
-  for (auto& x : y) x = F::random(rng);
-  const F c = F::random_nonzero(rng);
+  std::vector<F64> a(kLen), b(kLen), y(kLen);
+  for (auto& x : a) x = F64::random(rng);
+  for (auto& x : b) x = F64::random(rng);
+  for (auto& x : y) x = F64::random(rng);
+  const F64 c = F64::random_nonzero(rng);
   const double axpy_ns = time_ns_per_op(2000, [&] {
-    ff::batch::axpy<F::kBits>(c, std::span<const F>(a), std::span<F>(y));
+    ff::batch::axpy<64>(c, std::span<const F64>(a), std::span<F64>(y));
     benchmark::DoNotOptimize(y.data());
   });
   const double dot_ns = time_ns_per_op(2000, [&] {
-    F acc = ff::batch::dot<F::kBits>(std::span<const F>(a),
-                                     std::span<const F>(b));
+    F64 acc =
+        ff::batch::dot<64>(std::span<const F64>(a), std::span<const F64>(b));
     benchmark::DoNotOptimize(acc);
   });
-  const double bytes = 2.0 * kLen * F::byte_size();
+  const double bytes = 2.0 * kLen * F64::byte_size();
   const double axpy_mb_s = bytes * 1000.0 / axpy_ns;
   const double dot_mb_s = bytes * 1000.0 / dot_ns;
-  std::printf("%-8s %12.1f %12.1f", name, axpy_mb_s, dot_mb_s);
+  std::printf("%-8s %12.1f %12.1f\n\n", "F64", axpy_mb_s, dot_mb_s);
   json::Value& row = artifact.row();
   row.set("case", "batch_throughput");
-  row.set("field", std::string(name));
+  row.set("field", std::string("F64"));
   row.set("kernel", std::string(ff::active_kernel_name()));
   row.set("span_kernel", std::string(ff::active_span_kernel_name()));
   row.set("len", kLen);
@@ -269,20 +261,6 @@ void batch_field_rows(benchjson::Artifact& artifact, const char* name) {
   row.set("batch_dot_mb_s", dot_mb_s);
   row.set("batch_axpy_ns", axpy_ns);
   row.set("batch_dot_ns", dot_ns);
-  std::printf("\n");
-}
-
-void batch_throughput_table(benchjson::Artifact& artifact) {
-  std::printf(
-      "=== batch span kernels (operand MB/s, len 4096, kernel %s/%s) ===\n",
-      ff::active_kernel_name(), ff::active_span_kernel_name());
-  std::printf("%-8s %12s %12s\n", "field", "batch_axpy", "batch_dot");
-  batch_field_rows<F8>(artifact, "F8");
-  batch_field_rows<F16>(artifact, "F16");
-  batch_field_rows<F32>(artifact, "F32");
-  batch_field_rows<F64>(artifact, "F64");
-  batch_field_rows<F128>(artifact, "F128");
-  std::printf("\n");
 }
 
 template <typename F>
@@ -296,11 +274,8 @@ void BM_FieldMul(benchmark::State& state) {
   }
   state.SetLabel(ff::active_kernel_name());
 }
-BENCHMARK(BM_FieldMul<F8>);
-BENCHMARK(BM_FieldMul<F16>);
 BENCHMARK(BM_FieldMul<F32>);
 BENCHMARK(BM_FieldMul<F64>);
-BENCHMARK(BM_FieldMul<F128>);
 
 template <typename F>
 void BM_FieldAdd(benchmark::State& state) {
@@ -313,7 +288,6 @@ void BM_FieldAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FieldAdd<F64>);
-BENCHMARK(BM_FieldAdd<F128>);
 
 template <typename F>
 void BM_FieldInverse(benchmark::State& state) {
@@ -327,7 +301,6 @@ void BM_FieldInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldInverse<F32>);
 BENCHMARK(BM_FieldInverse<F64>);
-BENCHMARK(BM_FieldInverse<F128>);
 
 void BM_PolyEval(benchmark::State& state) {
   Rng rng(4);
@@ -391,7 +364,7 @@ int main(int argc, char** argv) {
       "Field/polynomial kernel layer: hardware clmul is >= 5x the bit-loop "
       "GF(2^64) multiply, with identical outputs across kernels; fused span "
       "ops cut reductions and inversions");
-  artifact.param("fields", std::string("F8 F16 F32 F64 F128"));
+  artifact.param("fields", std::string("F32 F64"));
   artifact.param("hardware_available", ff::hardware_available());
   const std::size_t mismatches = kernel_sweep(artifact);
   span_ops_table(artifact);

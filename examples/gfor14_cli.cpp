@@ -458,6 +458,37 @@ json::Value record_config(const Options& opt) {
   return c;
 }
 
+/// Flushes a sampler per --telemetry (path, or "-" for stdout), --prom and
+/// --top. Returns false when a requested file cannot be written.
+bool write_telemetry(const Options& opt,
+                     const telemetry::TelemetrySampler& sampler) {
+  bool ok = true;
+  if (opt.telemetry_path == "-") {
+    std::printf("%s\n", sampler.to_json().dump(2).c_str());
+  } else if (!opt.telemetry_path.empty()) {
+    if (sampler.write_json(opt.telemetry_path)) {
+      std::printf("telemetry: %s (%zu snapshots, stride %zu)\n",
+                  opt.telemetry_path.c_str(), sampler.snapshots().size(),
+                  sampler.stride());
+    } else {
+      std::fprintf(stderr, "error: cannot write telemetry '%s'\n",
+                   opt.telemetry_path.c_str());
+      ok = false;
+    }
+  }
+  if (!opt.prom_path.empty()) {
+    if (sampler.write_prometheus(opt.prom_path)) {
+      std::printf("prometheus: %s\n", opt.prom_path.c_str());
+    } else {
+      std::fprintf(stderr, "error: cannot write prometheus '%s'\n",
+                   opt.prom_path.c_str());
+      ok = false;
+    }
+  }
+  if (opt.top) std::printf("%s", audit::render_top(sampler.to_json()).c_str());
+  return ok;
+}
+
 /// Attaches the flight recorder, replay verifier and/or telemetry sampler
 /// requested by the options; finish() saves the recording / reports the
 /// replay verdict / flushes telemetry and yields the process exit code
@@ -506,32 +537,7 @@ class FlightScope {
                     verifier_->rounds_checked());
       }
     }
-    if (sampler_) {
-      if (opt_.telemetry_path == "-") {
-        std::printf("%s\n", sampler_->to_json().dump(2).c_str());
-      } else if (!opt_.telemetry_path.empty()) {
-        if (sampler_->write_json(opt_.telemetry_path)) {
-          std::printf("telemetry: %s (%zu snapshots, stride %zu)\n",
-                      opt_.telemetry_path.c_str(),
-                      sampler_->snapshots().size(), sampler_->stride());
-        } else {
-          std::fprintf(stderr, "error: cannot write telemetry '%s'\n",
-                       opt_.telemetry_path.c_str());
-          rc = 1;
-        }
-      }
-      if (!opt_.prom_path.empty()) {
-        if (sampler_->write_prometheus(opt_.prom_path)) {
-          std::printf("prometheus: %s\n", opt_.prom_path.c_str());
-        } else {
-          std::fprintf(stderr, "error: cannot write prometheus '%s'\n",
-                       opt_.prom_path.c_str());
-          rc = 1;
-        }
-      }
-      if (opt_.top)
-        std::printf("%s", audit::render_top(sampler_->to_json()).c_str());
-    }
+    if (sampler_ && !write_telemetry(opt_, *sampler_)) rc = 1;
     return rc;
   }
 
@@ -822,30 +828,7 @@ int run_serve(const Options& opt) {
     // Embed the structured SLO status so `gfor14-audit top` renders the
     // breach reasons from the exported document.
     sampler->set_annotation("slo", report.slo.to_json());
-    if (opt.telemetry_path == "-") {
-      std::printf("%s\n", sampler->to_json().dump(2).c_str());
-    } else if (!opt.telemetry_path.empty()) {
-      if (sampler->write_json(opt.telemetry_path)) {
-        std::printf("telemetry: %s (%zu snapshots, stride %zu)\n",
-                    opt.telemetry_path.c_str(), sampler->snapshots().size(),
-                    sampler->stride());
-      } else {
-        std::fprintf(stderr, "error: cannot write telemetry '%s'\n",
-                     opt.telemetry_path.c_str());
-        rc = 1;
-      }
-    }
-    if (!opt.prom_path.empty()) {
-      if (sampler->write_prometheus(opt.prom_path)) {
-        std::printf("prometheus: %s\n", opt.prom_path.c_str());
-      } else {
-        std::fprintf(stderr, "error: cannot write prometheus '%s'\n",
-                     opt.prom_path.c_str());
-        rc = 1;
-      }
-    }
-    if (opt.top)
-      std::printf("%s", audit::render_top(sampler->to_json()).c_str());
+    if (!write_telemetry(opt, *sampler)) rc = 1;
   }
   return rc;
 }

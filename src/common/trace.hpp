@@ -55,6 +55,8 @@ struct SpanNode {
   json::Value to_json() const;
 };
 
+/// The one CostReport encoder: span JSON, Chrome traces, recordings and
+/// bench artifacts all write costs through it.
 json::Value cost_to_json(const net::CostReport& c);
 
 class Span;

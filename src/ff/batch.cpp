@@ -11,7 +11,7 @@
 // attributes, compiled out entirely when CMake's probe failed. On aarch64
 // the scalar kernel already dispatches to PMULL per element and there is no
 // cross-lane carry-less multiply to gain from, so the wide path there (and
-// on any non-x86 target) keeps only the small-field table gathers.
+// on any non-x86 target) is the scalar oracle.
 #if defined(__x86_64__) && !defined(GFOR14_DISABLE_HW_CLMUL)
 #include <immintrin.h>
 #define GFOR14_BATCH_X86 1
@@ -20,21 +20,6 @@
 namespace gfor14::ff {
 
 namespace {
-
-// A span of GF2E<Bits<=64> is bit-identical to a span of uint64_t limbs.
-static_assert(sizeof(F8) == sizeof(std::uint64_t));
-static_assert(sizeof(F16) == sizeof(std::uint64_t));
-static_assert(sizeof(F32) == sizeof(std::uint64_t));
-static_assert(sizeof(F64) == sizeof(std::uint64_t));
-
-template <unsigned Bits>
-const std::uint64_t* raw(std::span<const GF2E<Bits>> s) {
-  return s.data()->raw_limbs();
-}
-template <unsigned Bits>
-std::uint64_t* raw(std::span<GF2E<Bits>> s) {
-  return s.data()->raw_limbs();
-}
 
 // --- dispatch state (mirrors ff/kernel.cpp) --------------------------------
 
@@ -85,6 +70,21 @@ void reset_span_kernel() {
 #if defined(GFOR14_BATCH_X86)
 
 namespace {
+
+// A span of F64 is bit-identical to a span of uint64_t words.
+static_assert(sizeof(F64) == sizeof(std::uint64_t));
+
+const std::uint64_t* raw(std::span<const F64> s) {
+  return s.data()->raw_word();
+}
+std::uint64_t* raw(std::span<F64> s) { return s.data()->raw_word(); }
+
+// A 128-bit register as one unreduced carry-less product.
+__attribute__((target("sse4.1"))) inline u128 as_u128(__m128i v) {
+  const auto hi = static_cast<std::uint64_t>(_mm_extract_epi64(v, 1));
+  const auto lo = static_cast<std::uint64_t>(_mm_cvtsi128_si64(v));
+  return (static_cast<u128>(hi) << 64) | lo;
+}
 
 // Reduction modulo x^64 + 0x1B of the 128-bit product in each lane, kept in
 // vector registers: V = hi*x^64 ^ lo == hi*0x1B ^ lo, and deg(hi*0x1B) <=
@@ -151,9 +151,8 @@ __attribute__((target("pclmul,sse4.1"))) void horner64_sse(
 
 // XOR-accumulates the unreduced 128-bit products; one reduction at the end
 // (reduction is GF(2)-linear — same contract as ff::dot's Wide accumulator).
-__attribute__((target("pclmul,sse4.1"))) void dot64_sse(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
-    std::uint64_t out[2]) {
+__attribute__((target("pclmul,sse4.1"))) u128 dot64_sse(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
   __m128i acc0 = _mm_setzero_si128();
   __m128i acc1 = _mm_setzero_si128();
   std::size_t i = 0;
@@ -170,9 +169,7 @@ __attribute__((target("pclmul,sse4.1"))) void dot64_sse(
     const __m128i bv = _mm_cvtsi64_si128(static_cast<long long>(b[i]));
     acc0 = _mm_xor_si128(acc0, _mm_clmulepi64_si128(av, bv, 0x00));
   }
-  const __m128i acc = _mm_xor_si128(acc0, acc1);
-  out[0] = static_cast<std::uint64_t>(_mm_cvtsi128_si64(acc));
-  out[1] = static_cast<std::uint64_t>(_mm_extract_epi64(acc, 1));
+  return as_u128(_mm_xor_si128(acc0, acc1));
 }
 
 #if defined(GFOR14_HAVE_VPCLMUL)
@@ -233,9 +230,8 @@ __attribute__((target("vpclmulqdq,avx2"))) void horner64_avx(
                           n - i);
 }
 
-__attribute__((target("vpclmulqdq,avx2"))) void dot64_avx(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
-    std::uint64_t out[2]) {
+__attribute__((target("vpclmulqdq,avx2"))) u128 dot64_avx(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
   __m256i acc0 = _mm256_setzero_si256();
   __m256i acc1 = _mm256_setzero_si256();
   std::size_t i = 0;
@@ -250,10 +246,7 @@ __attribute__((target("vpclmulqdq,avx2"))) void dot64_avx(
   const __m256i acc = _mm256_xor_si256(acc0, acc1);
   const __m128i folded = _mm_xor_si128(_mm256_castsi256_si128(acc),
                                        _mm256_extracti128_si256(acc, 1));
-  std::uint64_t tail[2];
-  dot64_sse(a + i, b + i, n - i, tail);
-  out[0] = static_cast<std::uint64_t>(_mm_cvtsi128_si64(folded)) ^ tail[0];
-  out[1] = static_cast<std::uint64_t>(_mm_extract_epi64(folded, 1)) ^ tail[1];
+  return as_u128(folded) ^ dot64_sse(a + i, b + i, n - i);
 }
 
 #endif  // GFOR14_HAVE_VPCLMUL
@@ -290,15 +283,12 @@ void horner64_hw(std::uint64_t xc, std::uint64_t* acc,
   horner64_sse(xc, acc, plane, n);
 }
 
-void dot64_hw(const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
-              std::uint64_t out[2]) {
+u128 dot64_hw(const std::uint64_t* a, const std::uint64_t* b,
+              std::size_t n) {
 #if defined(GFOR14_HAVE_VPCLMUL)
-  if (n >= 8 && wide256_available()) {
-    dot64_avx(a, b, n, out);
-    return;
-  }
+  if (n >= 8 && wide256_available()) return dot64_avx(a, b, n);
 #endif
-  dot64_sse(a, b, n, out);
+  return dot64_sse(a, b, n);
 }
 
 }  // namespace
@@ -314,9 +304,7 @@ namespace {
 // The scalar span path is the element-at-a-time oracle: ff::axpy / ff::dot
 // (ff/ops.hpp) plus the matching Horner loop.
 
-template <unsigned Bits>
-void horner_scalar(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
-                   std::span<const GF2E<Bits>> plane) {
+void horner_scalar(F64 x, std::span<F64> acc, std::span<const F64> plane) {
   if (plane.empty()) {
     for (std::size_t i = 0; i < acc.size(); ++i) acc[i] *= x;
   } else {
@@ -325,113 +313,52 @@ void horner_scalar(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
   }
 }
 
-// Small-field (exp/log) gather with the constant's log hoisted.
-
-template <unsigned Bits>
-void axpy_small_wide(GF2E<Bits> c, std::span<const GF2E<Bits>> x,
-                     std::span<GF2E<Bits>> y) {
-  const auto& t = gf2_small_tables<Bits>();
-  const std::uint32_t logc = t.log[c.to_u64()];
-  const std::uint64_t* xs = raw(x);
-  std::uint64_t* ys = raw(y);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::uint64_t xv = xs[i];
-    if (xv != 0) ys[i] ^= t.exp[logc + t.log[xv]];
-  }
-}
-
-template <unsigned Bits>
-GF2E<Bits> dot_small_wide(std::span<const GF2E<Bits>> a,
-                          std::span<const GF2E<Bits>> b) {
-  const auto& t = gf2_small_tables<Bits>();
-  const std::uint64_t* as = raw(a);
-  const std::uint64_t* bs = raw(b);
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::uint64_t av = as[i];
-    const std::uint64_t bv = bs[i];
-    if (av != 0 && bv != 0) acc ^= t.exp[t.log[av] + t.log[bv]];
-  }
-  return GF2E<Bits>::from_u64(acc);
-}
-
-template <unsigned Bits>
-void horner_small_wide(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
-                       std::span<const GF2E<Bits>> plane) {
-  const auto& t = gf2_small_tables<Bits>();
-  const std::uint32_t logx = t.log[x.to_u64()];
-  std::uint64_t* as = raw(acc);
-  const std::uint64_t* ps = plane.empty() ? nullptr : raw(plane);
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    const std::uint64_t av = as[i];
-    const std::uint64_t prod = av != 0 ? t.exp[logx + t.log[av]] : 0;
-    as[i] = prod ^ (ps != nullptr ? ps[i] : 0);
-  }
-}
-
 }  // namespace
 
 template <unsigned Bits>
+  requires(Bits == 64)
 void axpy(GF2E<Bits> c, std::span<const GF2E<Bits>> x,
           std::span<GF2E<Bits>> y) {
   GFOR14_EXPECTS(y.size() >= x.size());
   if (x.empty() || c.is_zero()) return;
   if (resolved_span() == SpanKernel::kWide) {
-    if constexpr (Bits <= 16) {
-      axpy_small_wide(c, x, y);
-      return;
-    }
 #if defined(GFOR14_BATCH_X86)
-    if constexpr (Bits == 64) {
-      if (active_kernel() == Kernel::kPclmul) {
-        axpy64_hw(c.to_u64(), raw(x), raw(y), x.size());
-        return;
-      }
+    if (active_kernel() == Kernel::kPclmul) {
+      axpy64_hw(c.to_u64(), raw(x), raw(y), x.size());
+      return;
     }
 #endif
   }
-  // The scalar oracle also serves GF(2^32), whose multiply is already one
-  // dispatched clmul + constant fold, GF(2^128), and GF(2^64) without
-  // PCLMUL.
+  // The scalar oracle also serves GF(2^64) without PCLMUL.
   ff::axpy(c, x, y);
 }
 
 template <unsigned Bits>
+  requires(Bits == 64)
 GF2E<Bits> dot(std::span<const GF2E<Bits>> a, std::span<const GF2E<Bits>> b) {
   GFOR14_EXPECTS(a.size() == b.size());
   if (a.empty()) return GF2E<Bits>{};
   if (resolved_span() == SpanKernel::kWide) {
-    if constexpr (Bits <= 16) return dot_small_wide(a, b);
 #if defined(GFOR14_BATCH_X86)
-    if constexpr (Bits == 64) {
-      if (active_kernel() == Kernel::kPclmul) {
-        typename GF2E<Bits>::Wide acc{};
-        dot64_hw(raw(a), raw(b), a.size(), acc.data());
-        return GF2E<Bits>::reduce_wide(acc);
-      }
-    }
+    if (active_kernel() == Kernel::kPclmul)
+      return GF2E<Bits>::reduce_wide(dot64_hw(raw(a), raw(b), a.size()));
 #endif
   }
   return ff::dot(a, b);
 }
 
 template <unsigned Bits>
+  requires(Bits == 64)
 void horner_fold(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
                  std::span<const GF2E<Bits>> plane) {
   GFOR14_EXPECTS(plane.empty() || plane.size() >= acc.size());
   if (acc.empty()) return;
   if (resolved_span() == SpanKernel::kWide) {
-    if constexpr (Bits <= 16) {
-      horner_small_wide(x, acc, plane);
-      return;
-    }
 #if defined(GFOR14_BATCH_X86)
-    if constexpr (Bits == 64) {
-      if (active_kernel() == Kernel::kPclmul) {
-        horner64_hw(x.to_u64(), raw(acc),
-                    plane.empty() ? nullptr : raw(plane), acc.size());
-        return;
-      }
+    if (active_kernel() == Kernel::kPclmul) {
+      horner64_hw(x.to_u64(), raw(acc), plane.empty() ? nullptr : raw(plane),
+                  acc.size());
+      return;
     }
 #endif
   }
@@ -439,30 +366,15 @@ void horner_fold(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
 }
 
 template <unsigned Bits>
+  requires(Bits == 64)
 void scale(GF2E<Bits> c, std::span<GF2E<Bits>> y) {
   horner_fold(c, y, std::span<const GF2E<Bits>>{});
 }
 
-template void axpy<8>(F8, std::span<const F8>, std::span<F8>);
-template void axpy<16>(F16, std::span<const F16>, std::span<F16>);
-template void axpy<32>(F32, std::span<const F32>, std::span<F32>);
 template void axpy<64>(F64, std::span<const F64>, std::span<F64>);
-template void axpy<128>(F128, std::span<const F128>, std::span<F128>);
-template F8 dot<8>(std::span<const F8>, std::span<const F8>);
-template F16 dot<16>(std::span<const F16>, std::span<const F16>);
-template F32 dot<32>(std::span<const F32>, std::span<const F32>);
 template F64 dot<64>(std::span<const F64>, std::span<const F64>);
-template F128 dot<128>(std::span<const F128>, std::span<const F128>);
-template void scale<8>(F8, std::span<F8>);
-template void scale<16>(F16, std::span<F16>);
-template void scale<32>(F32, std::span<F32>);
 template void scale<64>(F64, std::span<F64>);
-template void scale<128>(F128, std::span<F128>);
-template void horner_fold<8>(F8, std::span<F8>, std::span<const F8>);
-template void horner_fold<16>(F16, std::span<F16>, std::span<const F16>);
-template void horner_fold<32>(F32, std::span<F32>, std::span<const F32>);
 template void horner_fold<64>(F64, std::span<F64>, std::span<const F64>);
-template void horner_fold<128>(F128, std::span<F128>, std::span<const F128>);
 
 }  // namespace batch
 }  // namespace gfor14::ff

@@ -1,16 +1,16 @@
-// Wide span kernels over GF(2^k): the batch layer of the field stack.
+// Wide span kernels over GF(2^64): the batch layer of the field stack.
 //
 // The VSS engine's structure-of-arrays hot path (vss/soa.hpp) works on
 // contiguous coefficient planes — thousands of field elements multiplied by
 // ONE scalar at a time. That shape admits kernels the element-at-a-time
-// `ff::dot`/`ff::axpy` path cannot express:
+// `ff::dot`/`ff::axpy` path cannot express: 128/256-bit vectorized
+// carry-less multiply. PCLMULQDQ processes two GF(2^64) elements per
+// iteration (VPCLMULQDQ four), with the modular reduction folded inside the
+// vector registers — two extra clmuls per lane instead of a scalar fold.
 //
-//   * 128/256-bit vectorized carry-less multiply: PCLMULQDQ processes two
-//     GF(2^64) elements per iteration (VPCLMULQDQ four), with the modular
-//     reduction folded inside the vector registers — two extra clmuls per
-//     lane instead of a scalar fold;
-//   * GF(2^8)/GF(2^16) table-gather multiply-accumulate: the exp/log
-//     tables with the constant's log hoisted out of the loop.
+// Every batch caller works on the protocol field, so the kernels are
+// defined for GF(2^64) only (`requires(Bits == 64)`); call sites name the
+// width (`batch::axpy<64>`).
 //
 // Dispatch mirrors ff/kernel.hpp: the wide path is the default,
 // overridable from tests and benches with set_span_kernel(), counted in the
@@ -19,8 +19,8 @@
 // differential oracle, and every wide kernel must agree with it bit-for-bit
 // on every input (GF(2^k) arithmetic is exact, so this is equality, not
 // tolerance). Forcing the bitloop scalar kernel additionally degrades the
-// GF(2^64) wide path to those loops, so the full oracle stack remains
-// reachable end-to-end.
+// wide path to those loops, so the full oracle stack remains reachable
+// end-to-end.
 //
 // All entry points are safe on empty spans (no data() dereference).
 #pragma once
@@ -34,7 +34,7 @@ namespace gfor14::ff {
 
 enum class SpanKernel {
   kScalar,  ///< element-at-a-time loops (differential oracle)
-  kWide,    ///< vectorized clmul / table-gather spans
+  kWide,    ///< vectorized clmul spans
 };
 
 /// Stable lowercase name ("scalar", "wide").
@@ -56,47 +56,26 @@ namespace batch {
 
 /// y[i] += c * x[i] over a contiguous span. Identical results to ff::axpy.
 template <unsigned Bits>
+  requires(Bits == 64)
 void axpy(GF2E<Bits> c, std::span<const GF2E<Bits>> x,
           std::span<GF2E<Bits>> y);
 
 /// Inner product sum_i a[i]*b[i]. Identical results to ff::dot.
 template <unsigned Bits>
+  requires(Bits == 64)
 GF2E<Bits> dot(std::span<const GF2E<Bits>> a, std::span<const GF2E<Bits>> b);
 
 /// y[i] = c * y[i] in place.
 template <unsigned Bits>
+  requires(Bits == 64)
 void scale(GF2E<Bits> c, std::span<GF2E<Bits>> y);
 
 /// One Horner step across a batch: acc[i] = x * acc[i] + plane[i].
 /// `acc` and `plane` must not alias; plane may be empty (pure scale step).
 template <unsigned Bits>
+  requires(Bits == 64)
 void horner_fold(GF2E<Bits> x, std::span<GF2E<Bits>> acc,
                  std::span<const GF2E<Bits>> plane);
-
-extern template void axpy<8>(F8, std::span<const F8>, std::span<F8>);
-extern template void axpy<16>(F16, std::span<const F16>, std::span<F16>);
-extern template void axpy<32>(F32, std::span<const F32>, std::span<F32>);
-extern template void axpy<64>(F64, std::span<const F64>, std::span<F64>);
-extern template void axpy<128>(F128, std::span<const F128>, std::span<F128>);
-extern template F8 dot<8>(std::span<const F8>, std::span<const F8>);
-extern template F16 dot<16>(std::span<const F16>, std::span<const F16>);
-extern template F32 dot<32>(std::span<const F32>, std::span<const F32>);
-extern template F64 dot<64>(std::span<const F64>, std::span<const F64>);
-extern template F128 dot<128>(std::span<const F128>, std::span<const F128>);
-extern template void scale<8>(F8, std::span<F8>);
-extern template void scale<16>(F16, std::span<F16>);
-extern template void scale<32>(F32, std::span<F32>);
-extern template void scale<64>(F64, std::span<F64>);
-extern template void scale<128>(F128, std::span<F128>);
-extern template void horner_fold<8>(F8, std::span<F8>, std::span<const F8>);
-extern template void horner_fold<16>(F16, std::span<F16>,
-                                     std::span<const F16>);
-extern template void horner_fold<32>(F32, std::span<F32>,
-                                     std::span<const F32>);
-extern template void horner_fold<64>(F64, std::span<F64>,
-                                     std::span<const F64>);
-extern template void horner_fold<128>(F128, std::span<F128>,
-                                      std::span<const F128>);
 
 }  // namespace batch
 }  // namespace gfor14::ff

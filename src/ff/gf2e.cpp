@@ -9,10 +9,7 @@ std::ostream& operator<<(std::ostream& os, const GF2E<Bits>& x) {
   return os << x.to_string();
 }
 
-template std::ostream& operator<< <8>(std::ostream&, const GF2E<8>&);
-template std::ostream& operator<< <16>(std::ostream&, const GF2E<16>&);
 template std::ostream& operator<< <32>(std::ostream&, const GF2E<32>&);
 template std::ostream& operator<< <64>(std::ostream&, const GF2E<64>&);
-template std::ostream& operator<< <128>(std::ostream&, const GF2E<128>&);
 
 }  // namespace gfor14

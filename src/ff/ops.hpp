@@ -26,17 +26,10 @@ GF2E<Bits> dot(std::span<const GF2E<Bits>> a, std::span<const GF2E<Bits>> b) {
   // pointers (the wide kernels downstream dereference span bases, and an
   // empty span's data() may be null).
   if (a.empty()) return GF2E<Bits>{};
-  if constexpr (Bits <= 16) {
-    // Table-multiplied fields: products are already cheap lookups.
-    GF2E<Bits> acc;
-    for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-    return acc;
-  } else {
-    typename GF2E<Bits>::Wide acc{};
-    for (std::size_t i = 0; i < a.size(); ++i)
-      GF2E<Bits>::mul_acc_wide(a[i], b[i], acc);
-    return GF2E<Bits>::reduce_wide(acc);
-  }
+  typename GF2E<Bits>::Wide acc = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    GF2E<Bits>::mul_acc_wide(a[i], b[i], acc);
+  return GF2E<Bits>::reduce_wide(acc);
 }
 
 /// y[i] += c * x[i] (fused multiply-accumulate over spans).

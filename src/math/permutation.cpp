@@ -61,9 +61,8 @@ std::optional<Permutation> Permutation::from_field(
   std::vector<std::size_t> images(enc.size());
   for (std::size_t k = 0; k < enc.size(); ++k) {
     const std::uint64_t v = enc[k].to_u64();
-    // Reject anything with high limbs set or out of the [1, n] range.
-    if (enc[k] != Fld::from_u64(v) || v == 0 || v > enc.size())
-      return std::nullopt;
+    // Reject anything out of the [1, n] range.
+    if (v == 0 || v > enc.size()) return std::nullopt;
     images[k] = static_cast<std::size_t>(v - 1);
   }
   return from_images(std::move(images));

@@ -55,17 +55,6 @@ bool party_from_json(const json::Value* f, PartyId& dst) {
   return count_from_json(f, dst);
 }
 
-json::Value cost_report_to_json(const CostReport& c) {
-  json::Value o = json::Value::object();
-  o.set("rounds", c.rounds);
-  o.set("broadcast_rounds", c.broadcast_rounds);
-  o.set("broadcast_invocations", c.broadcast_invocations);
-  o.set("p2p_messages", c.p2p_messages);
-  o.set("p2p_elements", c.p2p_elements);
-  o.set("broadcast_elements", c.broadcast_elements);
-  return o;
-}
-
 bool cost_report_from_json(const json::Value& v, CostReport& out) {
   if (!v.is_object()) return false;
   const auto field = [&](const char* name, std::size_t& dst) {
@@ -251,7 +240,7 @@ json::Value Recording::to_json() const {
   for (const auto& r : rounds) {
     json::Value ro = json::Value::object();
     ro.set("round", r.index);
-    ro.set("costs", cost_report_to_json(r.delta));
+    ro.set("costs", trace::cost_to_json(r.delta));
     {
       // Digest-excluded profiling annotations (see RoundProfile). Always
       // emitted so consumers need no per-round presence checks.

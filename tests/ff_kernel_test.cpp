@@ -1,6 +1,6 @@
 // Differential tests for the carry-less-multiply kernel layer: the hardware
 // path (when present) must agree bit-for-bit with the bit-loop oracle,
-// across every field size that rides on it, dispatch must resolve from CPU
+// across both field sizes that ride on it, dispatch must resolve from CPU
 // detection alone, and the batch-inversion / span kernels must match their
 // elementwise references. The tests force the bit-loop kernel themselves,
 // so hardware hosts cover the portable path too.
@@ -55,8 +55,8 @@ TEST(FfKernel, HardwareMatchesBitloopOracle) {
 }
 
 /// Field-level differential: every selectable kernel must produce identical
-/// products for GF(2^64) and GF(2^128) (the sizes that dispatch through
-/// clmul64; the table-driven small fields do not).
+/// products and inverses for both fields (each multiply is one dispatched
+/// clmul64 plus a constant fold).
 template <typename F>
 void field_products_match_across_kernels() {
   std::vector<ff::Kernel> kernels = {ff::Kernel::kBitloop};
@@ -85,8 +85,8 @@ TEST(FfKernel, F64ProductsMatchAcrossKernels) {
   field_products_match_across_kernels<F64>();
 }
 
-TEST(FfKernel, F128ProductsMatchAcrossKernels) {
-  field_products_match_across_kernels<F128>();
+TEST(FfKernel, F32ProductsMatchAcrossKernels) {
+  field_products_match_across_kernels<F32>();
 }
 
 TEST(FfKernel, SetKernelRejectsUnavailableHardware) {
@@ -124,7 +124,7 @@ TEST(FfKernel, ResolvesFromCpuOnly) {
 template <typename F>
 class FfOpsTest : public ::testing::Test {};
 
-using OpsFieldTypes = ::testing::Types<F8, F16, F32, F64, F128>;
+using OpsFieldTypes = ::testing::Types<F32, F64>;
 TYPED_TEST_SUITE(FfOpsTest, OpsFieldTypes);
 
 TYPED_TEST(FfOpsTest, BatchInverseMatchesElementwiseInverse) {
