@@ -1,6 +1,7 @@
 #include "vss/bivariate_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -29,6 +30,46 @@ std::optional<std::size_t> dec(Fld f, std::size_t bound) {
 // not once per value, small enough that a call splits into many more
 // chunks than lanes.
 constexpr std::size_t kDecodeChunk = 2048;
+
+/// The pair challenge a party uses when the other side's R1 word is missing
+/// or malformed (only pairs with a corrupt sender ever fall back to it).
+const Fld kDefaultChallenge = Fld::one();
+
+/// Words per dot-product block of a challenge combination.
+constexpr std::size_t kChallengeBlock = 1024;
+using ChallengePowers = std::array<Fld, kChallengeBlock>;
+
+/// rho^1 .. rho^kChallengeBlock.
+void challenge_powers(Fld rho, ChallengePowers& powers) {
+  Fld acc = rho;
+  for (Fld& p : powers) {
+    p = acc;
+    acc *= rho;
+  }
+}
+
+/// sum_k rho^(k+1) * f_k(x) over the slices f_k of `block`: per coefficient
+/// plane, a blocked dot against the power table Horner-combined in
+/// rho^kChallengeBlock (message_digest's shape), then the planes
+/// Horner-combined in x.
+Fld challenge_combination(const SliceBlock& block, Fld x,
+                          const ChallengePowers& powers) {
+  const std::size_t m = block.size();
+  const std::size_t blocks = (m + kChallengeBlock - 1) / kChallengeBlock;
+  Fld acc = Fld::zero();
+  for (std::size_t c = block.coeffs_per_poly(); c-- > 0;) {
+    const std::span<const Fld> plane = block.plane(c);
+    Fld h = Fld::zero();
+    for (std::size_t j = blocks; j-- > 0;) {
+      const std::span<const Fld> part = plane.subspan(
+          j * kChallengeBlock, std::min(kChallengeBlock, m - j * kChallengeBlock));
+      h = h * powers.back() +
+          ff::batch::dot(part, std::span<const Fld>(powers).first(part.size()));
+    }
+    acc = acc * x + h;
+  }
+  return acc;
+}
 
 }  // namespace
 
@@ -77,7 +118,6 @@ std::size_t BivariateEngine::share_broadcast_rounds() const {
 struct BivariateEngine::ShareCtx {
   const std::vector<std::vector<Fld>>* batches = nullptr;
   std::vector<net::PartyId> dealers;  // dealers with non-empty batches
-  std::size_t total_m = 0;            // sum of batch sizes
 
   // Hoisted evaluation points alpha[i] = eval_point<64>(i) — the SoA
   // context shared by every round so no payload loop recomputes them.
@@ -90,14 +130,22 @@ struct BivariateEngine::ShareCtx {
   // (plane(c)[k] = x^c coefficient of the k-th slice); sized where R1 fills
   // it and evolving as published slices are adopted.
   std::vector<std::vector<SliceBlock>> recv;
+  // rho[i * n + j]: the pair challenge party i uses with party j (drawn by
+  // the lower index, received by the higher); statistical profiles only.
+  std::vector<Fld> rho;
+  // R2 words per ordered pair: the check widths summed over the dealers.
+  std::size_t check_words = 0;
 
+  // Check word b of dealer d covers the secrets [b * s, (b + 1) * s), with
+  // s = m / check_width(m): one secret per word, or the whole batch.
   struct Complaint {
-    std::size_t d, k, lo, hi;  // pair {lo, hi}, lo < hi
+    std::size_t d, b, lo, hi;  // pair {lo, hi}, lo < hi
     auto operator<=>(const Complaint&) const = default;
   };
   std::set<Complaint> complaints;
-  // Published resolution values keyed by complaint.
-  std::map<Complaint, Fld> resolutions;
+  // Published resolution values F(alpha_lo, alpha_hi) of every covered
+  // secret, keyed by complaint.
+  std::map<Complaint, std::vector<Fld>> resolutions;
   // Public fault flags per dealer (missing/inconsistent publications).
   std::vector<bool> public_fault;
   // Everything the dealer has published so far: party -> opened slices.
@@ -118,9 +166,15 @@ void BivariateEngine::for_each_pair(
 void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
   const std::size_t n = net_.n();
   const std::size_t t = profile_.t;
+  const bool challenges = !per_secret_checks();
   const auto sends_slices = [&](net::PartyId d) {
     return !(*ctx.batches)[d].empty() &&
            behaviour_[d] != DealerBehaviour::kSilent;
+  };
+  // Words ahead of the slices in the message p -> q: the pair challenge,
+  // which the lower index draws.
+  const auto lead = [&](net::PartyId p, net::PartyId q) -> std::size_t {
+    return challenges && p < q ? 1 : 0;
   };
   // A misbehaving dealer hands garbage slices to every second party (other
   // than itself) — enough to exercise complaint/resolution.
@@ -130,18 +184,47 @@ void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
             b == DealerBehaviour::kInconsistentRefuse) &&
            i != d && i % 2 == 1;
   };
-  // out[d * n + i]: dealer d's slice payload for party i, built off the
-  // round so the handler below only moves payloads onto the wire.
+  // kInconsistentOneSecret's cheat (see vss.hpp): the victim's slice of
+  // secret k is shifted by delta(x) = prod_{q in Z} (x - alpha_q), Z up to t
+  // honest parties other than the victim and the witness.
+  struct Skew {
+    net::PartyId victim = 0;
+    std::size_t k = 0;
+    Poly delta;
+  };
+  std::vector<std::optional<Skew>> skew(n);
+  for (net::PartyId d : ctx.dealers) {
+    if (behaviour_[d] != DealerBehaviour::kInconsistentOneSecret) continue;
+    const auto& secrets = (*ctx.batches)[d];
+    const auto k = std::find_if(secrets.begin(), secrets.end(),
+                                [](Fld s) { return s != Fld::zero(); });
+    std::vector<net::PartyId> honest;
+    for (net::PartyId q = 0; q < n; ++q)
+      if (q != d && !net_.is_corrupt(q)) honest.push_back(q);
+    if (k == secrets.end() || honest.size() < 2) continue;
+    Skew sk{honest[0], static_cast<std::size_t>(k - secrets.begin()),
+            Poly::constant(Fld::one())};
+    for (std::size_t z = 2; z < honest.size() && z < t + 2; ++z)
+      sk.delta = sk.delta * Poly{{ctx.alpha[honest[z]], Fld::one()}};
+    skew[d] = std::move(sk);
+  }
+  // out[d * n + i]: party d's R1 payload for party i, built off the round so
+  // the handler below only moves payloads onto the wire.
   std::vector<net::Payload> out(n * n);
-  // Garbage slices first, per dealer: their per-(i, k) draws from rng_of(d)
-  // are part of the transcript, so each dealer's stay one serial loop.
+  // Challenges and garbage slices first, per party: their draws from
+  // rng_of(d) are part of the transcript, so each party's stay one serial
+  // loop.
   net_.for_each_party([&](net::PartyId d) {
+    for (net::PartyId i = d + 1; challenges && i < n; ++i) {
+      ctx.rho[d * n + i] = Fld::random_nonzero(net_.rng_of(d));
+      out[d * n + i].push_back(ctx.rho[d * n + i]);
+    }
     if (!sends_slices(d)) return;
     const std::size_t m = (*ctx.batches)[d].size();
     for (net::PartyId i = 0; i < n; ++i) {
       if (!garbage(d, i)) continue;
       net::Payload& payload = out[d * n + i];
-      payload.reserve(m * (t + 1));
+      payload.reserve(lead(d, i) + m * (t + 1));
       for (std::size_t k = 0; k < m; ++k) {
         const Poly slice = Poly::random(net_.rng_of(d), t);
         for (std::size_t c = 0; c <= t; ++c)
@@ -164,30 +247,47 @@ void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
     if (i == d) {
       ctx.bivariate[d].slices_at(ctx.alpha[d], ctx.recv[d][d]);
     } else if (!garbage(d, i)) {
-      out[d * n + i].resize(m * (t + 1));
-      ctx.bivariate[d].slices_kmajor(ctx.alpha[i], out[d * n + i]);
+      net::Payload& payload = out[d * n + i];
+      payload.resize(lead(d, i) + m * (t + 1));
+      const std::span<Fld> slices =
+          std::span<Fld>(payload).subspan(lead(d, i));
+      ctx.bivariate[d].slices_kmajor(ctx.alpha[i], slices);
+      if (skew[d] && skew[d]->victim == i) {
+        const auto& dc = skew[d]->delta.coeffs();
+        for (std::size_t c = 0; c < dc.size(); ++c)
+          slices[skew[d]->k * (t + 1) + c] += dc[c];
+      }
     }
   });
   net_.run_round([&](net::PartyId d, net::RoundLane& lane) {
-    if (!sends_slices(d)) return;
     for (net::PartyId i = 0; i < n; ++i)
-      if (i != d) lane.send(i, std::move(out[d * n + i]));
+      if (i != d && !out[d * n + i].empty())
+        lane.send(i, std::move(out[d * n + i]));
   });
   // Parse: wrong-size or missing payloads leave the default zero slices
   // (the paper's default-message convention) and earn the dealer a blame
-  // record, filed afterwards per accuser in dealer order.
+  // record, filed afterwards per accuser in dealer order. A message of just
+  // the challenge carries no slices; a challenge in a malformed message is
+  // replaced by the default.
   enum : std::uint8_t { kOk, kMissing, kMalformed };
   std::vector<std::uint8_t> status(n * n, kOk);
   for_each_pair([&](net::PartyId i, net::PartyId d) {
+    if (i == d) return;
     const std::size_t m = (*ctx.batches)[d].size();
-    if (i == d || m == 0) return;
+    const std::size_t skip = lead(d, i);
     const auto& msgs = net_.delivered().p2p[i][d];
-    if (msgs.empty() || msgs.front().size() != m * (t + 1)) {
-      status[i * n + d] = msgs.empty() ? kMissing : kMalformed;
+    const std::size_t size = msgs.empty() ? 0 : msgs.front().size();
+    const bool whole = !msgs.empty() && size == skip + m * (t + 1);
+    const bool bare = !msgs.empty() && skip > 0 && size == skip;
+    if (skip > 0 && (whole || bare)) ctx.rho[i * n + d] = msgs.front()[0];
+    if (m == 0) return;
+    if (!whole) {
+      status[i * n + d] = msgs.empty() || bare ? kMissing : kMalformed;
       ctx.recv[i][d].assign(m, t + 1);
       return;
     }
-    ctx.recv[i][d].load_kmajor(t + 1, msgs.front());
+    ctx.recv[i][d].load_kmajor(
+        t + 1, std::span<const Fld>(msgs.front()).subspan(skip));
   });
   for (net::PartyId i = 0; i < n; ++i)
     for (net::PartyId d : ctx.dealers) {
@@ -197,56 +297,79 @@ void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
     }
 }
 
-void BivariateEngine::round_cross_evaluations(ShareCtx& ctx) {
+void BivariateEngine::round_cross_checks(ShareCtx& ctx) {
   const std::size_t n = net_.n();
-  // out[i * n + j]: f_i(alpha_j) for every dealer's batch, concatenated in
-  // dealer order; one task per (i, j) pair, each dealer's block one batched
-  // Horner sweep at the hoisted point alpha_j.
+  const bool per_secret = per_secret_checks();
+  // out[i * n + j]: party i's check words for party j, concatenated in
+  // dealer order; one task per (i, j) pair. Per-secret checks evaluate each
+  // dealer's block in one batched Horner sweep at the hoisted point
+  // alpha_j; otherwise each dealer's block folds into one challenge
+  // combination, kept for the compare below.
   std::vector<net::Payload> out(n * n);
   for_each_pair([&](net::PartyId i, net::PartyId j) {
     if (i == j) return;
     net::Payload& payload = out[i * n + j];
-    payload.resize(ctx.total_m);
-    charge_share_buffer(ctx.total_m);
+    payload.resize(ctx.check_words);
+    charge_share_buffer(ctx.check_words);
+    ChallengePowers powers{};
+    if (!per_secret) challenge_powers(ctx.rho[i * n + j], powers);
     std::size_t pos = 0;
     for (net::PartyId d : ctx.dealers) {
       const std::size_t m = (*ctx.batches)[d].size();
-      ctx.recv[i][d].eval_range(ctx.alpha[j], 0,
-                                std::span<Fld>(payload).subspan(pos, m));
-      pos += m;
+      if (per_secret) {
+        ctx.recv[i][d].eval_range(ctx.alpha[j], 0,
+                                  std::span<Fld>(payload).subspan(pos, m));
+      } else {
+        payload[pos] =
+            challenge_combination(ctx.recv[i][d], ctx.alpha[j], powers);
+      }
+      pos += check_width(m);
     }
   });
   net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
-    for (net::PartyId j = 0; j < n; ++j)
-      if (i != j) lane.send(j, std::move(out[i * n + j]));
+    for (net::PartyId j = 0; j < n; ++j) {
+      if (i == j) continue;
+      if (per_secret) {
+        lane.send(j, std::move(out[i * n + j]));
+      } else {
+        lane.send(j, out[i * n + j]);
+      }
+    }
   });
-  // Compare, per (i, j) pair: j's claimed f_j(alpha_i) against my
-  // f_i(alpha_j), re-evaluated chunk by chunk into a stack buffer so the
-  // claims are checked while both are in cache. Each pair buffers its own
-  // complaints; the merge into the (deduplicating, ordered) set is
-  // order-insensitive, so the parallel schedule cannot show through.
+  // Compare, per (i, j) pair: j's claimed words against mine — the kept
+  // combinations, or f_i(alpha_j) re-evaluated chunk by chunk into a stack
+  // buffer so the claims are checked while both are in cache. Each pair
+  // buffers its own complaints; the merge into the (deduplicating, ordered)
+  // set is order-insensitive, so the parallel schedule cannot show through.
   constexpr std::size_t kChunk = 1024;
   std::vector<std::vector<ShareCtx::Complaint>> found(n * n);
   for_each_pair([&](net::PartyId i, net::PartyId j) {
     if (i == j) return;
     const auto& msgs = net_.delivered().p2p[i][j];
     const net::Payload* payload =
-        (!msgs.empty() && msgs.front().size() == ctx.total_m) ? &msgs.front()
-                                                              : nullptr;
+        (!msgs.empty() && msgs.front().size() == ctx.check_words)
+            ? &msgs.front()
+            : nullptr;
     const std::size_t lo = std::min(i, j), hi = std::max(i, j);
-    Fld mine[kChunk];
+    Fld buf[kChunk];
     std::size_t pos = 0;
     for (net::PartyId d : ctx.dealers) {
-      const std::size_t m = (*ctx.batches)[d].size();
-      for (std::size_t k0 = 0; k0 < m; k0 += kChunk) {
-        const std::size_t len = std::min(kChunk, m - k0);
-        ctx.recv[i][d].eval_range(ctx.alpha[j], k0, std::span<Fld>(mine, len));
-        for (std::size_t k = 0; k < len; ++k) {
-          const Fld claimed = payload ? (*payload)[pos + k0 + k] : Fld::zero();
-          if (claimed != mine[k]) found[i * n + j].push_back({d, k0 + k, lo, hi});
+      const std::size_t words = check_width((*ctx.batches)[d].size());
+      for (std::size_t b0 = 0; b0 < words; b0 += kChunk) {
+        const std::size_t len = std::min(kChunk, words - b0);
+        std::span<const Fld> mine;
+        if (per_secret) {
+          ctx.recv[i][d].eval_range(ctx.alpha[j], b0, std::span<Fld>(buf, len));
+          mine = std::span<const Fld>(buf, len);
+        } else {
+          mine = std::span<const Fld>(out[i * n + j]).subspan(pos + b0, len);
+        }
+        for (std::size_t b = 0; b < len; ++b) {
+          const Fld claimed = payload ? (*payload)[pos + b0 + b] : Fld::zero();
+          if (claimed != mine[b]) found[i * n + j].push_back({d, b0 + b, lo, hi});
         }
       }
-      pos += m;
+      pos += words;
     }
   });
   for (const auto& per_pair : found)
@@ -311,6 +434,7 @@ ShareResult BivariateEngine::share_all(
   for (net::PartyId i = 0; i < n; ++i) ctx.alpha[i] = eval_point<64>(i);
   ctx.bivariate.resize(n);
   ctx.recv.assign(n, std::vector<SliceBlock>(n));
+  if (!per_secret_checks()) ctx.rho.assign(n * n, kDefaultChallenge);
   ctx.public_fault.assign(n, false);
   ctx.published.resize(n);
   ctx.accusers.resize(n);
@@ -318,7 +442,7 @@ ShareResult BivariateEngine::share_all(
   for (net::PartyId d = 0; d < n; ++d) {
     if (batches[d].empty()) continue;
     ctx.dealers.push_back(d);
-    ctx.total_m += batches[d].size();
+    ctx.check_words += check_width(batches[d].size());
   }
   // Polynomial generation per dealer: dealer d draws only from its own
   // forked RNG stream, in SymmetricBivariate::random_with_secret's order
@@ -330,10 +454,10 @@ ShareResult BivariateEngine::share_all(
 
   // R1 + R2.
   round_distribute_slices(ctx);
-  round_cross_evaluations(ctx);
+  round_cross_checks(ctx);
 
   // Corrupt parties may raise spurious complaints (attack switch): they
-  // complain about index 0 of every other dealer's batch.
+  // complain about check word 0 of every other dealer's batch.
   if (false_complaints_) {
     for (net::PartyId p = 0; p < n; ++p) {
       if (!net_.is_corrupt(p)) continue;
@@ -354,7 +478,7 @@ ShareResult BivariateEngine::share_all(
     for (const auto& c : ctx.complaints) {
       auto& payload = out[c.lo];
       payload.push_back(enc(c.d));
-      payload.push_back(enc(c.k));
+      payload.push_back(enc(c.b));
       payload.push_back(enc(c.lo));
       payload.push_back(enc(c.hi));
     }
@@ -369,14 +493,29 @@ ShareResult BivariateEngine::share_all(
         auto lo = dec(payload[pos + 2], n);
         auto hi = dec(payload[pos + 3], n);
         if (!d || !lo || !hi || batches[*d].empty()) continue;
-        auto k = dec(payload[pos + 1], batches[*d].size());
-        if (!k || *lo >= *hi) continue;
-        ctx.complaints.insert({*d, *k, *lo, *hi});
+        auto b = dec(payload[pos + 1], check_width(batches[*d].size()));
+        if (!b || *lo >= *hi) continue;
+        ctx.complaints.insert({*d, *b, *lo, *hi});
       }
     }
   }
 
-  // R4: dealers publish resolutions F(alpha_lo, alpha_hi) per complaint.
+  // Secrets one check word of dealer d covers.
+  const auto covered = [&](net::PartyId d) {
+    return batches[d].size() / check_width(batches[d].size());
+  };
+  // Whether a party's slices of dealer d, evaluated at `x`, match `values`
+  // on the secrets check word b covers: one batched Horner sweep.
+  std::vector<Fld> mine;
+  const auto matches = [&](const SliceBlock& slices, Fld x, std::size_t b,
+                           std::span<const Fld> values) {
+    mine.resize(values.size());
+    slices.eval_range(x, b * values.size(), std::span<Fld>(mine));
+    return std::equal(mine.begin(), mine.end(), values.begin());
+  };
+
+  // R4: dealers publish resolutions F(alpha_lo, alpha_hi) for every secret a
+  // complained check word covers.
   {
     std::vector<net::Payload> out(n);
     for (const auto& c : ctx.complaints) {
@@ -385,33 +524,38 @@ ShareResult BivariateEngine::share_all(
           b == DealerBehaviour::kInconsistentRefuse)
         continue;
       auto& payload = out[c.d];
-      payload.push_back(enc(c.k));
+      payload.push_back(enc(c.b));
       payload.push_back(enc(c.lo));
       payload.push_back(enc(c.hi));
-      payload.push_back(
-          ctx.bivariate[c.d].eval(c.k, ctx.alpha[c.lo], ctx.alpha[c.hi]));
+      const std::size_t s = covered(c.d);
+      for (std::size_t k = c.b * s; k < (c.b + 1) * s; ++k)
+        payload.push_back(
+            ctx.bivariate[c.d].eval(k, ctx.alpha[c.lo], ctx.alpha[c.hi]));
     }
     std::vector<net::Payload> seen;
     publish_round(out, seen);
     for (net::PartyId d = 0; d < n; ++d) {
+      if (batches[d].empty()) continue;
       const auto& payload = seen[d];
-      for (std::size_t pos = 0; pos + 4 <= payload.size(); pos += 4) {
-        if (batches[d].empty()) break;
-        auto k = dec(payload[pos], batches[d].size());
+      const std::size_t s = covered(d);
+      for (std::size_t pos = 0; pos + 3 + s <= payload.size(); pos += 3 + s) {
+        auto b = dec(payload[pos], check_width(batches[d].size()));
         auto lo = dec(payload[pos + 1], n);
         auto hi = dec(payload[pos + 2], n);
-        if (!k || !lo || !hi || *lo >= *hi) continue;
-        ctx.resolutions[{d, *k, *lo, *hi}] = payload[pos + 3];
+        if (!b || !lo || !hi || *lo >= *hi) continue;
+        const auto values = payload.begin() + static_cast<std::ptrdiff_t>(pos + 3);
+        ctx.resolutions[{d, *b, *lo, *hi}].assign(
+            values, values + static_cast<std::ptrdiff_t>(s));
       }
     }
     // Unresolved complaints are a public fault of the dealer.
     for (const auto& c : ctx.complaints)
       if (!ctx.resolutions.contains(c)) ctx.public_fault[c.d] = true;
     // Parties whose slices conflict with a resolution accuse (level 1).
-    for (const auto& [c, value] : ctx.resolutions) {
+    for (const auto& [c, values] : ctx.resolutions) {
       for (net::PartyId p : {c.lo, c.hi}) {
         const net::PartyId other = (p == c.lo) ? c.hi : c.lo;
-        if (ctx.recv[p][c.d].eval_at(c.k, ctx.alpha[other]) != value)
+        if (!matches(ctx.recv[p][c.d], ctx.alpha[other], c.b, values))
           ctx.accusers[c.d].insert(p);
       }
     }
@@ -443,14 +587,25 @@ ShareResult BivariateEngine::share_all(
             b == DealerBehaviour::kInconsistentRefuse)
           continue;
         const std::size_t m = batches[d].size();
+        auto& payload = out[d];
         for (net::PartyId a : ctx.accusers[d]) {
-          auto& payload = out[d];
           payload.push_back(enc(a));
           payload.resize(payload.size() + m * (t + 1));
           ctx.bivariate[d].slices_kmajor(
               ctx.alpha[a],
               std::span<Fld>(payload).last(m * (t + 1)));
         }
+        if (b != DealerBehaviour::kUnsolicitedOpening) continue;
+        net::PartyId victim = 0;
+        while (victim < n && (victim == d || net_.is_corrupt(victim) ||
+                              ctx.accusers[d].contains(victim)))
+          ++victim;
+        if (victim == n) continue;
+        payload.push_back(enc(victim));
+        payload.resize(payload.size() + m * (t + 1));
+        const std::span<Fld> slices = std::span<Fld>(payload).last(m * (t + 1));
+        ctx.bivariate[d].slices_kmajor(ctx.alpha[victim], slices);
+        for (std::size_t k = 0; k < m; ++k) slices[k * (t + 1)] += Fld::one();
       }
       std::vector<net::Payload> seen;
       publish_round(out, seen);
@@ -464,6 +619,11 @@ ShareResult BivariateEngine::share_all(
              pos += stride) {
           auto a = dec(payload[pos], n);
           if (!a) continue;
+          // Only a current accuser may adopt or cross-check an opening.
+          if (!ctx.accusers[d].contains(*a)) {
+            net_.blame(net::kPublicBlame, d, "vss.open.unsolicited");
+            continue;
+          }
           SliceBlock slices;
           slices.load_kmajor(t + 1, std::span<const Fld>(payload).subspan(
                                         pos + 1, m * (t + 1)));
@@ -476,11 +636,10 @@ ShareResult BivariateEngine::share_all(
                 ctx.public_fault[d] = true;
             }
           }
-          for (const auto& [c, value] : ctx.resolutions) {
-            if (c.d != d) continue;
-            if (c.lo == *a && slices.eval_at(c.k, ctx.alpha[c.hi]) != value)
-              ctx.public_fault[d] = true;
-            if (c.hi == *a && slices.eval_at(c.k, ctx.alpha[c.lo]) != value)
+          for (const auto& [c, values] : ctx.resolutions) {
+            if (c.d != d || (c.lo != *a && c.hi != *a)) continue;
+            const net::PartyId other = c.lo == *a ? c.hi : c.lo;
+            if (!matches(slices, ctx.alpha[other], c.b, values))
               ctx.public_fault[d] = true;
           }
           // The accuser adopts the opened slices; everyone else privately

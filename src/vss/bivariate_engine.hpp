@@ -3,16 +3,24 @@
 // Sharing (batched, all dealers in parallel, constant rounds):
 //   R1  dealer -> P_i : univariate slices f_i(x) = F(x, alpha_i) of a random
 //       symmetric bivariate F with F(0,0) = secret, for every secret in the
-//       dealer's batch (private channels);
-//   R2  P_i -> P_j    : cross evaluations f_i(alpha_j) (private channels);
-//   R3  complaints    : P_i publishes every (dealer, index, j) where P_j's
-//       cross value conflicts with P_i's slice;
+//       dealer's batch (private channels). In the statistical profiles the
+//       same message also carries the pair challenge: for every pair
+//       {i, j}, i < j, P_i draws a private rho_ij and sends it to P_j;
+//   R2  P_i -> P_j    : check words (private channels). Per-secret checks
+//       (BGW) send the cross evaluations f_i(alpha_j) of every secret;
+//       the statistical profiles send one word per dealer,
+//       sum_k rho_ij^(k+1) f_{i,k}(alpha_j), which an honest dealer's
+//       symmetry makes equal to P_j's own combination;
+//   R3  complaints    : P_i publishes every (dealer, check word, pair)
+//       whose received word conflicts with its own;
 //   R4  resolution    : the dealer publishes F(alpha_i, alpha_j) for every
-//       complained triple;
+//       secret the complained check word covers (one for BGW, the whole
+//       batch otherwise);
 //   R5  accusations   : parties whose slices conflict with published
 //       resolutions accuse the dealer;
 //   R6  slice opening : the dealer publishes the accusers' full slices;
-//       accusers adopt them, everyone cross-checks;
+//       accusers adopt them, everyone cross-checks; an opening for a
+//       non-accuser is ignored and blamed;
 //   R7  votes         : every party publishes accept/reject per dealer; a
 //       dealer with fewer than n - t accepts is disqualified (its sharings
 //       default to 0).
@@ -120,7 +128,18 @@ class BivariateEngine final : public VssScheme {
   void for_each_pair(
       const std::function<void(net::PartyId, net::PartyId)>& fn) const;
   void round_distribute_slices(ShareCtx& ctx);
-  void round_cross_evaluations(ShareCtx& ctx);
+  /// Whether R2 checks every secret (the perfect BGW profile: a check with
+  /// any error would break its claim) instead of one challenge combination
+  /// per dealer (the statistical profiles, already resting on
+  /// information checking).
+  bool per_secret_checks() const {
+    return profile_.recon == ReconMode::kErrorCorrection;
+  }
+  /// R2 check words per dealer batch of m secrets: m, or one combination.
+  std::size_t check_width(std::size_t m) const {
+    return per_secret_checks() ? m : 1;
+  }
+  void round_cross_checks(ShareCtx& ctx);
   void publish_round(const std::vector<net::Payload>& per_party,
                      std::vector<net::Payload>& received_by_all,
                      bool force_physical = false);

@@ -56,6 +56,17 @@ enum class DealerBehaviour {
   kInconsistentRefuse,
   /// Sends nothing at all — must end disqualified.
   kSilent,
+  /// Deals consistently except for its first nonzero secret (none if all
+  /// are zero): the lowest honest other party's slice of it is shifted by a
+  /// polynomial vanishing at up to t further honest points, so with at most
+  /// t + 2 honest parties exactly one honest pair disagrees. Resolves
+  /// complaints truthfully — must end qualified and committed.
+  kInconsistentOneSecret,
+  /// Deals consistently, but every slice-opening round also "opens" a
+  /// shifted slice for the lowest honest non-accuser. The opening is
+  /// ignored and blamed (vss.open.unsolicited) — must end qualified and
+  /// committed.
+  kUnsolicitedOpening,
 };
 
 class VssScheme {

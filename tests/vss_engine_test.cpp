@@ -4,6 +4,8 @@
 // paper's comparison (E1/E2) consumes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/digest.hpp"
 #include "net/adversary.hpp"
 #include "net/recorder.hpp"
@@ -311,6 +313,182 @@ TEST(VssForgery, ZeroForgeryProbabilityRestoresCommitment) {
   EXPECT_EQ(recon[0], fe(1000));
 }
 
+// --- Pairwise consistency checks -------------------------------------------
+
+struct CheckCase {
+  SchemeKind kind;
+  std::size_t n;
+};
+
+// n = 5 (t = 2) for the statistical profiles, n = 4 (t = 1) for BGW: with
+// only the dealer corrupt, the one-secret dealer's shift then vanishes at
+// every honest point but the victim's and the witness's.
+constexpr CheckCase kCheckCases[] = {{SchemeKind::kBGW, 4},
+                                     {SchemeKind::kRB, 5},
+                                     {SchemeKind::kGGOR13, 5}};
+
+std::size_t count_payloads(const net::Recording& rec,
+                           const std::vector<Fld>& payload) {
+  std::size_t hits = 0;
+  for (const auto& round : rec.rounds)
+    for (const auto& m : round.messages)
+      hits += std::equal(m.payload.begin(), m.payload.end(), payload.begin(),
+                         payload.end());
+  return hits;
+}
+
+TEST(VssPairChecks, OneSecretInconsistencyIsCaughtAtAnyIndex) {
+  // 2100 secrets span three 1024-word challenge blocks: the first index,
+  // a block boundary and the last index each carry a different power of
+  // the pair challenge.
+  constexpr std::size_t kM = 2100;
+  for (const auto& [kind, n] : kCheckCases) {
+    for (std::size_t pos : {std::size_t{0}, std::size_t{1024}, kM - 1}) {
+      net::Network net(n, 61);
+      auto recorder = std::make_shared<net::Recorder>();
+      net.attach_observer(recorder);
+      net.set_corrupt(0, true);
+      auto vss = make_vss(kind, net);
+      vss->set_dealer_behaviour(0, DealerBehaviour::kInconsistentOneSecret);
+      std::vector<std::vector<Fld>> batches(n);
+      batches[0].assign(kM, Fld::zero());
+      batches[0][pos] = fe(77);
+      batches[1] = {fe(5), fe(6)};
+      const auto result = vss->share_all(batches);
+      EXPECT_TRUE(result.qualified[0]) << scheme_name(kind) << " " << pos;
+      EXPECT_TRUE(result.qualified[1]) << scheme_name(kind) << " " << pos;
+      // Victim 1 and witness 2 publish the one complaint: (dealer 0, the
+      // check word covering pos, pair {1, 2}).
+      const std::size_t word = kind == SchemeKind::kBGW ? pos : 0;
+      EXPECT_GT(count_payloads(recorder->recording(),
+                               {fe(0), fe(word), fe(1), fe(2)}),
+                0u)
+          << scheme_name(kind) << " " << pos;
+      const std::size_t other = pos == 0 ? 1 : pos - 1;
+      const auto recon = vss->reconstruct_public(
+          {LinComb::of({0, pos}), LinComb::of({0, other}),
+           LinComb::of({1, 1})});
+      EXPECT_EQ(recon[0], fe(77)) << scheme_name(kind) << " " << pos;
+      EXPECT_EQ(recon[1], Fld::zero()) << scheme_name(kind) << " " << pos;
+      EXPECT_EQ(recon[2], fe(6)) << scheme_name(kind) << " " << pos;
+    }
+  }
+}
+
+TEST(VssPairChecks, LyingCheckWordsGetTheFalseComplaintOutcome) {
+  // Corrupt parties send wrong R2 words to everyone: every pair with a
+  // liar complains, the honest dealers resolve, and nobody is disqualified
+  // — the same outcome as the false-complaint switch.
+  for (const auto& [kind, n] : kCheckCases) {
+    for (bool lie : {true, false}) {
+      net::Network net(n, 67);
+      const std::size_t t = scheme_max_t(kind, n);
+      for (std::size_t i = n - t; i < n; ++i) net.set_corrupt(i, true);
+      std::size_t round = 0, rewritten = 0;
+      net.attach_adversary(std::make_shared<net::CallbackAdversary>(
+          [&](net::Network& nw) {
+            if (round++ != 1 || !lie) return;  // R2 only
+            for (net::PartyId p = n - t; p < n; ++p) {
+              std::vector<std::vector<net::Payload>> out(n);
+              for (const auto& view : nw.pending_from_corrupt(p)) {
+                net::Payload payload = view.payload();
+                for (Fld& w : payload) w += Fld::one();
+                out[view.peer].push_back(std::move(payload));
+              }
+              for (net::PartyId to = 0; to < n; ++to)
+                if (!out[to].empty()) {
+                  nw.replace_pending(p, to, std::move(out[to]));
+                  ++rewritten;
+                }
+            }
+          }));
+      auto vss = make_vss(kind, net);
+      vss->set_false_complaints(!lie);
+      std::vector<std::vector<Fld>> batches(n);
+      batches[0] = {fe(64), fe(65), fe(66)};
+      batches[n - 1] = {fe(8)};
+      const auto result = vss->share_all(batches);
+      EXPECT_EQ(rewritten, lie ? t * (n - 1) : 0) << scheme_name(kind);
+      EXPECT_TRUE(result.qualified[0]) << scheme_name(kind) << " " << lie;
+      EXPECT_TRUE(result.qualified[n - 1]) << scheme_name(kind) << " " << lie;
+      const auto recon = vss->reconstruct_public(
+          {LinComb::of({0, 0}), LinComb::of({0, 2}), LinComb::of({n - 1, 0})});
+      EXPECT_EQ(recon[0], fe(64)) << scheme_name(kind) << " " << lie;
+      EXPECT_EQ(recon[1], fe(66)) << scheme_name(kind) << " " << lie;
+      EXPECT_EQ(recon[2], fe(8)) << scheme_name(kind) << " " << lie;
+    }
+  }
+}
+
+TEST(VssPairChecks, HonestPairChallengesNeverReachTheAdversary) {
+  // The R1 message p -> q (p < q) opens with the pair challenge. The
+  // rushing adversary's whole view must miss every challenge of an honest
+  // pair, while it does see the challenges of its own pairs.
+  for (SchemeKind kind : {SchemeKind::kRB, SchemeKind::kGGOR13}) {
+    constexpr std::size_t kN = 5;
+    constexpr net::PartyId kCorrupt = 2;
+    net::Network net(kN, 71);
+    net.set_corrupt(kCorrupt, true);
+    auto adversary = std::make_shared<net::RecordingAdversary>();
+    net.attach_adversary(adversary);
+    auto recorder = std::make_shared<net::Recorder>();
+    net.attach_observer(recorder);
+    auto vss = make_vss(kind, net);
+    std::vector<std::vector<Fld>> batches(kN);
+    batches[0] = {fe(1), fe(2)};
+    batches[3] = {fe(3)};
+    vss->share_all(batches);
+    const std::vector<Fld> view = adversary->flat_transcript();
+    const auto seen = [&](Fld w) {
+      return std::find(view.begin(), view.end(), w) != view.end();
+    };
+    std::size_t honest_pairs = 0, own_pairs = 0;
+    for (const auto& m : recorder->recording().rounds.at(0).messages) {
+      if (m.broadcast || m.from >= m.to) continue;
+      ASSERT_FALSE(m.payload.empty());
+      if (m.from == kCorrupt || m.to == kCorrupt) {
+        own_pairs += seen(m.payload[0]);
+      } else {
+        ++honest_pairs;
+        EXPECT_FALSE(seen(m.payload[0]))
+            << scheme_name(kind) << " pair " << m.from << "," << m.to;
+      }
+    }
+    EXPECT_EQ(honest_pairs, 6u) << scheme_name(kind);
+    EXPECT_EQ(own_pairs, 2u) << scheme_name(kind);  // {0, 2} and {1, 2}
+  }
+}
+
+TEST(VssPairChecks, UnsolicitedOpeningIsIgnoredAndBlamed) {
+  for (const auto& [kind, n] : kCheckCases) {
+    net::Network net(n, 73);
+    net.set_corrupt(0, true);
+    auto vss = make_vss(kind, net);
+    vss->set_dealer_behaviour(0, DealerBehaviour::kUnsolicitedOpening);
+    std::vector<std::vector<Fld>> batches(n);
+    batches[0] = {fe(31), fe(32)};
+    batches[1] = {fe(99)};
+    const auto result = vss->share_all(batches);
+    EXPECT_TRUE(result.qualified[0]) << scheme_name(kind);
+    EXPECT_TRUE(result.qualified[1]) << scheme_name(kind);
+    std::size_t unsolicited = 0;
+    for (const auto& b : net.blames())
+      if (b.reason == "vss.open.unsolicited") {
+        EXPECT_EQ(b.accuser, net::kPublicBlame);
+        EXPECT_EQ(b.accused, 0u);
+        ++unsolicited;
+      }
+    EXPECT_EQ(unsolicited, 2u) << scheme_name(kind);  // both opening rounds
+    // The shifted slice was not adopted: every share still lies on the
+    // committed polynomials.
+    const auto recon = vss->reconstruct_public(
+        {LinComb::of({0, 0}), LinComb::of({0, 1}), LinComb::of({1, 0})});
+    EXPECT_EQ(recon[0], fe(31)) << scheme_name(kind);
+    EXPECT_EQ(recon[1], fe(32)) << scheme_name(kind);
+    EXPECT_EQ(recon[2], fe(99)) << scheme_name(kind);
+  }
+}
+
 // --- Flat accept-set decode vs. the scalar oracle -------------------------
 
 // The idealized-IC decoder walks senders per chunk of values over flat
@@ -441,13 +619,14 @@ TEST(VssFlatDecode, GgorMatchesScalarOracleAtOneAndFourLanes) {
 
 // --- Golden sharing transcripts ------------------------------------------
 
-// Byte-for-byte pins on the sharing phase: every R1 slice, R2 cross value,
-// complaint, R4 resolution and R6 slice opening lands in a full-fidelity
-// recording, so one digest per (scheme, dealer behaviour) covers the whole
-// transcript. The constants were captured from the per-secret
-// SymmetricBivariate dealer that the SoA engine replaced, as recording
+// Byte-for-byte pins on the sharing phase: every R1 slice and pair
+// challenge, R2 check word, complaint, R4 resolution and R6 slice opening
+// lands in a full-fidelity recording, so one digest per (scheme, dealer
+// behaviour) covers the whole transcript. The constants are recording
 // format v1 transcript digests (FNV-1a over every header and payload
-// word). The recorder now writes v2 digests, so the pins are checked
+// word): the BGW ones were captured from the per-secret SymmetricBivariate
+// dealer that the SoA engine replaced, the RB and GGOR13 ones when their
+// R2 became one challenge combination per (dealer, pair). The recorder now writes v2 digests, so the pins are checked
 // through a test-local v1 oracle over the recorded messages, and the
 // recorder's own final digest against an independent element-wise v2
 // oracle; both lane counts must reproduce both. Dealer 0 is the corrupt
@@ -560,14 +739,14 @@ void check_golden(SchemeKind kind, const std::uint64_t (&expected)[5]) {
 
 TEST(VssGoldenTranscript, Rb) {
   check_golden(SchemeKind::kRB,
-               {0x46689b3894181cf2, 0xf05b05d17190eaad, 0x394da370bb367cdd,
-                0xd07d808b0f6867d6, 0x432f9bc7ed81aaf7});
+               {0x313e5989dba2c38f, 0xc55e53037d25a5b6, 0xcdd5c59a680d1e5d,
+                0xf3f71cd05f1de50b, 0xe14ae082e84447e0});
 }
 
 TEST(VssGoldenTranscript, Ggor13) {
   check_golden(SchemeKind::kGGOR13,
-               {0xd3d2331145bf90b3, 0x1312b5209471502d, 0x3751dec8d50d51a4,
-                0xbae8402c3ed63097, 0xd146920f1f32111b});
+               {0x0151d5065d14fdce, 0xdf71009ce5a66e6d, 0x3a878e1524b0ff18,
+                0x16b58dafa5d24a4a, 0x0896e01edcf31e3e});
 }
 
 TEST(VssGoldenTranscript, Bgw) {
