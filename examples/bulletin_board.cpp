@@ -6,12 +6,12 @@
 //     of Section 4 is built on).
 //  2. Many-to-all publication: the group publishes statements so that
 //     EVERYONE learns the multiset and nobody learns authorship
-//     (AnonBroadcast — Chaum's original use case, one round cheaper).
+//     (AnonChan::publish — Chaum's original use case, one round cheaper).
 //
 //   $ ./examples/bulletin_board
 #include <cstdio>
 
-#include "anonchan/anon_broadcast.hpp"
+#include "anonchan/anonchan.hpp"
 #include "vss/schemes.hpp"
 
 using namespace gfor14;
@@ -48,11 +48,11 @@ int main() {
   {
     net::Network net(n, 1002);
     auto vss = vss::make_vss(vss::SchemeKind::kGGOR13, net);
-    anonchan::AnonBroadcast wall(net, *vss, anonchan::Params::practical(n, 4));
+    anonchan::AnonChan wall(net, *vss, anonchan::Params::practical(n, 4));
     std::vector<Fld> statements;
     for (std::size_t i = 0; i < n; ++i)
       statements.push_back(Fld::from_u64(9000 + i));
-    const auto out = wall.run(statements);
+    const auto out = wall.publish(statements);
     std::printf("\npublication wall (everyone sees, nobody attributes):");
     for (Fld y : out.y)
       std::printf(" %llu", static_cast<unsigned long long>(y.to_u64()));

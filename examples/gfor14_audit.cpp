@@ -36,7 +36,6 @@
 // from the bench/ binaries; telemetry documents from
 // `gfor14_cli ... --telemetry PATH` or the `telemetry` block of a schema-3
 // bench artifact.
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -49,6 +48,7 @@
 #include "audit/report.hpp"
 #include "common/json.hpp"
 #include "net/recorder.hpp"
+#include "strict_number.hpp"
 
 using namespace gfor14;
 
@@ -123,15 +123,6 @@ int run_diff(const std::string& a_path, const std::string& b_path) {
   return 0;
 }
 
-/// Whole-string finite decimal parse: "5x", "", "inf" and "1e" are rejected
-/// (std::strtod alone would read a prefix).
-bool parse_number(const std::string& text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text.c_str(), &end);
-  return !text.empty() && end == text.c_str() + text.size() &&
-         std::isfinite(out);
-}
-
 /// "p2p_elements_per_sec=15,net.alloc.bytes=25" -> GateSpecs (thresholds in
 /// percent). Nullopt on malformed input.
 std::optional<std::vector<audit::GateSpec>> parse_gates(
@@ -145,7 +136,7 @@ std::optional<std::vector<audit::GateSpec>> parse_gates(
     const std::size_t eq = item.rfind('=');
     double pct = 0.0;
     if (eq == std::string::npos || eq == 0 ||
-        !parse_number(item.substr(eq + 1), pct) || pct <= 0.0)
+        !parse_double_strict(item.substr(eq + 1), pct) || pct <= 0.0)
       return std::nullopt;
     gates.push_back({item.substr(0, eq), pct / 100.0});
     pos = comma + 1;
@@ -167,7 +158,7 @@ std::optional<std::vector<audit::CeilingSpec>> parse_ceilings(
     const std::size_t eq = item.rfind('=');
     double max = 0.0;
     if (eq == std::string::npos || eq == 0 ||
-        !parse_number(item.substr(eq + 1), max))
+        !parse_double_strict(item.substr(eq + 1), max))
       return std::nullopt;
     ceilings.push_back({item.substr(0, eq), max});
     pos = comma + 1;
@@ -184,7 +175,7 @@ int run_bench_diff(int argc, char** argv) {
   for (int i = 4; i < argc; i += 2) {
     if (i + 1 >= argc) return usage();  // a flag without its value
     if (std::string(argv[i]) == "--threshold") {
-      if (!parse_number(argv[i + 1], threshold)) return usage();
+      if (!parse_double_strict(argv[i + 1], threshold)) return usage();
       threshold /= 100.0;
     } else if (std::string(argv[i]) == "--gate") {
       auto parsed = parse_gates(argv[i + 1]);
@@ -208,6 +199,9 @@ int run_bench_diff(int argc, char** argv) {
   return result.has_regression() ? 3 : 0;
 }
 
+/// The widest waterfall --width accepted (six digits).
+constexpr std::uint64_t kMaxWaterfallWidth = 999999;
+
 int run_critpath(int argc, char** argv, bool waterfall) {
   if (argc < 3) return usage();
   bool with_wall = false;
@@ -217,12 +211,11 @@ int run_critpath(int argc, char** argv, bool waterfall) {
     if (!waterfall && arg == "--wall") {
       with_wall = true;
     } else if (waterfall && arg == "--width" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value.empty() || value.size() > 6 ||
-          value.find_first_not_of("0123456789") != std::string::npos)
+      std::uint64_t value = 0;
+      if (!parse_u64_strict(argv[++i], value) || value == 0 ||
+          value > kMaxWaterfallWidth)
         return usage();
-      width = std::stoul(value);
-      if (width == 0) return usage();
+      width = static_cast<std::size_t>(value);
     } else {
       return usage();
     }

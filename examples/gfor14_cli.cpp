@@ -2,7 +2,8 @@
 //
 //   gfor14_cli channel   [--n N] [--scheme rb|bgw|ggor] [--kappa K]
 //                        [--receiver R] [--attack NAME] [--seed S]
-//   gfor14_cli publish   [--n N] [--scheme ...] [--kappa K] [--seed S]
+//   gfor14_cli publish   [--n N] [--scheme ...] [--kappa K]
+//                        [--attack NAME] [--seed S]
 //   gfor14_cli pseudosig [--n N] [--scheme ...] [--seed S]
 //   gfor14_cli compare   [--n N] [--seed S]
 //   gfor14_cli serve     [--sessions K] [--threads N|hw] [--lanes L]
@@ -97,7 +98,7 @@
 #include <string>
 #include <thread>
 
-#include "anonchan/anon_broadcast.hpp"
+#include "anonchan/anonchan.hpp"
 #include "anonchan/attacks.hpp"
 #include "audit/replay.hpp"
 #include "audit/report.hpp"
@@ -112,6 +113,7 @@
 #include "net/recorder.hpp"
 #include "pseudosig/broadcast_sim.hpp"
 #include "server/supervisor.hpp"
+#include "strict_number.hpp"
 #include "vss/schemes.hpp"
 
 using namespace gfor14;
@@ -181,33 +183,10 @@ int usage() {
   return 2;
 }
 
-/// Strict unsigned decimal parse: the WHOLE value must be digits (so
-/// "12abc", "", "-1" and "1e3" are all rejected, unlike std::stoul).
-bool parse_u64_strict(const std::string& value, std::uint64_t& out) {
-  if (value.empty() || value.size() > 19) return false;
-  std::uint64_t v = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
-}
-
 bool parse_size_strict(const std::string& value, std::size_t& out) {
   std::uint64_t v = 0;
   if (!parse_u64_strict(value, v)) return false;
   out = static_cast<std::size_t>(v);
-  return true;
-}
-
-/// Non-negative decimal parse for the SLO flags ("250", "0.95").
-bool parse_double_strict(const std::string& value, double& out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end != value.c_str() + value.size() || v < 0.0) return false;
-  out = v;
   return true;
 }
 
@@ -289,13 +268,13 @@ std::map<std::string, FlagHandler> value_flags(Options& opt) {
       return true;
     };
   };
-  // A non-negative decimal in (0, max] when `positive`, else [0, max].
+  // A finite decimal in (0, max] when `positive`, else [0, max].
   const auto real = [](double& field, bool positive,
                        double max) -> FlagHandler {
     return [&field, positive, max](const std::string& key,
                                    const std::string& v) {
-      if (!parse_double_strict(v, field) || (positive && field <= 0.0) ||
-          field > max)
+      if (!parse_double_strict(v, field) || field < 0.0 ||
+          (positive && field == 0.0) || field > max)
         return complain("invalid value '%s' for %s", v.c_str(), key.c_str());
       return true;
     };
@@ -573,6 +552,33 @@ std::vector<Fld> default_inputs(std::size_t n) {
   return x;
 }
 
+/// Corrupts party 0 and mounts the --attack strategy on it, if one was
+/// named. False, with a diagnostic, on an unknown attack name.
+bool mount_attack(net::Network& net, anonchan::AnonChan& chan,
+                  const Options& opt) {
+  if (opt.attack.empty()) return true;
+  auto strategy = make_attack(opt.attack);
+  if (!strategy) {
+    std::fprintf(stderr, "unknown attack '%s'\n", opt.attack.c_str());
+    return false;
+  }
+  net.set_corrupt(0, true);
+  chan.set_strategy(0, strategy);
+  std::printf("party 0 is corrupt, mounting '%s'\n", opt.attack.c_str());
+  return true;
+}
+
+/// Prints the PASS set, then the output multiset Y under `label`.
+void print_outcome(const anonchan::Output& out, const char* label) {
+  std::printf("PASS:");
+  for (std::size_t i = 0; i < out.pass.size(); ++i)
+    std::printf(" P%zu=%s", i, out.pass[i] ? "ok" : "OUT");
+  std::printf("\n%s (%zu):", label, out.y.size());
+  for (Fld y : out.y)
+    std::printf(" %llx", static_cast<unsigned long long>(y.to_u64()));
+  std::printf("\n");
+}
+
 int run_channel(const Options& opt) {
   net::Network net(opt.n, opt.seed);
   const auto faults = attach_faults(net, opt);
@@ -582,25 +588,10 @@ int run_channel(const Options& opt) {
                           anonchan::Params::practical(opt.n, opt.kappa));
   std::printf("AnonChan over %s VSS, %s, receiver P%zu\n", vss->name(),
               chan.params().describe().c_str(), opt.receiver);
-  if (!opt.attack.empty()) {
-    auto strategy = make_attack(opt.attack);
-    if (!strategy) {
-      std::fprintf(stderr, "unknown attack '%s'\n", opt.attack.c_str());
-      return 2;
-    }
-    net.set_corrupt(0, true);
-    chan.set_strategy(0, strategy);
-    std::printf("party 0 is corrupt, mounting '%s'\n", opt.attack.c_str());
-  }
+  if (!mount_attack(net, chan, opt)) return 2;
   const auto inputs = default_inputs(opt.n);
   const auto out = chan.run(opt.receiver, inputs);
-  std::printf("PASS:");
-  for (std::size_t i = 0; i < opt.n; ++i)
-    std::printf(" P%zu=%s", i, out.pass[i] ? "ok" : "OUT");
-  std::printf("\nY (%zu):", out.y.size());
-  for (Fld y : out.y)
-    std::printf(" %llx", static_cast<unsigned long long>(y.to_u64()));
-  std::printf("\n");
+  print_outcome(out, "Y");
   std::size_t delivered = 0;
   for (std::size_t i = 0; i < opt.n; ++i)
     if (out.delivered(inputs[i])) ++delivered;
@@ -615,14 +606,13 @@ int run_publish(const Options& opt) {
   const auto faults = attach_faults(net, opt);
   FlightScope flight(net, opt);
   auto vss = vss::make_vss(opt.scheme, net);
-  anonchan::AnonBroadcast chan(net, *vss,
-                               anonchan::Params::practical(opt.n, opt.kappa));
-  const auto out = chan.run(default_inputs(opt.n));
-  std::printf("anonymous publication over %s VSS\npublished (%zu):",
-              vss->name(), out.y.size());
-  for (Fld y : out.y)
-    std::printf(" %llx", static_cast<unsigned long long>(y.to_u64()));
-  std::printf("\n");
+  anonchan::AnonChan chan(net, *vss,
+                          anonchan::Params::practical(opt.n, opt.kappa));
+  std::printf("anonymous publication over %s VSS, %s\n", vss->name(),
+              chan.params().describe().c_str());
+  if (!mount_attack(net, chan, opt)) return 2;
+  const auto out = chan.publish(default_inputs(opt.n));
+  print_outcome(out, "published");
   print_costs(out.costs);
   print_fault_outcome(net, faults.get());
   return flight.finish();

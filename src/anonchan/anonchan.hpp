@@ -15,6 +15,11 @@
 // Total: r_VSS-share + 5 rounds, and NO broadcast beyond the sharing
 // phase's — the reduction is broadcast-round-preserving (with the GGOR13
 // profile the whole protocol uses the broadcast channel exactly twice).
+//
+// publish() is anonymous publication (many-to-all, Chaum's original DC-net
+// use case): steps 1-3 verbatim with no receiver, so nobody shares g; step 4
+// derives the relocation permutations from the joint challenge and
+// reconstructs v in public, one round: r_VSS-share + 4 rounds in total.
 #pragma once
 
 #include <memory>
@@ -24,6 +29,10 @@
 #include "anonchan/sparse_vector.hpp"
 #include "net/network.hpp"
 #include "vss/vss.hpp"
+
+namespace gfor14::trace {
+class Span;
+}
 
 namespace gfor14::anonchan {
 
@@ -94,7 +103,12 @@ class AnonChan {
   ManyOutput run_many_to(const std::vector<net::PartyId>& receivers,
                          const std::vector<std::vector<Fld>>& sessions);
 
-  /// Expected round count: r_VSS-share + 5 (see header comment).
+  /// Publishes every party's message anonymously to everyone: each party
+  /// learns the multiset y (and v), nobody learns who sent what. The output
+  /// is the same for every party; costs count the whole invocation.
+  Output publish(const std::vector<Fld>& inputs);
+
+  /// Expected round count of run(): r_VSS-share + 5 (see header comment).
   std::size_t expected_rounds() const;
   /// Expected broadcast rounds: exactly the sharing phase's.
   std::size_t expected_broadcast_rounds() const;
@@ -102,6 +116,18 @@ class AnonChan {
   const Params& params() const { return params_; }
 
  private:
+  struct Proof;
+  /// Steps 1-3 for every session: the parallel commitments (session s's
+  /// receivers[s] also shares g_1..g_n), the challenge and both
+  /// cut-and-choose rounds, with their blames and phase spans.
+  Proof prove(const std::vector<net::PartyId>& receivers,
+              const std::vector<std::vector<Fld>>& sessions);
+  /// Fills the outputs from each session's delivered vector v[s] and its
+  /// relocation permutations g[s], and closes the run's bookkeeping.
+  ManyOutput finish(const Proof& proof, const std::vector<std::vector<Fld>>& v,
+                    const std::vector<std::vector<Permutation>>& g,
+                    trace::Span& run_span);
+
   net::Network& net_;
   vss::VssScheme& vss_;
   Params params_;

@@ -35,3 +35,36 @@ expect_exit(gate_junk 2 ${diff} --gate messages_per_sec=15x)
 
 expect_exit(width_ok 0 waterfall "${WORK}/run.json" --width 12)
 expect_exit(width_junk 2 waterfall "${WORK}/run.json" --width 12abc)
+expect_exit(width_zero 2 waterfall "${WORK}/run.json" --width 0)
+expect_exit(width_exponent 2 waterfall "${WORK}/run.json" --width 1e3)
+expect_exit(width_huge 2 waterfall "${WORK}/run.json" --width 1000000)
+
+# Decimal flags take finite decimals only: no NaN, infinity or hex float.
+expect_exit(threshold_nan 2 ${diff} --threshold nan)
+expect_exit(threshold_inf 2 ${diff} --threshold inf)
+expect_exit(threshold_overflow 2 ${diff} --threshold 1e999)
+expect_exit(threshold_hex 2 ${diff} --threshold 0x10)
+expect_exit(threshold_space 2 ${diff} --threshold " 75")
+expect_exit(gate_nan 2 ${diff} --gate messages_per_sec=nan)
+expect_exit(max_inf 2 ${diff} --max wall_ms=inf)
+
+# gfor14_cli reads its decimal (SLO) flags with the same parser. A NaN
+# target would compare false against every bound and pass unchecked.
+function(expect_cli_rejected name flag value)
+  execute_process(
+    COMMAND "${CLI}" serve --n 3 --sessions 1 ${flag} ${value}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${name}: gfor14_cli exited '${rc}', want 2\n${out}${err}")
+  endif()
+  if(NOT err MATCHES "invalid value '${value}' for ${flag}")
+    message(FATAL_ERROR "${name}: no diagnostic naming ${flag} in:\n${err}")
+  endif()
+endfunction()
+
+expect_cli_rejected(retry_rate_nan --slo-max-retry-rate nan)
+expect_cli_rejected(min_honest_nan --slo-min-honest nan)
+expect_cli_rejected(min_mps_inf --slo-min-mps inf)
+expect_cli_rejected(round_wall_overflow --slo-round-wall-p95 1e999)
+expect_cli_rejected(round_wall_hex --slo-round-wall-p95 0x10)
+expect_cli_rejected(retry_rate_negative --slo-max-retry-rate -0.5)

@@ -60,3 +60,26 @@ expect_flag_rejected(sample_every_junk "invalid value '3junk' for --sample-every
                      --sample-every 3junk)
 expect_flag_rejected(missing_value "--threads requires a value" --threads)
 expect_flag_rejected(shape_flag "unknown option '--n'" --n 4)
+
+# publish mounts --attack on party 0 exactly as channel does: the dense
+# sender is disqualified, the other four inputs are published, and the
+# recording (whose config names the attack) replays byte-identically.
+execute_process(
+  COMMAND "${CLI}" publish --n 5 --seed 7 --attack dense
+          --record "${WORK}/publish_dense.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "publish_dense: exited '${rc}'\n${out}${err}")
+endif()
+foreach(pattern "party 0 is corrupt, mounting 'dense'" "PASS: P0=OUT P1=ok"
+                "published \\(4\\):")
+  if(NOT out MATCHES "${pattern}")
+    message(FATAL_ERROR "publish_dense: no '${pattern}' in:\n${out}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${CLI}" replay "${WORK}/publish_dense.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "replay verified")
+  message(FATAL_ERROR "publish_dense replay: exited '${rc}'\n${out}${err}")
+endif()

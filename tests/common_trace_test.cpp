@@ -2,9 +2,9 @@
 // attribution, JSONL sink) and the metrics registry.
 //
 // The load-bearing test here is AnonChanPhaseDeltasSumToRunTotal: the phase
-// spans AnonChan::run opens must tile the execution, so their CostReport
-// deltas sum exactly to the run's total — that is what makes per-phase
-// breakdowns in the BENCH_*.json artifacts trustworthy.
+// spans AnonChan::run and AnonChan::publish open must tile the execution, so
+// their CostReport deltas sum exactly to the run's total — that is what
+// makes per-phase breakdowns in the BENCH_*.json artifacts trustworthy.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -196,8 +196,27 @@ TEST(Trace, CostDeltasAttributeToOpenSpans) {
   expect_cost_eq(root->children_costs(), root->costs);
 }
 
+/// The last finished root span is `name`, its children are exactly
+/// `phases` in order, and their cost deltas sum to the root's, which equals
+/// the run's own differential report `costs`.
+const trace::SpanNode* expect_phases_tile(
+    const std::string& name, const std::vector<std::string>& phases,
+    const net::CostReport& costs) {
+  const trace::SpanNode* root = trace::Tracer::instance().last_root();
+  EXPECT_NE(root, nullptr);
+  if (root == nullptr) return nullptr;
+  EXPECT_EQ(root->name, name);
+  expect_cost_eq(root->costs, costs);
+  EXPECT_EQ(root->children.size(), phases.size());
+  for (std::size_t i = 0; i < phases.size() && i < root->children.size(); ++i)
+    EXPECT_EQ(root->children[i]->name, phases[i]);
+  expect_cost_eq(root->children_costs(), root->costs);
+  return root;
+}
+
 // Acceptance criterion of the observability layer: AnonChan's phase spans
-// tile the run, so per-phase deltas sum EXACTLY to the run's CostReport.
+// tile the run, so per-phase deltas sum EXACTLY to the run's CostReport —
+// for the private channel and for publication, which share steps 1-3.
 TEST(Trace, AnonChanPhaseDeltasSumToRunTotal) {
   ScopedTracing tracing;
   net::Network net(4, 2014);
@@ -205,28 +224,31 @@ TEST(Trace, AnonChanPhaseDeltasSumToRunTotal) {
   anonchan::AnonChan chan(net, *vss, anonchan::Params::light(4));
   std::vector<Fld> inputs;
   for (std::size_t i = 0; i < 4; ++i) inputs.push_back(Fld::from_u64(50 + i));
-  const auto out = chan.run(1, inputs);
 
-  const trace::SpanNode* root = trace::Tracer::instance().last_root();
+  const auto out = chan.run(1, inputs);
+  const trace::SpanNode* root = expect_phases_tile(
+      "anonchan.run",
+      {"commit", "challenge", "cut_and_choose.open", "cut_and_choose.check",
+       "deliver.permutations", "deliver.private"},
+      out.costs);
   ASSERT_NE(root, nullptr);
-  EXPECT_EQ(root->name, "anonchan.run");
-  // The whole-run span delta equals the Output's own differential report.
-  expect_cost_eq(root->costs, out.costs);
-  // The six protocol phases are all present, in protocol order.
-  const char* phases[] = {"commit",           "challenge",
-                          "cut_and_choose.open", "cut_and_choose.check",
-                          "deliver.permutations", "deliver.private"};
-  ASSERT_EQ(root->children.size(), 6u);
-  for (std::size_t i = 0; i < 6; ++i)
-    EXPECT_EQ(root->children[i]->name, phases[i]);
-  // Phases tile the run: their deltas sum exactly to the total.
-  expect_cost_eq(root->children_costs(), root->costs);
   // The sharing phase carries the VSS sharing; delivery carries the private
   // reconstruction round.
   EXPECT_NE(root->child("commit")->child("vss.share_all"), nullptr);
   EXPECT_NE(root->child("deliver.private")->child("vss.reconstruct_private"),
             nullptr);
   EXPECT_EQ(root->child("deliver.private")->costs.broadcast_rounds, 0u);
+
+  const auto published = chan.publish(inputs);
+  root = expect_phases_tile(
+      "anonchan.publish",
+      {"commit", "challenge", "cut_and_choose.open", "cut_and_choose.check",
+       "deliver.public"},
+      published.costs);
+  ASSERT_NE(root, nullptr);
+  EXPECT_NE(root->child("commit")->child("vss.share_all"), nullptr);
+  EXPECT_EQ(root->child("deliver.public")->costs.rounds, 1u);
+  EXPECT_EQ(published.costs.rounds, vss->share_rounds() + 4);
 }
 
 TEST(Trace, JsonlSinkEmitsOneParsableLinePerSpan) {

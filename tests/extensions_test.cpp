@@ -6,10 +6,11 @@
 
 #include <algorithm>
 
-#include "anonchan/anon_broadcast.hpp"
+#include "anonchan/anonchan.hpp"
 #include "anonchan/attacks.hpp"
 #include "baselines/pw96.hpp"
 #include "net/adversary.hpp"
+#include "net/recorder.hpp"
 #include "pseudosig/shzi02.hpp"
 #include "vss/schemes.hpp"
 
@@ -26,43 +27,97 @@ std::vector<Fld> inputs_for(std::size_t n, std::uint64_t base = 100) {
 
 // --- Anonymous publication (many-to-all) -----------------------------------
 
-TEST(AnonBroadcast, EveryPartyLearnsTheMultiset) {
+TEST(AnonPublish, EveryPartyLearnsTheMultiset) {
   const std::size_t n = 4;
   net::Network net(n, 51);
   auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
-  anonchan::AnonBroadcast chan(net, *vss, anonchan::Params::practical(n, 4));
+  anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(n, 4));
   const auto inputs = inputs_for(n);
-  const auto out = chan.run(inputs);
-  for (Fld x : inputs)
-    EXPECT_NE(std::find(out.y.begin(), out.y.end(), x), out.y.end());
+  const auto out = chan.publish(inputs);
+  for (Fld x : inputs) EXPECT_TRUE(out.delivered(x));
   EXPECT_LE(out.y.size(), n);
 }
 
-TEST(AnonBroadcast, OneRoundCheaperThanAnonChan) {
+TEST(AnonPublish, OneRoundCheaperThanAnonChan) {
   // Publication derives the relocation permutations from the joint
   // challenge instead of a receiver's VSS-shared g_i, saving the g
   // reconstruction round: r_VSS-share + 4.
   const std::size_t n = 4;
   net::Network net(n, 52);
   auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
-  anonchan::AnonBroadcast chan(net, *vss, anonchan::Params::light(n));
-  const auto out = chan.run(inputs_for(n));
+  anonchan::AnonChan chan(net, *vss, anonchan::Params::light(n));
+  const auto out = chan.publish(inputs_for(n));
   EXPECT_EQ(out.costs.rounds, vss->share_rounds() + 4);
+  EXPECT_EQ(out.costs.rounds + 1, chan.expected_rounds());
   EXPECT_EQ(out.costs.broadcast_rounds, vss->share_broadcast_rounds());
 }
 
-TEST(AnonBroadcast, CheatersAreDisqualified) {
+TEST(AnonPublish, CheatersAreDisqualified) {
   const std::size_t n = 4;
   net::Network net(n, 53);
   net.set_corrupt(0, true);
   auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
-  anonchan::AnonBroadcast chan(net, *vss, anonchan::Params::practical(n, 8));
+  anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(n, 8));
   chan.set_strategy(0, std::make_shared<anonchan::DenseVectorAttack>());
   const auto inputs = inputs_for(n);
-  const auto out = chan.run(inputs);
+  const auto out = chan.publish(inputs);
   EXPECT_FALSE(out.pass[0]);
-  for (std::size_t i = 1; i < n; ++i)
-    EXPECT_NE(std::find(out.y.begin(), out.y.end(), inputs[i]), out.y.end());
+  for (std::size_t i = 1; i < n; ++i) EXPECT_TRUE(out.delivered(inputs[i]));
+}
+
+TEST(AnonPublish, DisqualifiedDealerIsBlamedPublicly) {
+  // The cut-and-choose that catches the cheater is run()'s own, so its
+  // public blame record is too.
+  const std::size_t n = 4;
+  net::Network net(n, 53);
+  net.set_corrupt(0, true);
+  auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
+  anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(n, 8));
+  chan.set_strategy(0, std::make_shared<anonchan::DenseVectorAttack>());
+  const auto out = chan.publish(inputs_for(n));
+  ASSERT_FALSE(out.pass[0]);
+  const auto blames = net.blames();
+  ASSERT_EQ(blames.size(), 1u);
+  EXPECT_EQ(blames[0].accuser, net::kPublicBlame);
+  EXPECT_EQ(blames[0].accused, 0u);
+  EXPECT_EQ(blames[0].reason.rfind("anonchan.", 0), 0u) << blames[0].reason;
+}
+
+/// Final transcript digest and round count of an honest n = 5 publication.
+std::pair<std::uint64_t, std::size_t> publish_transcript(
+    vss::SchemeKind kind, std::size_t lanes) {
+  constexpr std::size_t kN = 5;
+  net::Network net(kN, 20140806);
+  net.set_threads(lanes);
+  auto recorder = std::make_shared<net::Recorder>();
+  net.attach_observer(recorder);
+  auto vss = vss::make_vss(kind, net);
+  anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(kN, 4));
+  const auto out = chan.publish(inputs_for(kN));
+  EXPECT_EQ(out.y.size(), kN);
+  EXPECT_EQ(recorder->recording().rounds.size(), vss->share_rounds() + 4);
+  return {recorder->recording().final_digest,
+          recorder->recording().rounds.size()};
+}
+
+TEST(AnonPublish, GoldenTranscript) {
+  // Pinned from the standalone publication module this path replaced: the
+  // shared commit/challenge/cut-and-choose steps send byte-identical
+  // traffic, at any lane count.
+  const struct {
+    vss::SchemeKind kind;
+    std::uint64_t digest;
+    std::size_t rounds;
+  } cases[] = {{vss::SchemeKind::kRB, 0xe53cfd9bb819d91bULL, 13},
+               {vss::SchemeKind::kGGOR13, 0x20ffcd5d48568b4eULL, 25}};
+  for (const auto& c : cases) {
+    for (std::size_t lanes : {1u, 4u}) {
+      const auto [digest, rounds] = publish_transcript(c.kind, lanes);
+      EXPECT_EQ(digest, c.digest)
+          << "lanes " << lanes << ": got 0x" << std::hex << digest;
+      EXPECT_EQ(rounds, c.rounds) << "lanes " << lanes;
+    }
+  }
 }
 
 // --- PW96 player elimination -------------------------------------------------
