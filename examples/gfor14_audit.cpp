@@ -16,8 +16,8 @@
 //                                            --gate, only gated keys block)
 //   gfor14-audit top        TELEMETRY.json   resource view over a telemetry
 //                                            document (counters with rates,
-//                                            RSS, round wall, alloc domains,
-//                                            engine SLO health)
+//                                            RSS, round wall, engine SLO
+//                                            health)
 //   gfor14-audit critpath   RECORDING [--wall]
 //                                            per-round critical path (the
 //                                            heaviest party's compute+send
@@ -41,6 +41,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "audit/bench_diff.hpp"
 #include "audit/critpath.hpp"
@@ -123,48 +125,27 @@ int run_diff(const std::string& a_path, const std::string& b_path) {
   return 0;
 }
 
-/// "p2p_elements_per_sec=15,net.alloc.bytes=25" -> GateSpecs (thresholds in
-/// percent). Nullopt on malformed input.
-std::optional<std::vector<audit::GateSpec>> parse_gates(
+/// "KEY=NUMBER[,KEY=NUMBER...]" -> (key, value) pairs, the grammar shared by
+/// --gate ("net.alloc.bytes=25", percent) and --max ("wall_ms=2000",
+/// absolute). Nullopt on malformed input.
+std::optional<std::vector<std::pair<std::string, double>>> parse_key_values(
     const std::string& spec) {
-  std::vector<audit::GateSpec> gates;
+  std::vector<std::pair<std::string, double>> out;
   std::size_t pos = 0;
   while (pos < spec.size()) {
     std::size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
     const std::string item = spec.substr(pos, comma - pos);
     const std::size_t eq = item.rfind('=');
-    double pct = 0.0;
+    double value = 0.0;
     if (eq == std::string::npos || eq == 0 ||
-        !parse_double_strict(item.substr(eq + 1), pct) || pct <= 0.0)
+        !parse_double_strict(item.substr(eq + 1), value))
       return std::nullopt;
-    gates.push_back({item.substr(0, eq), pct / 100.0});
+    out.emplace_back(item.substr(0, eq), value);
     pos = comma + 1;
   }
-  if (gates.empty()) return std::nullopt;
-  return gates;
-}
-
-/// "profiling.overhead_pct=5,wall_ms=2000" -> CeilingSpecs (absolute
-/// candidate-value bounds). Nullopt on malformed input.
-std::optional<std::vector<audit::CeilingSpec>> parse_ceilings(
-    const std::string& spec) {
-  std::vector<audit::CeilingSpec> ceilings;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    const std::size_t eq = item.rfind('=');
-    double max = 0.0;
-    if (eq == std::string::npos || eq == 0 ||
-        !parse_double_strict(item.substr(eq + 1), max))
-      return std::nullopt;
-    ceilings.push_back({item.substr(0, eq), max});
-    pos = comma + 1;
-  }
-  if (ceilings.empty()) return std::nullopt;
-  return ceilings;
+  if (out.empty()) return std::nullopt;
+  return out;
 }
 
 int run_bench_diff(int argc, char** argv) {
@@ -178,13 +159,16 @@ int run_bench_diff(int argc, char** argv) {
       if (!parse_double_strict(argv[i + 1], threshold)) return usage();
       threshold /= 100.0;
     } else if (std::string(argv[i]) == "--gate") {
-      auto parsed = parse_gates(argv[i + 1]);
+      const auto parsed = parse_key_values(argv[i + 1]);
       if (!parsed) return usage();
-      gates.insert(gates.end(), parsed->begin(), parsed->end());
+      for (const auto& [key, pct] : *parsed) {
+        if (pct <= 0.0) return usage();
+        gates.push_back({key, pct / 100.0});
+      }
     } else if (std::string(argv[i]) == "--max") {
-      auto parsed = parse_ceilings(argv[i + 1]);
+      const auto parsed = parse_key_values(argv[i + 1]);
       if (!parsed) return usage();
-      ceilings.insert(ceilings.end(), parsed->begin(), parsed->end());
+      for (const auto& [key, max] : *parsed) ceilings.push_back({key, max});
     } else {
       return usage();
     }

@@ -266,20 +266,6 @@ std::string render_top(const json::Value& doc) {
     out += fmt("  round wall       p50 %.1f us, p95 %.1f us (%.0f rounds)\n",
                field("p50_us"), field("p95_us"), field("count"));
   }
-  if (const json::Value* domains = env->find("alloc_domains")) {
-    out += fmt("  %-16s %10s %10s %12s %12s\n", "alloc domain", "allocs",
-               "frees", "live", "peak");
-    for (const auto& [name, stats] : domains->members()) {
-      const auto field = [&](const char* key) {
-        const json::Value* v = stats.find(key);
-        return v ? v->as_double() : 0.0;
-      };
-      out += fmt("  %-16s %10.0f %10.0f %12s %12s\n", name.c_str(),
-                 field("allocs"), field("deallocs"),
-                 human_bytes(field("bytes_live")).c_str(),
-                 human_bytes(field("bytes_peak")).c_str());
-    }
-  }
   return out;
 }
 

@@ -35,9 +35,9 @@ std::string render_attribution(const net::Recording& rec);
 /// `top`-style resource view over a telemetry document
 /// (telemetry::TelemetrySampler::to_json(), or the `telemetry` block of a
 /// schema-3 BENCH artifact): per-counter totals with rates over the last
-/// sampling interval, then the environment block (RSS, round-wall p50/p95,
-/// allocation-domain ledger) when present. Works live (gfor14_cli --top
-/// renders the sampler at exit) and offline (gfor14-audit top FILE).
+/// sampling interval, then the environment block (RSS, round-wall p50/p95)
+/// when present. Works live (gfor14_cli --top renders the sampler at exit)
+/// and offline (gfor14-audit top FILE).
 std::string render_top(const json::Value& telemetry_doc);
 
 }  // namespace gfor14::audit

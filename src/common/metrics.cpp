@@ -4,8 +4,6 @@
 #include <cmath>
 #include <fstream>
 
-#include "common/alloc_stats.hpp"
-
 namespace gfor14::metrics {
 
 namespace {
@@ -266,7 +264,6 @@ void Registry::reset_for_test() {
     for (auto& [name, slot] : child->counters_) slot.parent = nullptr;
     for (auto& [name, h] : child->histograms_) h.parent_ = nullptr;
   }
-  alloc::reset_domains();
 }
 
 RegistryAttachment::RegistryAttachment(std::shared_ptr<Registry> scope)

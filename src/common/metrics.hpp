@@ -178,11 +178,10 @@ class Registry {
   /// entries (cached handles stay valid) and child scopes.
   void reset();
 
-  /// Test isolation: zeroes the root registry, detaches all child scopes
-  /// (live shared_ptr holders keep theirs alive, but they no longer roll
-  /// up into future totals) and resets the allocation-domain statistics
-  /// (alloc_stats.hpp). Root entries are kept, so cached handles from
-  /// previous tests stay valid and read zero.
+  /// Test isolation: zeroes the root registry and detaches all child
+  /// scopes (live shared_ptr holders keep theirs alive, but they no longer
+  /// roll up into future totals). Root entries are kept, so cached handles
+  /// from previous tests stay valid and read zero.
   static void reset_for_test();
 
  private:

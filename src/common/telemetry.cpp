@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-
-#include "common/alloc_stats.hpp"
+#include <string>
 
 namespace gfor14::telemetry {
 
@@ -21,6 +20,28 @@ void flatten_counters(metrics::Registry& reg, const std::string& prefix,
   for (const auto& child : reg.scope_names())
     flatten_counters(*reg.scope(child), prefix + child + "/", out);
 }
+
+/// Reads one "Vm...: <kB> kB" line from /proc/self/status in bytes; 0 when
+/// absent. Environmental: reported outside the deterministic section only.
+std::uint64_t proc_status_bytes(const char* key) {
+  std::ifstream status("/proc/self/status");
+  if (!status.is_open()) return 0;
+  std::string line;
+  const std::string prefix = std::string(key) + ":";
+  while (std::getline(status, line)) {
+    if (line.compare(0, prefix.size(), prefix) != 0) continue;
+    std::size_t pos = prefix.size();
+    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
+    std::uint64_t kb = 0;
+    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9')
+      kb = kb * 10 + static_cast<std::uint64_t>(line[pos++] - '0');
+    return kb * 1024;
+  }
+  return 0;
+}
+
+std::uint64_t rss_bytes() { return proc_status_bytes("VmRSS"); }
+std::uint64_t peak_rss_bytes() { return proc_status_bytes("VmHWM"); }
 
 std::string sanitize(const std::string& name) {
   std::string out = "gfor14_";
@@ -155,7 +176,7 @@ void TelemetrySampler::take_snapshot() {
   s.wall_us = std::chrono::duration<double, std::micro>(
                   std::chrono::steady_clock::now() - start_)
                   .count();
-  s.rss_bytes = alloc::rss_bytes();
+  s.rss_bytes = rss_bytes();
   ring_.push_back(std::move(s));
   if (ring_.size() >= opt_.max_snapshots) {
     // Same decimation as metrics::Histogram: keep every second snapshot and
@@ -199,7 +220,7 @@ json::Value TelemetrySampler::to_json() const {
   }
   env.set("wall_us", std::move(wall));
   env.set("rss_bytes", std::move(rss));
-  env.set("peak_rss_bytes", static_cast<double>(alloc::peak_rss_bytes()));
+  env.set("peak_rss_bytes", static_cast<double>(peak_rss_bytes()));
   {
     // Round-wall distribution of the watched scope (observations forward to
     // parents, so a session scope sees its own rounds only).
@@ -210,7 +231,6 @@ json::Value TelemetrySampler::to_json() const {
     o.set("p95_us", h.quantile(0.95));
     env.set("round_wall", std::move(o));
   }
-  env.set("alloc_domains", alloc::domains_json());
   for (const auto& [key, value] : annotations_) env.set(key, value);
   doc.set("environment", std::move(env));
   return doc;
@@ -236,13 +256,9 @@ bool TelemetrySampler::write_json(const std::string& path) const {
 std::string TelemetrySampler::prometheus() const {
   std::vector<std::pair<std::string, double>> extra;
   extra.emplace_back("process.rss_bytes",
-                     static_cast<double>(alloc::rss_bytes()));
+                     static_cast<double>(rss_bytes()));
   extra.emplace_back("process.peak_rss_bytes",
-                     static_cast<double>(alloc::peak_rss_bytes()));
-  const json::Value domains = alloc::domains_json();
-  for (const auto& [domain, stats] : domains.members())
-    for (const auto& [key, v] : stats.members())
-      extra.emplace_back("alloc." + domain + "." + key, v.as_double());
+                     static_cast<double>(peak_rss_bytes()));
   return prometheus_text(scope_->to_json(), extra);
 }
 

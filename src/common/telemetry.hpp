@@ -13,9 +13,9 @@
 //    or before round barriers: net.*, vss.*, anonchan.*, pseudosig.*. For a
 //    fixed seed these are byte-identical at any lane count (the §8
 //    contract), which tests/telemetry_test.cpp locks in at 1 vs 4 lanes.
-//  * The ENVIRONMENT section (wall-clock, VmRSS/VmHWM, round-wall p50/p95,
-//    the allocation-domain ledger) measures the machine, not the protocol,
-//    and is excluded from all determinism claims. Process-wide cache
+//  * The ENVIRONMENT section (wall-clock, VmRSS/VmHWM, round-wall p50/p95)
+//    measures the machine, not the protocol, and is excluded from all
+//    determinism claims. Process-wide cache
 //    counters (math.*, ff.*) are scheduling-dependent and stay out of the
 //    snapshots entirely — the --metrics dump still reports them.
 //

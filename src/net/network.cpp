@@ -53,7 +53,6 @@ Network::Network(std::size_t n, std::uint64_t seed)
       corrupt_(n, false),
       adv_rng_(seed ^ 0xADE5A11ULL),
       prev_barrier_(std::chrono::steady_clock::now()),
-      party_costs_(n),
       channel_stamp_(n * n, 0),
       blame_(n + 1) {
   GFOR14_EXPECTS(n >= 2);
@@ -119,8 +118,8 @@ void Network::run_round(const PartyHandler& handler) {
   // Handlers only touch their own lane, their own party slots and their own
   // forked rng_of(p) stream, so they can run on any number of workers; the
   // lanes are then replayed below in ascending sender order, which is
-  // exactly the order the serial engine issues sends in. All accounting
-  // (costs_, party_costs_) happens in the replay, on this thread.
+  // exactly the order the serial engine issues sends in. All cost
+  // accounting happens in the replay, on this thread.
   std::vector<RoundLane> lanes(n_);
   if (threads_ <= 1) {
     for (PartyId p = 0; p < n_; ++p) handler(p, lanes[p]);
@@ -169,9 +168,6 @@ void Network::send(PartyId from, PartyId to, Payload payload) {
   GFOR14_EXPECTS(from < n_ && to < n_);
   costs_.p2p_messages += 1;
   costs_.p2p_elements += payload.size();
-  party_costs_[from].p2p_messages_sent += 1;
-  party_costs_[from].p2p_elements_sent += payload.size();
-  party_costs_[to].p2p_elements_received += payload.size();
   // Logical message-buffer accounting (ROADMAP item 3's success metric):
   // one buffer per queued message, payload.size() field elements deep.
   // Deterministic — a protocol sending N messages of B elements produces
@@ -186,8 +182,6 @@ void Network::broadcast(PartyId from, Payload payload) {
   GFOR14_EXPECTS(from < n_);
   costs_.broadcast_invocations += 1;
   costs_.broadcast_elements += payload.size();
-  party_costs_[from].broadcast_invocations += 1;
-  party_costs_[from].broadcast_elements += payload.size();
   round_used_broadcast_ = true;
   // One buffer per broadcast invocation: the simulation stores a broadcast
   // payload once, however many parties read it.
@@ -244,11 +238,6 @@ void Network::end_round() {
   for (const auto& obs : observers_) obs->on_round_end(*this, round_delta);
 }
 
-const PartyCosts& Network::party_costs(PartyId p) const {
-  GFOR14_EXPECTS(p < n_);
-  return party_costs_[p];
-}
-
 std::vector<PendingView> Network::pending_to_corrupt(PartyId to) const {
   GFOR14_EXPECTS(in_round_);
   GFOR14_EXPECTS(is_corrupt(to));
@@ -294,25 +283,16 @@ void Network::substitute_p2p(PartyId from, PartyId to,
   // stay monotone at round boundaries because a slot only ever holds
   // messages submitted earlier in the same round.
   costs_.p2p_messages -= slot.size();
-  party_costs_[from].p2p_messages_sent -= slot.size();
-  for (const auto& p : slot) {
-    costs_.p2p_elements -= p.size();
-    party_costs_[from].p2p_elements_sent -= p.size();
-    party_costs_[to].p2p_elements_received -= p.size();
-  }
+  for (const auto& p : slot) costs_.p2p_elements -= p.size();
   costs_.p2p_messages += payloads.size();
-  party_costs_[from].p2p_messages_sent += payloads.size();
   for (const auto& p : payloads) {
     costs_.p2p_elements += p.size();
-    party_costs_[from].p2p_elements_sent += p.size();
-    party_costs_[to].p2p_elements_received += p.size();
     meters_.alloc_bytes->add(p.size() * sizeof(Fld));
   }
   // The substituted payloads are freshly built buffers, so the allocation
   // counters only ever grow — a drop frees memory but allocates none.
   meters_.alloc_count->add(payloads.size());
-  slot.assign(std::make_move_iterator(payloads.begin()),
-              std::make_move_iterator(payloads.end()));
+  slot = std::move(payloads);
   // Poison outstanding views of this queue (debug-checked use-after-free).
   channel_stamp_[to * n_ + from] = ++stamp_counter_;
   // Rewrites during the adversary turn are adversarial tampering; rewrites
@@ -327,21 +307,14 @@ void Network::substitute_broadcast(PartyId from,
   GFOR14_EXPECTS(from < n_);
   auto& slot = pending_.bcast[from];
   costs_.broadcast_invocations -= slot.size();
-  party_costs_[from].broadcast_invocations -= slot.size();
-  for (const auto& p : slot) {
-    costs_.broadcast_elements -= p.size();
-    party_costs_[from].broadcast_elements -= p.size();
-  }
+  for (const auto& p : slot) costs_.broadcast_elements -= p.size();
   costs_.broadcast_invocations += payloads.size();
-  party_costs_[from].broadcast_invocations += payloads.size();
   for (const auto& p : payloads) {
     costs_.broadcast_elements += p.size();
-    party_costs_[from].broadcast_elements += p.size();
     meters_.alloc_bytes->add(p.size() * sizeof(Fld));
   }
   meters_.alloc_count->add(payloads.size());
-  slot.assign(std::make_move_iterator(payloads.begin()),
-              std::make_move_iterator(payloads.end()));
+  slot = std::move(payloads);
   if (in_adversary_turn_)
     tamper_log_.push_back({costs_.rounds, from, 0, true});
 }

@@ -46,7 +46,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/alloc_stats.hpp"
 #include "common/expect.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
@@ -56,13 +55,8 @@ namespace gfor14::net {
 
 using PartyId = std::size_t;
 using Payload = std::vector<Fld>;
-/// The per-channel pending/delivered queues run on the tracking allocator,
-/// so the alloc::kNetQueue ledger shows the physical container churn of the
-/// round engine (the zero-copy refactor's target). Elements stay plain
-/// Payloads — protocol code interoperates with them unchanged.
-using PayloadQueue =
-    std::vector<Payload,
-                alloc::TrackingAllocator<Payload, alloc::Domain::kNetQueue>>;
+/// One channel's ordered payloads for one round.
+using PayloadQueue = std::vector<Payload>;
 
 /// Aggregate resource usage of an execution (see header comment).
 struct CostReport {
@@ -79,17 +73,6 @@ struct CostReport {
   CostReport operator-(const CostReport& o) const;
 
   bool operator==(const CostReport&) const = default;
-};
-
-/// Per-party slice of the cost accounting: what each party put on (and,
-/// for p2p, received from) the channels. Aggregated over the network's
-/// lifetime; element sums across parties equal the CostReport totals.
-struct PartyCosts {
-  std::size_t p2p_messages_sent = 0;
-  std::size_t p2p_elements_sent = 0;
-  std::size_t p2p_elements_received = 0;
-  std::size_t broadcast_invocations = 0;
-  std::size_t broadcast_elements = 0;
 };
 
 class Network;
@@ -355,12 +338,6 @@ class Network {
     return registry_;
   }
 
-  /// Per-party cost attribution (see PartyCosts).
-  const PartyCosts& party_costs(PartyId p) const;
-  const std::vector<PartyCosts>& all_party_costs() const {
-    return party_costs_;
-  }
-
  private:
   friend class PendingView;
   friend class FaultEngine;
@@ -413,7 +390,6 @@ class Network {
   /// the wall it closed.
   std::chrono::steady_clock::time_point prev_barrier_;
   double last_round_wall_us_ = 0.0;
-  std::vector<PartyCosts> party_costs_;
   std::vector<std::shared_ptr<RoundObserver>> observers_;
   std::vector<TamperRecord> tamper_log_;
   std::size_t max_rounds_ = 0;  ///< 0 = watchdog off

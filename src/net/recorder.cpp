@@ -11,12 +11,6 @@ namespace gfor14::net {
 
 namespace {
 
-/// A loaded recording's per-round payload storage. The kRecorder ledger
-/// sees exactly these buffers: charged on allocation, credited when the
-/// last Recording sharing the round is destroyed.
-using RecordingWords =
-    std::vector<Fld, alloc::TrackingAllocator<Fld, alloc::Domain::kRecorder>>;
-
 // Channel keys for the per-channel digest map: p2p channels are ordered
 // (from, to) pairs, broadcast channels are senders. Party ids are < 2^20
 // by a wide margin (the simulator caps n at 32).
@@ -397,7 +391,7 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
       return fail("round entry missing 'messages'");
     // One flat word vector per round; the message spans are bound to it
     // once it has stopped growing.
-    auto words = std::make_shared<RecordingWords>();
+    auto words = std::make_shared<std::vector<Fld>>();
     for (const json::Value& mo : msgs->items()) {
       if (!mo.is_object()) return fail("message entry is not an object");
       RecordedMessage msg;

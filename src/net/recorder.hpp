@@ -39,8 +39,8 @@
 // round's delivered traffic as an immutable shared RoundTraffic; at full
 // fidelity the RecordedRound keeps that storage alive through its
 // type-erased `owner` and every RecordedMessage::payload is a span into
-// it. A loaded recording owns one flat word vector per round instead
-// (charged to the alloc::Domain::kRecorder ledger). Copying a Recording
+// it. A loaded recording owns one flat word vector per round instead, freed
+// when the last Recording sharing it is destroyed. Copying a Recording
 // shares that storage; payloads are read-only in both cases.
 //
 // Fidelity tiers: "full" (headers + digests + payloads, replayable to the

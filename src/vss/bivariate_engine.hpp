@@ -170,7 +170,6 @@ class BivariateEngine final : public VssScheme {
   void charge_share_buffer(std::size_t elements) const {
     vss_alloc_count_->add(1);
     vss_alloc_bytes_->add(elements * sizeof(Fld));
-    alloc::domain_stats(alloc::Domain::kVss).charge(elements * sizeof(Fld));
   }
 
   net::Network& net_;

@@ -23,7 +23,6 @@
 #include "audit/bench_diff.hpp"
 #include "audit/replay.hpp"
 #include "audit/report.hpp"
-#include "common/alloc_stats.hpp"
 #include "common/chrome_trace.hpp"
 #include "common/digest.hpp"
 #include "common/rng.hpp"
@@ -340,30 +339,27 @@ TEST(RecorderLifetime, CopiedRecordingSharesItsStorage) {
   }
 }
 
-TEST(RecorderLedger, OnlyLoadedPayloadsAreChargedAndFreesCreditThem) {
-  const auto& ledger = alloc::domain_stats(alloc::Domain::kRecorder);
-  const std::uint64_t baseline = ledger.bytes_live.load();
-  const std::uint64_t allocs = ledger.allocs.load();
+TEST(RecorderLifetime, LoadedRoundStorageLivesUntilLastSharingRecording) {
   const net::Recording live = record_run(4141, 1);
-  // A live recording retains the network's traffic and charges nothing.
-  EXPECT_EQ(ledger.bytes_live.load(), baseline);
-  EXPECT_EQ(ledger.allocs.load(), allocs);
   std::size_t words = 0;
   for (const auto& r : live.rounds)
     for (const auto& m : r.messages) words += m.payload.size();
   ASSERT_GT(words, 0u);
+  std::vector<std::weak_ptr<const void>> storage;
   {
-    const json::Value doc = live.to_json();
     std::string error;
-    auto loaded = net::Recording::from_json(doc, &error);
+    auto loaded = net::Recording::from_json(live.to_json(), &error);
     ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_GE(ledger.bytes_live.load(), baseline + words * sizeof(Fld));
-    const net::Recording shared = *loaded;  // shares, charges nothing more
-    const std::uint64_t charged = ledger.bytes_live.load();
+    for (const auto& r : loaded->rounds)
+      if (r.owner) storage.push_back(r.owner);
+    ASSERT_FALSE(storage.empty());
+    const net::Recording shared = *loaded;  // shares the rounds' storage
     loaded.reset();
-    EXPECT_EQ(ledger.bytes_live.load(), charged);  // `shared` still holds it
+    // `shared` still holds every loaded round's words.
+    for (const auto& w : storage) EXPECT_FALSE(w.expired());
   }
-  EXPECT_EQ(ledger.bytes_live.load(), baseline);
+  // The last sharing Recording is gone, and its storage with it.
+  for (const auto& w : storage) EXPECT_TRUE(w.expired());
 }
 
 // --- loader strictness -----------------------------------------------------

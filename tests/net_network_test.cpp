@@ -5,6 +5,7 @@
 #include "anonchan/anonchan.hpp"
 #include "net/adversary.hpp"
 #include "net/network.hpp"
+#include "net/recorder.hpp"
 #include "vss/schemes.hpp"
 
 namespace gfor14::net {
@@ -111,32 +112,60 @@ TEST(Network, CostReportDifferenceGuardsUnderflow) {
   EXPECT_THROW(after - tweaked, ContractViolation);
 }
 
+/// Per-party traffic summed from a recording's delivered messages — the
+/// per-party view `gfor14-audit matrix` derives from the same stream.
+struct PartyTraffic {
+  std::vector<std::size_t> p2p_messages_sent, p2p_elements_sent,
+      p2p_elements_received, broadcast_invocations, broadcast_elements;
+};
+
+PartyTraffic party_traffic(const Recording& rec) {
+  PartyTraffic t;
+  for (auto* v : {&t.p2p_messages_sent, &t.p2p_elements_sent,
+                  &t.p2p_elements_received, &t.broadcast_invocations,
+                  &t.broadcast_elements})
+    v->assign(rec.n, 0);
+  for (const auto& round : rec.rounds)
+    for (const auto& m : round.messages) {
+      if (m.broadcast) {
+        t.broadcast_invocations[m.from] += 1;
+        t.broadcast_elements[m.from] += m.elements;
+      } else {
+        t.p2p_messages_sent[m.from] += 1;
+        t.p2p_elements_sent[m.from] += m.elements;
+        t.p2p_elements_received[m.to] += m.elements;
+      }
+    }
+  return t;
+}
+
 TEST(Network, PerPartyCostAttribution) {
   Network net(3, 1);
+  auto recorder = std::make_shared<Recorder>();
+  net.attach_observer(recorder);
   net.begin_round();
   net.send(0, 1, pay({1, 2, 3}));
   net.send(0, 2, pay({4}));
   net.broadcast(1, pay({5, 6}));
   net.end_round();
-  const PartyCosts& p0 = net.party_costs(0);
-  EXPECT_EQ(p0.p2p_messages_sent, 2u);
-  EXPECT_EQ(p0.p2p_elements_sent, 4u);
-  EXPECT_EQ(p0.p2p_elements_received, 0u);
-  const PartyCosts& p1 = net.party_costs(1);
-  EXPECT_EQ(p1.p2p_elements_received, 3u);
-  EXPECT_EQ(p1.broadcast_invocations, 1u);
-  EXPECT_EQ(p1.broadcast_elements, 2u);
+  const PartyTraffic t = party_traffic(recorder->recording());
+  EXPECT_EQ(t.p2p_messages_sent[0], 2u);
+  EXPECT_EQ(t.p2p_elements_sent[0], 4u);
+  EXPECT_EQ(t.p2p_elements_received[0], 0u);
+  EXPECT_EQ(t.p2p_elements_received[1], 3u);
+  EXPECT_EQ(t.broadcast_invocations[1], 1u);
+  EXPECT_EQ(t.broadcast_elements[1], 2u);
   // Per-party sends sum to the network totals.
   std::size_t sent = 0, received = 0;
-  for (const auto& pc : net.all_party_costs()) {
-    sent += pc.p2p_elements_sent;
-    received += pc.p2p_elements_received;
+  for (std::size_t p = 0; p < net.n(); ++p) {
+    sent += t.p2p_elements_sent[p];
+    received += t.p2p_elements_received[p];
   }
   EXPECT_EQ(sent, net.costs().p2p_elements);
   EXPECT_EQ(received, net.costs().p2p_elements);
 }
 
-TEST(Network, PerPartyCostsTrackReplacedTraffic) {
+TEST(Network, PerPartyTrafficTracksReplacedTraffic) {
   Network net(3, 1);
   net.corrupt_first(1);
   // The adversary swaps corrupt party 0's 3-element payload for 1 element.
@@ -144,11 +173,14 @@ TEST(Network, PerPartyCostsTrackReplacedTraffic) {
     n.replace_pending(0, 1, {Payload{Fld::from_u64(9)}});
   });
   net.attach_adversary(adv);
+  auto recorder = std::make_shared<Recorder>();
+  net.attach_observer(recorder);
   net.begin_round();
   net.send(0, 1, pay({1, 2, 3}));
   net.end_round();
-  EXPECT_EQ(net.party_costs(0).p2p_elements_sent, 1u);
-  EXPECT_EQ(net.party_costs(1).p2p_elements_received, 1u);
+  const PartyTraffic t = party_traffic(recorder->recording());
+  EXPECT_EQ(t.p2p_elements_sent[0], 1u);
+  EXPECT_EQ(t.p2p_elements_received[1], 1u);
   EXPECT_EQ(net.costs().p2p_elements, 1u);
 }
 
@@ -174,9 +206,6 @@ TEST(Network, ReplacePendingAccountsDroppedMessagesSymmetrically) {
   // messages never hit the wire.
   EXPECT_EQ(net.costs().p2p_messages, 1u);
   EXPECT_EQ(net.costs().p2p_elements, 1u);
-  EXPECT_EQ(net.party_costs(0).p2p_messages_sent, 0u);
-  EXPECT_EQ(net.party_costs(0).p2p_elements_sent, 0u);
-  EXPECT_EQ(net.party_costs(1).p2p_elements_received, 1u);
 }
 
 // Shrinking (2 messages -> 1) and growing (1 -> 3) are mirror cases of the
@@ -196,7 +225,6 @@ TEST(Network, ReplacePendingAccountsResizedSubstituteLists) {
   net.end_round();
   EXPECT_EQ(net.costs().p2p_messages, 4u);
   EXPECT_EQ(net.costs().p2p_elements, 4u);
-  EXPECT_EQ(net.party_costs(0).p2p_messages_sent, 4u);
   ASSERT_EQ(net.delivered().p2p[1][0].size(), 1u);
   ASSERT_EQ(net.delivered().p2p[2][0].size(), 3u);
 }

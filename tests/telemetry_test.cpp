@@ -15,7 +15,6 @@
 #include "anonchan/anonchan.hpp"
 #include "audit/bench_diff.hpp"
 #include "audit/report.hpp"
-#include "common/alloc_stats.hpp"
 #include "common/metrics.hpp"
 #include "common/telemetry.hpp"
 #include "net/network.hpp"
@@ -83,24 +82,6 @@ TEST_F(TelemetryTest, ScopeRollsUpExactlyIntoRootAtRoundBarriers) {
             root_before + expect);
 }
 
-TEST_F(TelemetryTest, DomainLedgerTracksQueueChurn) {
-  const auto& stats = alloc::domain_stats(alloc::Domain::kNetQueue);
-  const std::uint64_t allocs_before = stats.allocs.load();
-  {
-    net::Network net(4, 3);
-    net.begin_round();
-    net.send(0, 1, pay(64));
-    net.end_round();
-  }
-  // The tracking allocator saw the pending/delivered queue vectors.
-  EXPECT_GT(stats.allocs.load(), allocs_before);
-  const json::Value doc = alloc::domains_json();
-  ASSERT_NE(doc.find("net_queue"), nullptr);
-  ASSERT_NE(doc.find("vss"), nullptr);
-  ASSERT_NE(doc.find("recorder"), nullptr);
-  EXPECT_GE(doc.find("net_queue")->find("bytes_peak")->as_double(), 0.0);
-}
-
 // --- deterministic sampler -------------------------------------------------
 
 std::string sampled_run(std::size_t threads, const std::string& scope_name) {
@@ -144,7 +125,6 @@ TEST_F(TelemetryTest, SamplerExcludesEnvironmentFromDeterministicSection) {
   EXPECT_EQ(det.find("rss"), std::string::npos);
   const json::Value full = sampler->to_json();
   ASSERT_NE(full.find("environment"), nullptr);
-  EXPECT_NE(full.find("environment")->find("alloc_domains"), nullptr);
   EXPECT_NE(full.find("environment")->find("round_wall"), nullptr);
 }
 
@@ -322,7 +302,7 @@ TEST_F(TelemetryTest, RenderTopShowsCountersAndRates) {
   EXPECT_NE(view.find("3 snapshots"), std::string::npos) << view;
   EXPECT_NE(view.find("net.alloc.bytes"), std::string::npos);
   EXPECT_NE(view.find("per-round"), std::string::npos);
-  EXPECT_NE(view.find("alloc domain"), std::string::npos);
+  EXPECT_NE(view.find("peak rss"), std::string::npos);
 }
 
 // --- bench-diff gates and schema tolerance ---------------------------------
