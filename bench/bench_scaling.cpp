@@ -232,7 +232,7 @@ void print_tables() {
 
   // --- profiling overhead (DESIGN.md §15 budget: <5% with the profiling
   // stack attached: profile-fidelity recorder + tracer + telemetry
-  // sampler). Profile fidelity is the point: the richer tiers digest every
+  // sampler). Profile fidelity is the point: a full recording digests every
   // payload element — O(traffic) work — while the profiler only needs
   // message headers and round annotations, which cost O(messages).
   // Best-of-3 against the same plain run; the CI profiler job pins

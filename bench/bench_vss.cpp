@@ -1,13 +1,14 @@
 // VSS microbenchmarks (supports E1/E2/E8): sharing and reconstruction
 // timings per scheme, with the round/broadcast counters attached — the
 // substrate cost that AnonChan's "essentially r_VSS" reduction inherits.
+// BENCH_E8_vss.json holds the per-scheme round profile (`scheme_profile`
+// rows) and the traced phases of one RB share + public reconstruction.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "bench_json.hpp"
 #include "ff/kernel.hpp"
-#include "vss/packed.hpp"
 #include "vss/schemes.hpp"
 
 using namespace gfor14;
@@ -19,8 +20,7 @@ void print_profiles() {
   benchjson::Artifact artifact(
       "E8_vss",
       "VSS substrate profiles: per-scheme sharing rounds and broadcast "
-      "rounds (the r_VSS AnonChan inherits); packed sharing saves a factor "
-      "~k for vector payloads");
+      "rounds (the r_VSS AnonChan inherits)");
   // Which clmul kernel produced these numbers (E8 dispatch column).
   artifact.param("ff_kernel", std::string(ff::active_kernel_name()));
   std::printf("=== VSS scheme profiles (sharing phase) ===\n");
@@ -42,34 +42,6 @@ void print_profiles() {
   }
   std::printf("\n");
 
-  // The [BFO12]-style compilation remark of Section 1.2: packed sharing
-  // moves a factor k less data for vector-shaped payloads (AnonChan's
-  // dominant cost). Elements to distribute an ell-sized vector:
-  std::printf("=== packed-sharing compilation (Section 1.2 remark) ===\n");
-  std::printf("%6s %4s %4s %14s %14s %8s\n", "ell", "n", "k", "plain elems",
-              "packed elems", "saving");
-  for (std::size_t n : {7u, 13u}) {
-    const std::size_t t = (n - 1) / 2;
-    for (std::size_t k : {std::size_t{2}, n - t}) {
-      const std::size_t ell = 4 * n * n * 16;
-      const std::size_t plain = vss::PackedSharing::elements_plain(ell, n);
-      const std::size_t packed =
-          vss::PackedSharing::elements_packed(ell, n, k);
-      std::printf("%6zu %4zu %4zu %14zu %14zu %7.1fx\n", ell, n, k, plain,
-                  packed,
-                  static_cast<double>(plain) / static_cast<double>(packed));
-      json::Value& row = artifact.row();
-      row.set("case", "packed_compilation");
-      row.set("ell", ell);
-      row.set("n", n);
-      row.set("k", k);
-      row.set("plain_elements", plain);
-      row.set("packed_elements", packed);
-      row.set("saving_factor",
-              static_cast<double>(plain) / static_cast<double>(packed));
-    }
-  }
-  std::printf("\n");
   // Phase breakdown of one share_all + public reconstruction on the RB
   // engine — the two vss.* spans the AnonChan trace decomposes into.
   artifact.set("phases", benchjson::traced_phases([] {
@@ -87,22 +59,6 @@ void print_profiles() {
                }));
   artifact.write();
 }
-
-void BM_PackedDeal(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t t = (n - 1) / 2;
-  const std::size_t k = n - t;
-  vss::PackedSharing ps(n, t, k);
-  Rng rng(17);
-  std::vector<Fld> secrets(k);
-  for (auto& s : secrets) s = Fld::random(rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ps.deal(rng, secrets));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k));
-}
-BENCHMARK(BM_PackedDeal)->Arg(7)->Arg(13);
 
 void BM_ShareAll(benchmark::State& state) {
   const auto kind = static_cast<SchemeKind>(state.range(0));

@@ -101,9 +101,9 @@ int run_render(const std::string& view, const std::string& path) {
   } else if (view == "blame") {
     std::printf("%s", audit::render_attribution(*rec).c_str());
   } else {  // info
-    std::printf("format: %s v%zu, n=%zu, %zu rounds, payloads=%s\n",
+    std::printf("format: %s v%zu, n=%zu, %zu rounds, fidelity=%s\n",
                 net::Recording::kFormat, net::Recording::kVersion, rec->n,
-                rec->rounds.size(), rec->payloads ? "full" : "headers-only");
+                rec->rounds.size(), rec->fidelity());
     std::printf("final digest: %s\n",
                 net::hex_u64(rec->final_digest).c_str());
     std::printf("provenance: %s\n", rec->provenance.dump(2).c_str());

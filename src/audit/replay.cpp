@@ -150,6 +150,13 @@ std::optional<Divergence> diff_rounds(const net::RecordedRound& reference,
 
 std::optional<Divergence> first_divergence(const net::Recording& reference,
                                            const net::Recording& candidate) {
+  // A profile recording carries neither payloads nor digests, so comparing
+  // it message by message against a full one would report the missing
+  // bytes as a difference.
+  if (reference.full != candidate.full)
+    return at_round(0, std::string("fidelity differs: ") +
+                           reference.fidelity() + " vs " +
+                           candidate.fidelity());
   const std::size_t common =
       std::min(reference.rounds.size(), candidate.rounds.size());
   for (std::size_t r = 0; r < common; ++r)
@@ -171,11 +178,10 @@ std::optional<Divergence> first_divergence(const net::Recording& reference,
 ReplayVerifier::ReplayVerifier(net::Recording reference)
     : reference_(std::move(reference)),
       // Match the reference's fidelity tier: a profile-fidelity reference
-      // (digests = false) only certifies the header stream, so the live
-      // recorder must not absorb digests either or every digest would
-      // "differ" from the recorded zeros.
-      live_(net::Recorder::Options{reference_.payloads,
-                                   reference_.digests}) {}
+      // only certifies the header stream, so the live recorder must not
+      // absorb digests either or every digest would "differ" from the
+      // recorded zeros.
+      live_(net::Recorder::Options{reference_.full}) {}
 
 void ReplayVerifier::on_round_end(const net::Network& net,
                                   const net::CostReport& delta) {

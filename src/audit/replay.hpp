@@ -13,10 +13,9 @@
 // which those suites now call.
 //
 // Byte offsets index the little-endian byte serialization of the payload
-// (8 bytes per field element), matching Fld::serialize. Header-only
-// recordings can still certify identity via the running channel digests;
-// their divergence reports carry kUnknownOffset when only the digest
-// witnesses the difference.
+// (8 bytes per field element), matching Fld::serialize. Divergences
+// witnessed only by a channel digest, a side log or a fidelity mismatch
+// carry kUnknownOffset.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +54,8 @@ std::optional<Divergence> diff_rounds(const net::RecordedRound& reference,
                                       const net::RecordedRound& candidate);
 
 /// First divergence between two whole recordings; header blocks
-/// (provenance, config) are informational and not compared.
+/// (provenance, config) are informational and not compared. Recordings of
+/// different fidelity diverge at round 0 before any message is compared.
 std::optional<Divergence> first_divergence(const net::Recording& reference,
                                            const net::Recording& candidate);
 

@@ -1,10 +1,10 @@
 // Transcript digests for the flight recorder (DESIGN.md §10).
 //
 // The recorder needs a cheap, platform-independent fingerprint of channel
-// traffic so that header-only recordings can still certify byte identity
-// and full-fidelity recordings can be spot-checked without re-reading every
-// payload. Two frozen pieces make it up (changing either, or the recorder's
-// absorption order, is a recording-format version bump):
+// traffic so that full-fidelity recordings can be compared and chained
+// without re-reading every payload. Two frozen pieces make it up (changing
+// either, or the recorder's absorption order, is a recording-format
+// version bump):
 //
 //   * message_digest — a word-wise polynomial hash of one payload over the
 //     field, h = sum_k w_k * K^(k+1) with the fixed non-zero key

@@ -98,11 +98,7 @@ std::optional<std::uint64_t> parse_hex_u64(std::string_view s) {
 }
 
 Recorder::Recorder(Options opt, json::Value config) : opt_(opt) {
-  // Profile fidelity implies header-only: retained payloads without a digest
-  // would be an incoherent tier (bytes stored but nothing certifying them).
-  if (!opt_.digests) opt_.payloads = false;
-  rec_.payloads = opt_.payloads;
-  rec_.digests = opt_.digests;
+  rec_.full = opt_.full;
   rec_.provenance = provenance::collect();
   rec_.config = std::move(config);
   // Baseline the profiled alloc counters at construction: the registry is
@@ -146,7 +142,7 @@ void Recorder::on_round_end(const Network& net, const CostReport& delta) {
   const RoundTraffic& tr = net.delivered();
   // Full fidelity retains the round's delivered traffic itself: the
   // payload spans below point into it, so nothing is copied.
-  if (opt_.payloads) round.owner = net.delivered_shared();
+  if (opt_.full) round.owner = net.delivered_shared();
   const auto record = [&](bool broadcast, PartyId from, PartyId to,
                           std::size_t seq, const Payload& payload) {
     RecordedMessage msg;
@@ -155,7 +151,7 @@ void Recorder::on_round_end(const Network& net, const CostReport& delta) {
     msg.to = broadcast ? 0 : to;
     msg.seq = seq;
     msg.elements = payload.size();
-    if (opt_.digests) {
+    if (opt_.full) {
       // The message digest is the recorder's only per-element work;
       // profile fidelity skips this whole block (msg.digest stays 0).
       const std::uint64_t h = message_digest(payload).to_u64();
@@ -175,8 +171,8 @@ void Recorder::on_round_end(const Network& net, const CostReport& delta) {
       transcript_.absorb_u64(payload.size());
       transcript_.absorb_u64(h);
       msg.digest = ch.value();
+      msg.payload = payload;
     }
-    if (opt_.payloads) msg.payload = payload;
     round.messages.push_back(msg);
   };
 
@@ -227,7 +223,7 @@ json::Value Recording::to_json() const {
   doc.set("format", kFormat);
   doc.set("version", kVersion);
   doc.set("n", n);
-  doc.set("fidelity", payloads ? "full" : digests ? "headers" : "profile");
+  doc.set("fidelity", fidelity());
   doc.set("provenance", provenance);
   doc.set("config", config);
   json::Value rounds_json = json::Value::array();
@@ -260,7 +256,7 @@ json::Value Recording::to_json() const {
       mo.set("seq", m.seq);
       mo.set("len", m.elements);
       mo.set("digest", hex_u64(m.digest));
-      if (payloads) {
+      if (full) {
         json::Value elems = json::Value::array();
         for (Fld f : m.payload) elems.push_back(hex_u64(f.to_u64()));
         mo.set("payload", std::move(elems));
@@ -339,12 +335,9 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
   const json::Value* fidelity = v.find("fidelity");
   if (fidelity == nullptr || !fidelity->is_string())
     return fail("missing 'fidelity'");
-  if (fidelity->as_string() == "full") rec.payloads = true;
-  else if (fidelity->as_string() == "headers") rec.payloads = false;
-  else if (fidelity->as_string() == "profile") {
-    rec.payloads = false;
-    rec.digests = false;
-  } else return fail("unknown 'fidelity' value");
+  if (fidelity->as_string() == "full") rec.full = true;
+  else if (fidelity->as_string() == "profile") rec.full = false;
+  else return fail("unknown 'fidelity' value");
   if (const json::Value* prov = v.find("provenance")) rec.provenance = *prov;
   if (const json::Value* config = v.find("config")) rec.config = *config;
 
@@ -414,7 +407,7 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
       const auto digest_value = parse_hex_u64(digest->as_string());
       if (!digest_value) return fail("malformed message digest");
       msg.digest = *digest_value;
-      if (rec.payloads) {
+      if (rec.full) {
         const json::Value* payload = mo.find("payload");
         if (payload == nullptr || !payload->is_array())
           return fail("full-fidelity message missing 'payload'");
@@ -429,7 +422,7 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
       }
       round.messages.push_back(msg);
     }
-    if (rec.payloads) {
+    if (rec.full) {
       std::size_t offset = 0;
       for (RecordedMessage& m : round.messages) {
         m.payload = std::span<const Fld>(*words).subspan(offset, m.elements);

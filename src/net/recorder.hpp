@@ -30,10 +30,8 @@
 //   element_count, h
 // (each as one u64; h as its 64-bit representation, Fld::to_u64). The
 // per-byte work is one field multiply-accumulate inside message_digest;
-// the FNV chains cost O(messages). Header-only recordings skip payload
-// retention but NOT the message digest, so their digests still certify
-// full byte identity. Recordings of other format versions are rejected on
-// load.
+// the FNV chains cost O(messages). Recordings of other format versions are
+// rejected on load.
 //
 // Ownership: a live recorder copies no payload. Network publishes each
 // round's delivered traffic as an immutable shared RoundTraffic; at full
@@ -43,15 +41,14 @@
 // when the last Recording sharing it is destroyed. Copying a Recording
 // shares that storage; payloads are read-only in both cases.
 //
-// Fidelity tiers: "full" (headers + digests + payloads, replayable to the
-// byte), "headers" (headers + digests; replay certifies bytes through the
-// digests), and "profile" (headers + per-round profile annotations only).
+// Fidelity is one switch: "full" (headers + digests + payloads, replayable
+// to the byte) or "profile" (headers + per-round profile annotations only).
 // Profile fidelity skips every per-element pass — no message digest, no
 // payload retention — so its per-round cost is O(messages), not
 // O(traffic bytes); it exists so the §15 causal profiler can ride along a
 // run inside the <5% overhead budget. Profile recordings drive critpath /
-// waterfall / top exactly like the richer tiers, and replaying one still
-// checks the header stream (counts, shapes, fault/tamper/blame logs) but
+// waterfall / top exactly like full ones, and replaying one still checks
+// the header stream (counts, shapes, fault/tamper/blame logs) but
 // certifies no payload bytes: every stored digest is zero by definition.
 #pragma once
 
@@ -86,7 +83,7 @@ struct RecordedMessage {
   std::size_t elements = 0;     ///< payload length in field elements
   std::uint64_t digest = 0;     ///< running channel digest after this message
   /// Read-only view into the owning round's storage (RecordedRound::owner);
-  /// empty in header-only recordings.
+  /// empty in profile recordings.
   std::span<const Fld> payload;
 };
 
@@ -131,12 +128,15 @@ struct Recording {
   static constexpr std::size_t kVersion = 2;
 
   std::size_t n = 0;
-  bool payloads = true;    ///< full fidelity vs. headers + digests only
-  bool digests = true;     ///< false = profile fidelity (headers only)
+  bool full = true;        ///< false = profile fidelity (headers only)
   json::Value provenance;  ///< provenance::collect() at record time
   json::Value config;      ///< caller-supplied (protocol, seeds, fault plan)
   std::vector<RecordedRound> rounds;
   std::uint64_t final_digest = Digest64().value();
+
+  /// The fidelity tier's name, "full" or "profile": the JSON `fidelity`
+  /// tag and what tools print.
+  const char* fidelity() const { return full ? "full" : "profile"; }
 
   json::Value to_json() const;
   /// Strict parse; on failure returns nullopt and, when `error` is
@@ -155,11 +155,10 @@ struct Recording {
 /// the round, so recording composes with any adversary/fault/lane-count
 /// configuration without perturbing it.
 struct RecorderOptions {
-  bool payloads = true;  ///< false = header coords + digests only
-  bool digests = true;   ///< false = profile fidelity (implies !payloads)
+  bool full = true;  ///< false = profile fidelity
 
   /// Profile fidelity: headers + round profiles, zero per-element work.
-  static RecorderOptions profile() { return {false, false}; }
+  static RecorderOptions profile() { return {false}; }
 };
 
 class Recorder : public RoundObserver {

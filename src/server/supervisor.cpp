@@ -22,14 +22,11 @@ const char* session_state_name(SessionState state) {
 
 std::size_t RetryPolicy::backoff_waves(std::size_t attempt) const {
   GFOR14_EXPECTS(attempt >= 1);
-  if (backoff_base == 0) return 0;
-  // min(base << (attempt - 1), cap), shift-overflow safe: once the shifted
-  // value would pass the cap the cap wins, so clamp the exponent first.
+  // min(1 << (attempt - 1), cap): 1 << 3 already is the cap, so no larger
+  // shift is ever taken.
+  static_assert(kBackoffCap == std::size_t{1} << 3);
   const std::size_t shift = attempt - 1;
-  if (shift >= 63) return backoff_cap;
-  const std::size_t raw = backoff_base << shift;
-  const bool overflowed = (raw >> shift) != backoff_base;
-  return overflowed ? backoff_cap : std::min(raw, backoff_cap);
+  return shift >= 3 ? kBackoffCap : std::size_t{1} << shift;
 }
 
 std::optional<std::size_t> chaos_crash_round(const ChaosOptions& chaos,
@@ -40,8 +37,8 @@ std::optional<std::size_t> chaos_crash_round(const ChaosOptions& chaos,
   const std::size_t every = chaos.every == 0 ? 1 : chaos.every;
   if (session_id % every != 0) return std::nullopt;
   if (attempt >= chaos.crash_attempts) return std::nullopt;
-  const std::size_t lo = std::max<std::size_t>(chaos.min_round, 1);
-  const std::size_t hi = std::max(chaos.max_round, lo + 1);
+  constexpr std::size_t lo = ChaosOptions::kMinRound;
+  constexpr std::size_t hi = ChaosOptions::kMaxRound;
   // A chaos-private lineage (master xor a fixed tag) so injecting crashes
   // never perturbs any session's own Rng stream; forked by (id, attempt + 1)
   // the round is a pure function of the schedule coordinates.

@@ -26,8 +26,8 @@
 //    run_wave() runs every eligible admitted session (admission order)
 //    across the thread pool behind one barrier, then schedules retries.
 //    A failed attempt with budget left re-enters the queue at wave
-//    `current + 1 + min(backoff_base << (attempt-1), backoff_cap)` — capped
-//    logical exponential backoff, measured in waves, not wall time. Retries
+//    `current + 1 + min(1 << (attempt-1), 8)` — capped logical
+//    exponential backoff, measured in waves, not wall time. Retries
 //    draw a fresh Rng lineage derive_seeds(master_seed, id, attempt).
 //    Because failure is a pure function of (config, master_seed, attempt,
 //    policy) and wave arithmetic never consults the clock, a fixed
@@ -71,11 +71,11 @@ const char* session_state_name(SessionState state);
 /// rounds, deliveries), so failures replay with the schedule. Retries always
 /// run with the session's fault plan cleared (AttemptSpec::attempt).
 struct RetryPolicy {
+  /// Waves to wait before retry k is eligible: min(1 << (k-1), 8).
+  static constexpr std::size_t kBackoffCap = 8;
+
   /// Total attempts per session (1 = no retry).
   std::size_t max_attempts = 3;
-  /// Waves to wait before retry k is eligible: min(base << (k-1), cap).
-  std::size_t backoff_base = 1;
-  std::size_t backoff_cap = 8;
   /// Per-attempt round budget (Network watchdog); 0 = unlimited.
   std::size_t round_budget = 0;
   /// Minimum honest deliveries for success; 0 = off.
@@ -90,14 +90,15 @@ struct RetryPolicy {
 /// early attempts. The crash round is a pure function of
 /// (master_seed, session_id, attempt), so chaos replays with the schedule.
 struct ChaosOptions {
+  /// Crash round drawn uniformly from [kMinRound, kMaxRound).
+  static constexpr std::size_t kMinRound = 2;
+  static constexpr std::size_t kMaxRound = 10;
+
   bool enabled = false;
   /// Sessions with id % every == 0 crash (every = 1 crashes all).
   std::size_t every = 3;
   /// Inject only on attempts < crash_attempts (so retries can succeed).
   std::size_t crash_attempts = 1;
-  /// Crash round drawn uniformly from [min_round, max_round).
-  std::size_t min_round = 2;
-  std::size_t max_round = 10;
 };
 
 /// The crash round chaos would inject for (session, attempt), or nullopt.

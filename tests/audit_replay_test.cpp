@@ -6,8 +6,8 @@
 // loaded-payload ledger, loader strictness, replay verification of a
 // faulty adversarial run at 1 and 4 worker lanes, the first-divergence
 // report for a deliberately perturbed recording (exact round/channel/byte
-// coordinates), header-only recordings certifying identity through digests
-// alone, the Chrome trace-event exporter, the BENCH_*.json regression
+// coordinates), digest-only witnesses and mixed-fidelity diffs, the Chrome
+// trace-event exporter, the BENCH_*.json regression
 // diff, and the gfor14-audit report renderers.
 #include <gtest/gtest.h>
 
@@ -135,7 +135,7 @@ TEST(RecorderFormat, HexU64RoundTripsAndRejectsJunk) {
 /// rushing share-corrupting adversary — the richest configuration the
 /// recorder has to capture (payloads + tampers + faults + blames).
 net::Recording record_run(std::uint64_t seed, std::size_t threads,
-                          bool payloads = true) {
+                          net::Recorder::Options opt = {}) {
   net::Network net(5, seed);
   net.set_threads(threads);
   net.corrupt_first(1);
@@ -143,8 +143,7 @@ net::Recording record_run(std::uint64_t seed, std::size_t threads,
   net::FaultPlan plan;
   plan.corrupt_element(2, 0, net::kAllReceivers, 2).drop(4, 0, 2);
   net.attach_faults(std::make_shared<net::FaultEngine>(plan, seed));
-  auto recorder = std::make_shared<net::Recorder>(
-      net::Recorder::Options{payloads});
+  auto recorder = std::make_shared<net::Recorder>(opt);
   net.attach_observer(recorder);
   auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
   anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(5, 3));
@@ -181,7 +180,7 @@ TEST(Recorder, CapturesMessagesTampersAndFaults) {
   const net::Recording rec = record_run(2014, 1);
   ASSERT_FALSE(rec.rounds.empty());
   EXPECT_EQ(rec.n, 5u);
-  EXPECT_TRUE(rec.payloads);
+  EXPECT_TRUE(rec.full);
   EXPECT_NE(rec.final_digest, Digest64().value());
   std::size_t messages = 0, tampers = 0, faults = 0;
   for (const auto& r : rec.rounds) {
@@ -364,8 +363,31 @@ TEST(RecorderLifetime, LoadedRoundStorageLivesUntilLastSharingRecording) {
 
 // --- loader strictness -----------------------------------------------------
 
+TEST(RecorderFormat, FidelityNameRoundTripsThroughJson) {
+  const net::Recording full = record_run(11, 1);
+  const net::Recording profile =
+      record_run(11, 1, net::Recorder::Options::profile());
+  for (const auto& [rec, name] :
+       {std::pair{&full, "full"}, std::pair{&profile, "profile"}}) {
+    EXPECT_STREQ(rec->fidelity(), name);
+    const json::Value doc = rec->to_json();
+    ASSERT_TRUE(doc.find("fidelity") != nullptr);
+    EXPECT_EQ(doc.find("fidelity")->as_string(), name);
+    std::string error;
+    const auto back = net::Recording::from_json(doc, &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_STREQ(back->fidelity(), name);
+  }
+  // There is no third tier.
+  json::Value doc = profile.to_json();
+  doc.set("fidelity", "headers");
+  std::string error;
+  EXPECT_FALSE(net::Recording::from_json(doc, &error).has_value());
+  EXPECT_EQ(error, "unknown 'fidelity' value");
+}
+
 TEST(RecorderFormat, VersionOneIsRejected) {
-  const net::Recording rec = record_run(11, 1, /*payloads=*/false);
+  const net::Recording rec = record_run(11, 1);
   json::Value doc = rec.to_json();
   doc.set("version", 1);
   std::string error;
@@ -374,7 +396,10 @@ TEST(RecorderFormat, VersionOneIsRejected) {
 }
 
 TEST(RecorderFormat, TamperAndFaultChannelFlagsMustBeBooleans) {
-  const net::Recording rec = record_run(2014, 1, /*payloads=*/false);
+  // The side logs are the same at both tiers; a profile recording keeps
+  // each of the many re-parses below small.
+  const net::Recording rec =
+      record_run(2014, 1, net::Recorder::Options::profile());
   const std::string good = rec.to_json().dump();
   {
     std::string error;
@@ -509,17 +534,11 @@ TEST(ReplayVerifier, TruncatedRecordingIsReportedByFinish) {
   EXPECT_NE(divergence->description.find("rounds"), std::string::npos);
 }
 
-TEST(ReplayVerifier, HeaderOnlyRecordingCertifiesIdentityViaDigests) {
-  const net::Recording full = record_run(606, 1, /*payloads=*/true);
-  net::Recording headers = record_run(606, 1, /*payloads=*/false);
-  EXPECT_FALSE(headers.payloads);
-  for (const auto& r : headers.rounds)
-    for (const auto& m : r.messages) EXPECT_TRUE(m.payload.empty());
-  // Same run, same digests — including the final transcript digest.
-  EXPECT_EQ(full.final_digest, headers.final_digest);
-  // Perturbing a digest in a header-only recording is caught, with the
-  // digest as witness (no byte offset available).
-  auto bad = headers;
+TEST(ReplayVerifier, DigestOnlyMismatchHasNoByteOffset) {
+  // A message whose payload bytes agree but whose channel digest does not
+  // is caught with the digest as witness (no byte offset to report).
+  const net::Recording rec = record_run(606, 1);
+  auto bad = rec;
   bool flipped = false;
   for (auto& r : bad.rounds) {
     for (auto& m : r.messages)
@@ -531,10 +550,31 @@ TEST(ReplayVerifier, HeaderOnlyRecordingCertifiesIdentityViaDigests) {
     if (flipped) break;
   }
   ASSERT_TRUE(flipped);
-  const auto d = audit::first_divergence(headers, bad);
+  const auto d = audit::first_divergence(rec, bad);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->byte_offset, audit::Divergence::kUnknownOffset);
-  EXPECT_NE(d->description.find("digest"), std::string::npos);
+  EXPECT_NE(d->description.find("channel digest differs"), std::string::npos)
+      << d->format();
+}
+
+TEST(ReplayVerifier, MixedFidelityDiffReportsTheTiersNotAPayload) {
+  // One run recorded at both tiers: the message streams agree, but a
+  // profile recording holds no payload or digest, so the diff must name
+  // the tier mismatch instead of a phantom payload difference.
+  const net::Recording full = record_run(707, 1);
+  const net::Recording profile =
+      record_run(707, 1, net::Recorder::Options::profile());
+  ASSERT_EQ(full.rounds.size(), profile.rounds.size());
+  for (const auto& [a, b] : {std::pair{&full, &profile},
+                             std::pair{&profile, &full}}) {
+    const auto d = audit::first_divergence(*a, *b);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->round, 0u);
+    EXPECT_EQ(d->byte_offset, audit::Divergence::kUnknownOffset);
+    EXPECT_EQ(d->description, std::string("fidelity differs: ") +
+                                  a->fidelity() + " vs " + b->fidelity());
+  }
+  EXPECT_FALSE(audit::first_divergence(profile, profile).has_value());
 }
 
 TEST(ReplayVerifier, RecordingsFromDifferentLaneCountsAreIdentical) {

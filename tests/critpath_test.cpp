@@ -137,10 +137,8 @@ TEST(CritPath, ProfileFidelityRecordingsProfileIdenticallyToFullOnes) {
   const net::Recording profile =
       record_run(2014, 1, net::Recorder::Options::profile());
 
-  EXPECT_TRUE(full.payloads);
-  EXPECT_TRUE(full.digests);
-  EXPECT_FALSE(profile.payloads);
-  EXPECT_FALSE(profile.digests);
+  EXPECT_TRUE(full.full);
+  EXPECT_FALSE(profile.full);
   for (const auto& round : profile.rounds)
     for (const auto& m : round.messages) {
       EXPECT_EQ(m.digest, 0u);
@@ -162,8 +160,7 @@ TEST(CritPath, ProfileFidelityRecordingsProfileIdenticallyToFullOnes) {
   EXPECT_EQ(doc.find("fidelity")->as_string(), "profile");
   const auto back = net::Recording::from_json(doc, &error);
   ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_FALSE(back->payloads);
-  EXPECT_FALSE(back->digests);
+  EXPECT_FALSE(back->full);
   const auto c = audit::analyze(*back, &error);
   ASSERT_TRUE(c.has_value()) << error;
   EXPECT_EQ(b->to_json(false).dump(2), c->to_json(false).dump(2));

@@ -723,7 +723,7 @@ void check_golden(SchemeKind kind, const std::uint64_t (&expected)[5]) {
   for (std::size_t ci = 0; ci < 5; ++ci) {
     const net::Recording one = golden_share_recording(kind, cases[ci], 1);
     const net::Recording four = golden_share_recording(kind, cases[ci], 4);
-    ASSERT_TRUE(one.payloads);
+    ASSERT_TRUE(one.full);
     EXPECT_EQ(one.final_digest, four.final_digest)
         << scheme_name(kind) << " case " << ci;
     EXPECT_EQ(one.final_digest, v2_transcript_digest(one))
