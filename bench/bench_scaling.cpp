@@ -71,8 +71,7 @@ void print_tables() {
         // Representative per-round series for the artifact's telemetry
         // block: deterministic counters only, sampled every round.
         sampler = std::make_shared<telemetry::TelemetrySampler>(
-            net.registry_shared(),
-            telemetry::TelemetrySampler::Options{1, 512});
+            net.registry_shared());
         net.attach_observer(sampler);
       }
       auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
@@ -204,8 +203,7 @@ void print_tables() {
         metrics::RegistryAttachment attach(scope);
         net::Network net(n, 14);
         auto sampler = std::make_shared<telemetry::TelemetrySampler>(
-            net.registry_shared(),
-            telemetry::TelemetrySampler::Options{1, 512});
+            net.registry_shared());
         net.attach_observer(sampler);
         auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
         anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(n, 2));
@@ -264,8 +262,7 @@ void print_tables() {
             net::Recorder::Options::profile());
         net.attach_observer(recorder);
         auto sampler = std::make_shared<telemetry::TelemetrySampler>(
-            net.registry_shared(),
-            telemetry::TelemetrySampler::Options{1, 512});
+            net.registry_shared());
         net.attach_observer(sampler);
         auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
         anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(n, 2));

@@ -37,11 +37,9 @@
 // `gfor14_cli ... --telemetry PATH` or the `telemetry` block of a schema-3
 // bench artifact.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "audit/bench_diff.hpp"
@@ -125,85 +123,65 @@ int run_diff(const std::string& a_path, const std::string& b_path) {
   return 0;
 }
 
-/// "KEY=NUMBER[,KEY=NUMBER...]" -> (key, value) pairs, the grammar shared by
-/// --gate ("net.alloc.bytes=25", percent) and --max ("wall_ms=2000",
-/// absolute). Nullopt on malformed input.
-std::optional<std::vector<std::pair<std::string, double>>> parse_key_values(
-    const std::string& spec) {
-  std::vector<std::pair<std::string, double>> out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    const std::size_t eq = item.rfind('=');
-    double value = 0.0;
-    if (eq == std::string::npos || eq == 0 ||
-        !parse_double_strict(item.substr(eq + 1), value))
-      return std::nullopt;
-    out.emplace_back(item.substr(0, eq), value);
-    pos = comma + 1;
-  }
-  if (out.empty()) return std::nullopt;
-  return out;
+/// A "KEY=NUMBER[,KEY=NUMBER...]" flag: --gate ("net.alloc.bytes=25",
+/// positive percent) or --max ("wall_ms=2000", absolute). Appends one
+/// {key, number / divisor} per pair.
+template <typename Spec>
+FlagHandler key_values_flag(std::vector<Spec>& out, double divisor,
+                            bool positive) {
+  return [&out, divisor, positive](const std::string& flag,
+                                   const std::string& spec) {
+    std::size_t pos = 0;
+    do {
+      std::size_t comma = spec.find(',', pos);
+      if (comma == std::string::npos) comma = spec.size();
+      const std::string item = spec.substr(pos, comma - pos);
+      const std::size_t eq = item.rfind('=');
+      double value = 0.0;
+      if (eq == std::string::npos || eq == 0 ||
+          !parse_double_strict(item.substr(eq + 1), value) ||
+          (positive && value <= 0.0))
+        return complain("invalid value '%s' for %s (expected KEY=NUMBER"
+                        "[,...])",
+                        spec.c_str(), flag.c_str());
+      out.push_back({item.substr(0, eq), value / divisor});
+      pos = comma + 1;
+    } while (pos < spec.size());
+    return true;
+  };
 }
 
 int run_bench_diff(int argc, char** argv) {
-  if (argc < 4) return usage();
-  double threshold = 0.2;
+  double threshold_pct = 20.0;
   std::vector<audit::GateSpec> gates;
   std::vector<audit::CeilingSpec> ceilings;
-  for (int i = 4; i < argc; i += 2) {
-    if (i + 1 >= argc) return usage();  // a flag without its value
-    if (std::string(argv[i]) == "--threshold") {
-      if (!parse_double_strict(argv[i + 1], threshold)) return usage();
-      threshold /= 100.0;
-    } else if (std::string(argv[i]) == "--gate") {
-      const auto parsed = parse_key_values(argv[i + 1]);
-      if (!parsed) return usage();
-      for (const auto& [key, pct] : *parsed) {
-        if (pct <= 0.0) return usage();
-        gates.push_back({key, pct / 100.0});
-      }
-    } else if (std::string(argv[i]) == "--max") {
-      const auto parsed = parse_key_values(argv[i + 1]);
-      if (!parsed) return usage();
-      for (const auto& [key, max] : *parsed) ceilings.push_back({key, max});
-    } else {
-      return usage();
-    }
-  }
-  if (threshold <= 0.0) return usage();
+  const FlagTable flags = {
+      {"--threshold", real_flag(threshold_pct, true)},
+      {"--gate", key_values_flag(gates, 100.0, true)},
+      {"--max", key_values_flag(ceilings, 1.0, false)},
+  };
+  if (argc < 4 || !parse_flags(flags, argc, argv, 4)) return usage();
   const auto base = load_json(argv[2]);
   const auto cand = load_json(argv[3]);
   if (!base || !cand) return 1;
-  const auto result =
-      audit::bench_diff(*base, *cand, threshold, gates, ceilings);
+  const auto result = audit::bench_diff(*base, *cand, threshold_pct / 100.0,
+                                        gates, ceilings);
   std::printf("%s", result.format().c_str());
   return result.has_regression() ? 3 : 0;
 }
 
 /// The widest waterfall --width accepted (six digits).
-constexpr std::uint64_t kMaxWaterfallWidth = 999999;
+constexpr std::size_t kMaxWaterfallWidth = 999999;
 
 int run_critpath(int argc, char** argv, bool waterfall) {
-  if (argc < 3) return usage();
   bool with_wall = false;
   std::size_t width = 48;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (!waterfall && arg == "--wall") {
-      with_wall = true;
-    } else if (waterfall && arg == "--width" && i + 1 < argc) {
-      std::uint64_t value = 0;
-      if (!parse_u64_strict(argv[++i], value) || value == 0 ||
-          value > kMaxWaterfallWidth)
-        return usage();
-      width = static_cast<std::size_t>(value);
-    } else {
-      return usage();
-    }
-  }
+  FlagTable flags;
+  if (waterfall)
+    flags.emplace("--width", count_flag(width, 1, kMaxWaterfallWidth));
+  else
+    flags.emplace("--wall", switch_flag(with_wall));
+  if (argc < 3 || !parse_flags(flags, argc, argv, 3)) return usage();
   const auto rec = load_recording(argv[2]);
   if (!rec) return 1;
   std::string error;

@@ -89,14 +89,11 @@
 // party 0, which is marked corrupt).
 #include <atomic>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <cstdlib>
-#include <functional>
-#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "anonchan/anonchan.hpp"
 #include "anonchan/attacks.hpp"
@@ -132,6 +129,8 @@ struct Options {
   std::string metrics_path;  // "-" = stdout, "" = off
   std::size_t threads = 0;   // 0 = keep the GFOR14_THREADS / serial default
   std::string faults;        // fault plan spec, "" = no fault injection
+  net::FaultPlan fault_plan;  // `faults`, parsed
+  // --fault-seed, else GFOR14_FAULT_SEED, else --seed (resolved by parse).
   std::uint64_t fault_seed = 0;
   bool fault_seed_set = false;
   std::string record_path;        // flight-record into this file, "" = off
@@ -183,30 +182,6 @@ int usage() {
   return 2;
 }
 
-bool parse_size_strict(const std::string& value, std::size_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64_strict(value, v)) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
-/// Prints a one-line diagnostic and returns false (parse() convention:
-/// main() follows the message with the usage text and exits non-zero).
-bool complain(const char* fmt_str, ...) {
-  std::va_list args;
-  va_start(args, fmt_str);
-  std::fprintf(stderr, "error: ");
-  std::vfprintf(stderr, fmt_str, args);
-  std::fprintf(stderr, "\n");
-  va_end(args);
-  return false;
-}
-
-bool complain_number(const std::string& key, const std::string& value) {
-  return complain("invalid value '%s' for %s (expected an unsigned integer)",
-                  value.c_str(), key.c_str());
-}
-
 /// The run-shape bounds shared by the live parser and replay: n in [3, 32],
 /// kappa in [1, 32], receiver < n (an unset receiver defaults to n - 1).
 /// `prefix` names where the values came from ("--" flags or "config."
@@ -224,23 +199,34 @@ bool check_shape(Options& opt, const char* prefix) {
   return true;
 }
 
-using FlagHandler =
-    std::function<bool(const std::string& key, const std::string& value)>;
+/// The --scheme names.
+constexpr std::pair<const char*, vss::SchemeKind> kSchemes[] = {
+    {"rb", vss::SchemeKind::kRB},
+    {"bgw", vss::SchemeKind::kBGW},
+    {"ggor", vss::SchemeKind::kGGOR13},
+};
 
-/// Every value-taking flag, bound to the fields of `opt` it sets. The live
-/// parser and `replay` both read flags through this one table, so each
-/// flag's checks are written once.
-std::map<std::string, FlagHandler> value_flags(Options& opt) {
-  // An unsigned integer of at least `min`.
-  const auto count = [](std::size_t& field, std::size_t min) -> FlagHandler {
-    return [&field, min](const std::string& key, const std::string& v) {
-      if (!parse_size_strict(v, field)) return complain_number(key, v);
-      if (field < min)
-        return complain("%s must be at least %zu (got '%s')", key.c_str(),
-                        min, v.c_str());
-      return true;
-    };
-  };
+const char* scheme_str(vss::SchemeKind kind) {
+  for (const auto& [name, k] : kSchemes)
+    if (k == kind) return name;
+  return "rb";
+}
+
+std::shared_ptr<anonchan::SenderStrategy> make_attack(const std::string& name) {
+  if (name == "dense") return std::make_shared<anonchan::DenseVectorAttack>();
+  if (name == "unequal")
+    return std::make_shared<anonchan::UnequalEntriesAttack>();
+  if (name == "wrongcopy") return std::make_shared<anonchan::WrongCopyAttack>();
+  if (name == "guessing") return std::make_shared<anonchan::GuessingAttack>();
+  if (name == "zero") return std::make_shared<anonchan::ZeroVectorAttack>();
+  if (name == "fixed") return std::make_shared<anonchan::FixedPositionSender>();
+  return nullptr;
+}
+
+/// Every flag, bound to the fields of `opt` it sets. The live parser,
+/// `replay`'s flags and the recorded config fields replay reads all go
+/// through this one table, so each option's checks are written once.
+FlagTable value_flags(Options& opt) {
   // N >= 1, or "hw" for one per hardware thread.
   const auto workers = [](std::size_t& field) -> FlagHandler {
     return [&field](const std::string& key, const std::string& v) {
@@ -257,97 +243,85 @@ std::map<std::string, FlagHandler> value_flags(Options& opt) {
       return true;
     };
   };
-  const auto seed = [](std::uint64_t& field) -> FlagHandler {
-    return [&field](const std::string& key, const std::string& v) {
-      return parse_u64_strict(v, field) || complain_number(key, v);
-    };
-  };
-  const auto text = [](std::string& field) -> FlagHandler {
-    return [&field](const std::string&, const std::string& v) {
-      field = v;
-      return true;
-    };
-  };
-  // A finite decimal in (0, max] when `positive`, else [0, max].
-  const auto real = [](double& field, bool positive,
-                       double max) -> FlagHandler {
-    return [&field, positive, max](const std::string& key,
-                                   const std::string& v) {
-      if (!parse_double_strict(v, field) || field < 0.0 ||
-          (positive && field == 0.0) || field > max)
-        return complain("invalid value '%s' for %s", v.c_str(), key.c_str());
-      return true;
-    };
-  };
-  const double any = HUGE_VAL;
   return {
-      {"--n", count(opt.n, 0)},
-      {"--kappa", count(opt.kappa, 0)},
-      {"--receiver", count(opt.receiver, 0)},
-      {"--seed", seed(opt.seed)},
+      {"--n", count_flag(opt.n, 0)},
+      {"--kappa", count_flag(opt.kappa, 0)},
+      {"--receiver", count_flag(opt.receiver, 0)},
+      {"--seed", seed_flag(opt.seed)},
       {"--scheme",
-       [&opt](const std::string&, const std::string& v) {
-         if (v == "rb") opt.scheme = vss::SchemeKind::kRB;
-         else if (v == "bgw") opt.scheme = vss::SchemeKind::kBGW;
-         else if (v == "ggor") opt.scheme = vss::SchemeKind::kGGOR13;
-         else
-           return complain("unknown --scheme '%s' (expected rb|bgw|ggor)",
-                           v.c_str());
+       [&opt](const std::string& key, const std::string& v) {
+         for (const auto& [name, kind] : kSchemes)
+           if (v == name) {
+             opt.scheme = kind;
+             return true;
+           }
+         return complain("unknown %s '%s' (expected rb|bgw|ggor)",
+                         key.c_str(), v.c_str());
+       }},
+      {"--attack",
+       [&opt](const std::string& key, const std::string& v) {
+         if (!v.empty() && !make_attack(v))
+           return complain("unknown %s '%s' (expected dense|unequal|"
+                           "wrongcopy|guessing|zero|fixed)",
+                           key.c_str(), v.c_str());
+         opt.attack = v;
          return true;
        }},
-      {"--attack", text(opt.attack)},
-      {"--trace", text(opt.trace_path)},
-      {"--metrics", text(opt.metrics_path)},
+      {"--trace", text_flag(opt.trace_path)},
+      {"--metrics", text_flag(opt.metrics_path)},
       {"--threads", workers(opt.threads)},
-      {"--faults", text(opt.faults)},
+      {"--faults",
+       [&opt](const std::string& key, const std::string& v) {
+         std::string error;
+         auto plan = net::FaultPlan::parse(v, &error);
+         if (!plan)
+           return complain("invalid value for %s: %s", key.c_str(),
+                           error.c_str());
+         opt.faults = v;
+         opt.fault_plan = std::move(*plan);
+         return true;
+       }},
       {"--fault-seed",
-       [&opt, parse = seed(opt.fault_seed)](const std::string& key,
-                                            const std::string& v) {
+       [&opt, parse = seed_flag(opt.fault_seed)](const std::string& key,
+                                                 const std::string& v) {
          opt.fault_seed_set = true;
          return parse(key, v);
        }},
-      {"--record", text(opt.record_path)},
-      {"--chrome-trace", text(opt.chrome_trace_path)},
-      {"--telemetry", text(opt.telemetry_path)},
-      {"--prom", text(opt.prom_path)},
-      {"--sample-every", count(opt.sample_every, 1)},
-      {"--sessions", count(opt.sessions, 1)},
+      {"--record", text_flag(opt.record_path)},
+      {"--chrome-trace", text_flag(opt.chrome_trace_path)},
+      {"--telemetry", text_flag(opt.telemetry_path)},
+      {"--prom", text_flag(opt.prom_path)},
+      {"--sample-every", count_flag(opt.sample_every, 1)},
+      {"--top", switch_flag(opt.top)},
+      {"--sessions", count_flag(opt.sessions, 1)},
       {"--lanes", workers(opt.lanes)},
-      {"--faulty", count(opt.faulty, 0)},
-      {"--retries", count(opt.retries, 1)},
-      {"--queue-cap", count(opt.queue_cap, 1)},
-      {"--round-budget", count(opt.round_budget, 0)},
-      {"--crash-every", count(opt.crash_every, 1)},
-      {"--record-dir", text(opt.record_dir)},
-      {"--slo-round-wall-p95", real(opt.slo.round_wall_p95_us, true, any)},
-      {"--slo-min-mps", real(opt.slo.min_messages_per_sec, true, any)},
-      {"--slo-max-retry-rate", real(opt.slo.max_retry_rate, false, any)},
-      {"--slo-min-honest", real(opt.slo.min_honest_delivery, false, 1.0)},
+      {"--faulty", count_flag(opt.faulty, 0)},
+      {"--verify", switch_flag(opt.verify)},
+      {"--churn", switch_flag(opt.churn)},
+      {"--retries", count_flag(opt.retries, 1)},
+      {"--queue-cap", count_flag(opt.queue_cap, 1)},
+      {"--round-budget", count_flag(opt.round_budget, 0)},
+      {"--crash-every", count_flag(opt.crash_every, 1)},
+      {"--record-dir", text_flag(opt.record_dir)},
+      {"--slo-round-wall-p95", real_flag(opt.slo.round_wall_p95_us, true)},
+      {"--slo-min-mps", real_flag(opt.slo.min_messages_per_sec, true)},
+      {"--slo-max-retry-rate", real_flag(opt.slo.max_retry_rate, false)},
+      {"--slo-min-honest", real_flag(opt.slo.min_honest_delivery, false, 1.0)},
   };
-}
-
-/// Reads the value flag argv[i] and its value through `flags`, advancing i
-/// past the value. False, with a diagnostic, on an unknown flag, a missing
-/// value or a value the flag rejects.
-bool take_value_flag(const std::map<std::string, FlagHandler>& flags,
-                     int argc, char** argv, int& i) {
-  const std::string key = argv[i];
-  const auto it = flags.find(key);
-  if (it == flags.end()) return complain("unknown option '%s'", key.c_str());
-  if (i + 1 >= argc) return complain("%s requires a value", key.c_str());
-  return it->second(key, argv[++i]);
 }
 
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return complain("missing command");
   opt.command = argv[1];
-  const auto flags = value_flags(opt);
-  for (int i = 2; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--top") opt.top = true;  // valueless flags
-    else if (key == "--verify") opt.verify = true;
-    else if (key == "--churn") opt.churn = true;
-    else if (!take_value_flag(flags, argc, argv, i)) return false;
+  if (!parse_flags(value_flags(opt), argc, argv, 2)) return false;
+  if (!opt.fault_seed_set) {
+    std::string bad;
+    const auto seed = net::fault_seed_from_env(opt.seed, &bad);
+    if (!seed)
+      return complain("invalid value '%s' for GFOR14_FAULT_SEED (expected "
+                      "an unsigned integer)",
+                      bad.c_str());
+    opt.fault_seed = *seed;
   }
   if (opt.threads != 0) set_default_threads(opt.threads);
   if (!check_shape(opt, "--")) return false;
@@ -357,17 +331,6 @@ bool parse(int argc, char** argv, Options& opt) {
   return true;
 }
 
-std::shared_ptr<anonchan::SenderStrategy> make_attack(const std::string& name) {
-  if (name == "dense") return std::make_shared<anonchan::DenseVectorAttack>();
-  if (name == "unequal")
-    return std::make_shared<anonchan::UnequalEntriesAttack>();
-  if (name == "wrongcopy") return std::make_shared<anonchan::WrongCopyAttack>();
-  if (name == "guessing") return std::make_shared<anonchan::GuessingAttack>();
-  if (name == "zero") return std::make_shared<anonchan::ZeroVectorAttack>();
-  if (name == "fixed") return std::make_shared<anonchan::FixedPositionSender>();
-  return nullptr;
-}
-
 void print_costs(const net::CostReport& c) {
   std::printf("costs: %zu rounds | %zu broadcast rounds | %zu broadcast "
               "invocations | %zu p2p messages | %zu field elements\n",
@@ -375,51 +338,22 @@ void print_costs(const net::CostReport& c) {
               c.p2p_messages, c.p2p_elements);
 }
 
-/// Parses --faults, marks every targeted sender corrupt and attaches a
+/// Marks every sender the --faults plan targets corrupt and attaches a
 /// FaultEngine seeded per --fault-seed / GFOR14_FAULT_SEED / --seed.
-/// Returns the engine (null when no faults were requested), or exits with
-/// a diagnostic on a malformed spec.
+/// Returns the engine, or null when no faults were requested.
 std::shared_ptr<net::FaultEngine> attach_faults(net::Network& net,
                                                 const Options& opt) {
-  if (opt.faults.empty()) return nullptr;
-  std::string error;
-  const auto plan = net::FaultPlan::parse(opt.faults, &error);
-  if (!plan) {
-    std::fprintf(stderr, "bad --faults: %s\n", error.c_str());
-    std::exit(2);
-  }
-  std::uint64_t seed = opt.seed;
-  if (opt.fault_seed_set) {
-    seed = opt.fault_seed;
-  } else if (const char* env = std::getenv("GFOR14_FAULT_SEED")) {
-    seed = std::strtoull(env, nullptr, 10);
-  }
-  for (net::PartyId p : plan->senders()) {
+  if (opt.fault_plan.empty()) return nullptr;
+  for (net::PartyId p : opt.fault_plan.senders()) {
     if (p < net.n()) net.set_corrupt(p, true);
   }
-  auto engine = std::make_shared<net::FaultEngine>(*plan, seed);
+  auto engine =
+      std::make_shared<net::FaultEngine>(opt.fault_plan, opt.fault_seed);
   net.attach_faults(engine);
   std::printf("fault plan: %zu specs, GFOR14_FAULT_SEED=%llu\n",
-              plan->specs.size(), static_cast<unsigned long long>(seed));
+              opt.fault_plan.specs.size(),
+              static_cast<unsigned long long>(opt.fault_seed));
   return engine;
-}
-
-const char* scheme_str(vss::SchemeKind kind) {
-  switch (kind) {
-    case vss::SchemeKind::kRB: return "rb";
-    case vss::SchemeKind::kBGW: return "bgw";
-    case vss::SchemeKind::kGGOR13: return "ggor";
-  }
-  return "rb";
-}
-
-/// The fault seed attach_faults() would use — recorded so a replay is
-/// immune to a different GFOR14_FAULT_SEED in the replaying environment.
-std::uint64_t effective_fault_seed(const Options& opt) {
-  if (opt.fault_seed_set) return opt.fault_seed;
-  if (const char* env = std::getenv("GFOR14_FAULT_SEED"))
-    return std::strtoull(env, nullptr, 10);
-  return opt.seed;
 }
 
 /// Everything needed to re-execute this run, embedded in the recording.
@@ -433,7 +367,7 @@ json::Value record_config(const Options& opt) {
   c.set("attack", opt.attack);
   c.set("seed", net::hex_u64(opt.seed));
   c.set("faults", opt.faults);
-  c.set("fault_seed", net::hex_u64(effective_fault_seed(opt)));
+  c.set("fault_seed", net::hex_u64(opt.fault_seed));
   return c;
 }
 
@@ -487,8 +421,7 @@ class FlightScope {
     }
     if (!opt.telemetry_path.empty() || !opt.prom_path.empty() || opt.top) {
       sampler_ = std::make_shared<telemetry::TelemetrySampler>(
-          net.registry_shared(),
-          telemetry::TelemetrySampler::Options{opt.sample_every, 512});
+          net.registry_shared(), opt.sample_every);
       net.attach_observer(sampler_);
     }
   }
@@ -553,19 +486,13 @@ std::vector<Fld> default_inputs(std::size_t n) {
 }
 
 /// Corrupts party 0 and mounts the --attack strategy on it, if one was
-/// named. False, with a diagnostic, on an unknown attack name.
-bool mount_attack(net::Network& net, anonchan::AnonChan& chan,
+/// named (the flag handler has checked the name).
+void mount_attack(net::Network& net, anonchan::AnonChan& chan,
                   const Options& opt) {
-  if (opt.attack.empty()) return true;
-  auto strategy = make_attack(opt.attack);
-  if (!strategy) {
-    std::fprintf(stderr, "unknown attack '%s'\n", opt.attack.c_str());
-    return false;
-  }
+  if (opt.attack.empty()) return;
   net.set_corrupt(0, true);
-  chan.set_strategy(0, strategy);
+  chan.set_strategy(0, make_attack(opt.attack));
   std::printf("party 0 is corrupt, mounting '%s'\n", opt.attack.c_str());
-  return true;
 }
 
 /// Prints the PASS set, then the output multiset Y under `label`.
@@ -588,7 +515,7 @@ int run_channel(const Options& opt) {
                           anonchan::Params::practical(opt.n, opt.kappa));
   std::printf("AnonChan over %s VSS, %s, receiver P%zu\n", vss->name(),
               chan.params().describe().c_str(), opt.receiver);
-  if (!mount_attack(net, chan, opt)) return 2;
+  mount_attack(net, chan, opt);
   const auto inputs = default_inputs(opt.n);
   const auto out = chan.run(opt.receiver, inputs);
   print_outcome(out, "Y");
@@ -610,7 +537,7 @@ int run_publish(const Options& opt) {
                           anonchan::Params::practical(opt.n, opt.kappa));
   std::printf("anonymous publication over %s VSS, %s\n", vss->name(),
               chan.params().describe().c_str());
-  if (!mount_attack(net, chan, opt)) return 2;
+  mount_attack(net, chan, opt);
   const auto out = chan.publish(default_inputs(opt.n));
   print_outcome(out, "published");
   print_costs(out.costs);
@@ -724,8 +651,7 @@ int run_serve(const Options& opt) {
   std::shared_ptr<telemetry::TelemetrySampler> sampler;
   if (!opt.telemetry_path.empty() || !opt.prom_path.empty() || opt.top)
     sampler = std::make_shared<telemetry::TelemetrySampler>(
-        metrics::Registry::current_shared(),
-        telemetry::TelemetrySampler::Options{opt.sample_every, 512});
+        metrics::Registry::current_shared(), opt.sample_every);
 
   std::printf("serving %zu sessions (%zu faulty%s) through a queue of %zu "
               "over %zu strands, %zu attempts each: n=%zu, %s VSS, kappa=%zu, "
@@ -868,10 +794,15 @@ class ObservabilityScope {
 };
 
 /// Reconstructs the Options a recording was made with from its config
-/// block (record_config above). The fault seed is pinned explicitly so the
-/// replaying environment's GFOR14_FAULT_SEED cannot skew the re-execution.
+/// block (record_config above). The text fields go through the live flags'
+/// handlers. The fault seed is pinned explicitly so the replaying
+/// environment's GFOR14_FAULT_SEED cannot skew the re-execution.
 bool options_from_config(const json::Value& c, Options& opt,
                          std::string* error) {
+  const auto fail = [&](const char* key) {
+    *error = std::string("config.") + key;
+    return false;
+  };
   const auto str = [&](const char* key) -> const std::string* {
     const json::Value* v = c.find(key);
     return v && v->is_string() ? &v->as_string() : nullptr;
@@ -887,33 +818,32 @@ bool options_from_config(const json::Value& c, Options& opt,
     out = static_cast<std::size_t>(d);
     return true;
   };
+  const auto hex = [&](const char* key, std::uint64_t& out) {
+    const auto* s = str(key);
+    const auto v = s ? net::parse_hex_u64(*s) : std::nullopt;
+    if (v) out = *v;
+    return v.has_value();
+  };
+  // An absent text field is a flag the run was not given.
+  const auto flags = value_flags(opt);
+  const auto text = [&](const char* key, const char* flag) {
+    const json::Value* v = c.find(key);
+    return !v || (v->is_string() &&
+                  flags.at(flag).handle(std::string("config.") + key,
+                                        v->as_string()));
+  };
   if (const auto* s = str("command")) opt.command = *s;
-  else { *error = "config.command"; return false; }
-  if (!c.find("n") || !count("n", opt.n)) { *error = "config.n"; return false; }
-  if (!count("kappa", opt.kappa)) { *error = "config.kappa"; return false; }
-  if (!count("receiver", opt.receiver)) {
-    *error = "config.receiver";
-    return false;
-  }
-  if (const auto* s = str("scheme")) {
-    if (*s == "rb") opt.scheme = vss::SchemeKind::kRB;
-    else if (*s == "bgw") opt.scheme = vss::SchemeKind::kBGW;
-    else if (*s == "ggor") opt.scheme = vss::SchemeKind::kGGOR13;
-    else { *error = "config.scheme"; return false; }
-  }
-  if (const auto* s = str("attack")) opt.attack = *s;
-  if (const auto* s = str("seed")) {
-    const auto v = net::parse_hex_u64(*s);
-    if (!v) { *error = "config.seed"; return false; }
-    opt.seed = *v;
-  } else { *error = "config.seed"; return false; }
-  if (const auto* s = str("faults")) opt.faults = *s;
-  if (const auto* s = str("fault_seed")) {
-    const auto v = net::parse_hex_u64(*s);
-    if (!v) { *error = "config.fault_seed"; return false; }
-    opt.fault_seed = *v;
-    opt.fault_seed_set = true;
-  }
+  else return fail("command");
+  if (!c.find("n") || !count("n", opt.n)) return fail("n");
+  if (!count("kappa", opt.kappa)) return fail("kappa");
+  if (!count("receiver", opt.receiver)) return fail("receiver");
+  if (!text("scheme", "--scheme")) return fail("scheme");
+  if (!text("attack", "--attack")) return fail("attack");
+  if (!hex("seed", opt.seed)) return fail("seed");
+  if (!text("faults", "--faults")) return fail("faults");
+  opt.fault_seed = opt.seed;
+  if (c.find("fault_seed") && !hex("fault_seed", opt.fault_seed))
+    return fail("fault_seed");
   if (!check_shape(opt, "config.")) {
     *error = "run shape (n, kappa, receiver)";
     return false;
@@ -942,12 +872,10 @@ int run_replay(int argc, char** argv) {
   auto flags = value_flags(opt);
   std::erase_if(flags, [](const auto& flag) {
     return flag.first != "--threads" && flag.first != "--telemetry" &&
-           flag.first != "--prom" && flag.first != "--sample-every";
+           flag.first != "--prom" && flag.first != "--sample-every" &&
+           flag.first != "--top";
   });
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0) opt.top = true;
-    else if (!take_value_flag(flags, argc, argv, i)) return usage();
-  }
+  if (!parse_flags(flags, argc, argv, 3)) return usage();
   if (opt.threads != 0) set_default_threads(opt.threads);
   std::printf("replaying %s: command '%s', n=%zu, seed %s, %zu rounds\n",
               path.c_str(), opt.command.c_str(), opt.n,

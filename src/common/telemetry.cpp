@@ -145,17 +145,13 @@ bool deterministic_counter(const std::string& name) {
   return false;
 }
 
-TelemetrySampler::TelemetrySampler(std::shared_ptr<metrics::Registry> scope)
-    : TelemetrySampler(std::move(scope), Options{}) {}
-
 TelemetrySampler::TelemetrySampler(std::shared_ptr<metrics::Registry> scope,
-                                   Options opt)
+                                   std::size_t every)
     : scope_(std::move(scope)),
-      opt_(opt),
-      stride_(opt.every == 0 ? 1 : opt.every),
+      interval_(every == 0 ? 1 : every),
+      stride_(interval_),
       start_(std::chrono::steady_clock::now()) {
   GFOR14_EXPECTS(scope_ != nullptr);
-  if (opt_.max_snapshots < 2) opt_.max_snapshots = 2;
 }
 
 void TelemetrySampler::on_round_end(const net::Network& /*net*/,
@@ -178,7 +174,7 @@ void TelemetrySampler::take_snapshot() {
                   .count();
   s.rss_bytes = rss_bytes();
   ring_.push_back(std::move(s));
-  if (ring_.size() >= opt_.max_snapshots) {
+  if (ring_.size() >= kMaxSnapshots) {
     // Same decimation as metrics::Histogram: keep every second snapshot and
     // double the stride. Ring slot j holds round (j+1)*stride, so keeping the
     // odd slots keeps the even multiples of the old stride — exactly the
@@ -192,7 +188,7 @@ void TelemetrySampler::take_snapshot() {
 
 json::Value TelemetrySampler::deterministic_json() const {
   json::Value doc = json::Value::object();
-  doc.set("interval", static_cast<double>(opt_.every == 0 ? 1 : opt_.every));
+  doc.set("interval", static_cast<double>(interval_));
   doc.set("stride", static_cast<double>(stride_));
   doc.set("rounds", static_cast<double>(rounds_seen_));
   json::Value snaps = json::Value::array();

@@ -20,7 +20,7 @@
 //    snapshots entirely — the --metrics dump still reports them.
 //
 // Ring bound: like the metrics Histogram, the ring decimates instead of
-// growing — when max_snapshots fills, every second snapshot is dropped and
+// growing — when kMaxSnapshots fills, every second snapshot is dropped and
 // the sampling stride doubles. Kept rounds stay multiples of the effective
 // stride, so a long run keeps an evenly spaced series, deterministically.
 //
@@ -59,17 +59,14 @@ struct Snapshot {
 
 class TelemetrySampler : public net::RoundObserver {
  public:
-  struct Options {
-    std::size_t every = 1;           ///< sample every N round barriers
-    std::size_t max_snapshots = 512; ///< ring bound before decimation
-  };
+  /// Ring bound before decimation.
+  static constexpr std::size_t kMaxSnapshots = 512;
 
-  /// Watches `scope` (typically Network::registry_shared()). Attach to the
-  /// network with net.attach_observer(sampler). (Overload instead of a
-  /// default argument: `Options opt = {}` would name the nested aggregate
-  /// before its member initializers are parsed.)
-  explicit TelemetrySampler(std::shared_ptr<metrics::Registry> scope);
-  TelemetrySampler(std::shared_ptr<metrics::Registry> scope, Options opt);
+  /// Watches `scope` (typically Network::registry_shared()), sampling every
+  /// `every`-th round barrier (0 reads as 1). Attach to the network with
+  /// net.attach_observer(sampler).
+  explicit TelemetrySampler(std::shared_ptr<metrics::Registry> scope,
+                            std::size_t every = 1);
 
   void on_round_end(const net::Network& net,
                     const net::CostReport& round_delta) override;
@@ -81,7 +78,7 @@ class TelemetrySampler : public net::RoundObserver {
   void sample_wave();
 
   std::size_t rounds_seen() const { return rounds_seen_; }
-  /// Current effective sampling interval (opt.every, doubled per decimation).
+  /// Current effective sampling interval (`every`, doubled per decimation).
   std::size_t stride() const { return stride_; }
   const std::vector<Snapshot>& snapshots() const { return ring_; }
 
@@ -108,7 +105,7 @@ class TelemetrySampler : public net::RoundObserver {
   void take_snapshot();
 
   std::shared_ptr<metrics::Registry> scope_;
-  Options opt_;
+  std::size_t interval_;
   std::size_t stride_;
   std::size_t rounds_seen_ = 0;
   std::vector<Snapshot> ring_;

@@ -1,6 +1,5 @@
 #include "common/trace.hpp"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "common/expect.hpp"
@@ -59,13 +58,7 @@ struct Tracer::Sink {
   std::ofstream out;
 };
 
-Tracer::Tracer() {
-  if (const char* env = std::getenv("GFOR14_TRACE"); env && *env) {
-    enabled_ = true;
-    const std::string value(env);
-    if (value != "1" && value != "on") set_sink_path(value);
-  }
-}
+Tracer::Tracer() = default;
 
 Tracer::~Tracer() = default;
 

@@ -11,10 +11,9 @@
 // instead of reported as one opaque aggregate.
 //
 // Tracing is off by default and spans then cost one branch. Enable it
-// programmatically (Tracer::instance().set_enabled(true)), via the
-// GFOR14_TRACE environment variable (value "1" enables the in-memory tree;
-// any other value is a JSONL sink path — one JSON line per closed span),
-// or with the CLI's --trace flag.
+// programmatically (Tracer::instance().set_enabled(true)) or with the
+// CLI's --trace flag; set_sink_path() adds a JSONL sink (one JSON line per
+// closed span).
 //
 // Concurrency: the span stack is thread-local, so a span opened on a worker
 // thread of the parallel round engine nests under that thread's own spans
@@ -63,8 +62,7 @@ class Span;
 
 class Tracer {
  public:
-  /// Process-wide tracer. First access consults GFOR14_TRACE (see header
-  /// comment).
+  /// Process-wide tracer, disabled until set_enabled(true).
   static Tracer& instance();
 
   void set_enabled(bool enabled) { enabled_ = enabled; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdlib>
 #include <iterator>
 #include <set>
 #include <string_view>
@@ -11,17 +12,18 @@
 
 namespace gfor14::net {
 
+static_assert(std::size(kFaultKinds) == 7, "one row per FaultKind");
+
 const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kExtend: return "extend";
-    case FaultKind::kCorruptElement: return "corrupt_element";
-    case FaultKind::kCorruptBit: return "corrupt_bit";
-    case FaultKind::kReplayStale: return "replay_stale";
-    case FaultKind::kCrash: return "crash";
-  }
+  for (const auto& row : kFaultKinds)
+    if (row.kind == kind) return row.name;
   return "unknown";
+}
+
+std::optional<FaultKind> fault_kind_from_name(std::string_view name) {
+  for (const auto& row : kFaultKinds)
+    if (name == row.name) return row.kind;
+  return std::nullopt;
 }
 
 std::vector<PartyId> FaultPlan::senders() const {
@@ -32,21 +34,13 @@ std::vector<PartyId> FaultPlan::senders() const {
 
 namespace {
 
-bool parse_size(std::string_view text, std::size_t& out) {
+/// An unsigned decimal read whole: no sign, space, prefix or trailing text.
+template <typename T>
+bool parse_size(std::string_view text, T& out) {
   if (text.empty()) return false;
   const auto* end = text.data() + text.size();
   const auto result = std::from_chars(text.data(), end, out);
   return result.ec == std::errc{} && result.ptr == end;
-}
-
-std::optional<FaultKind> parse_kind(std::string_view name) {
-  if (name == "drop") return FaultKind::kDrop;
-  if (name == "trunc") return FaultKind::kTruncate;
-  if (name == "ext") return FaultKind::kExtend;
-  if (name == "corrupt") return FaultKind::kCorruptElement;
-  if (name == "bitflip") return FaultKind::kCorruptBit;
-  if (name == "replay") return FaultKind::kReplayStale;
-  return std::nullopt;
 }
 
 std::optional<FaultSpec> parse_entry(std::string_view entry,
@@ -57,26 +51,32 @@ std::optional<FaultSpec> parse_entry(std::string_view entry,
   };
   const std::size_t at = entry.find('@');
   if (at == std::string_view::npos) return fail("missing '@'");
-  const std::string_view kind_name = entry.substr(0, at);
+  const std::string_view token = entry.substr(0, at);
+  const auto* row = std::find_if(
+      std::begin(kFaultKinds), std::end(kFaultKinds),
+      [&](const FaultKindNames& r) { return r.token == token; });
+  if (row == std::end(kFaultKinds)) {
+    std::string want;
+    for (const auto& r : kFaultKinds)
+      want += (want.empty() ? "" : "|") + std::string(r.token);
+    return fail("unknown fault kind \"" + std::string(token) + "\" (want " +
+                want + ")");
+  }
   std::string_view rest = entry.substr(at + 1);
   const std::size_t colon = rest.find(':');
   if (colon == std::string_view::npos) return fail("missing ':' after round");
   FaultSpec spec;
+  spec.kind = row->kind;
   if (!parse_size(rest.substr(0, colon), spec.round))
     return fail("bad round number");
   rest = rest.substr(colon + 1);
 
-  if (kind_name == "crash") {
+  if (spec.kind == FaultKind::kCrash) {
     if (!parse_size(rest, spec.from)) return fail("bad crash party id");
-    spec.kind = FaultKind::kCrash;
     spec.amount = 0;
     return spec;
   }
 
-  const auto kind = parse_kind(kind_name);
-  if (!kind) return fail("unknown fault kind \"" + std::string(kind_name) +
-                         "\" (want drop|trunc|ext|corrupt|bitflip|replay)");
-  spec.kind = *kind;
   const std::size_t arrow = rest.find("->");
   if (arrow == std::string_view::npos) return fail("missing '->'");
   if (!parse_size(rest.substr(0, arrow), spec.from))
@@ -106,6 +106,16 @@ std::optional<FaultSpec> parse_entry(std::string_view entry,
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> fault_seed_from_env(std::uint64_t fallback,
+                                                 std::string* bad) {
+  const char* env = std::getenv("GFOR14_FAULT_SEED");
+  if (env == nullptr) return fallback;
+  std::uint64_t seed = 0;
+  if (parse_size(env, seed)) return seed;
+  if (bad) *bad = env;
+  return std::nullopt;
+}
 
 std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
                                           std::string* error) {

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -54,7 +55,32 @@ enum class FaultKind : std::uint8_t {
 
 enum class FaultChannel : std::uint8_t { kP2p, kBroadcast };
 
+/// The two names of each kind: its token in the FaultPlan::parse grammar
+/// and its canonical name in recordings and reports.
+struct FaultKindNames {
+  FaultKind kind;
+  std::string_view token;
+  const char* name;
+};
+inline constexpr FaultKindNames kFaultKinds[] = {
+    {FaultKind::kDrop, "drop", "drop"},
+    {FaultKind::kTruncate, "trunc", "truncate"},
+    {FaultKind::kExtend, "ext", "extend"},
+    {FaultKind::kCorruptElement, "corrupt", "corrupt_element"},
+    {FaultKind::kCorruptBit, "bitflip", "corrupt_bit"},
+    {FaultKind::kReplayStale, "replay", "replay_stale"},
+    {FaultKind::kCrash, "crash", "crash"},
+};
+
 const char* fault_kind_name(FaultKind kind);
+/// Inverse of fault_kind_name; nullopt for any other string.
+std::optional<FaultKind> fault_kind_from_name(std::string_view name);
+
+/// The GFOR14_FAULT_SEED environment override of a fault seed, a decimal
+/// u64 read whole: `fallback` when the variable is unset, nullopt (with
+/// the variable's value in `*bad` when non-null) when it is anything else.
+std::optional<std::uint64_t> fault_seed_from_env(std::uint64_t fallback,
+                                                 std::string* bad = nullptr);
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kDrop;
@@ -127,7 +153,7 @@ struct FaultPlan {
   ///   KIND@R:F->T[:AMT]              p2p fault on channel F -> T at round R
   ///   KIND@R:F->*[:AMT]              ... on every receiver of F
   ///   KIND@R:F->bcast[:AMT]          ... on F's broadcasts
-  /// with KIND in drop|trunc|ext|corrupt|bitflip|replay, e.g.
+  /// with KIND a kFaultKinds token other than crash, e.g.
   ///   "drop@3:0->2,corrupt@5:1->*:2,crash@7:0".
   static std::optional<FaultPlan> parse(const std::string& spec,
                                         std::string* error = nullptr);

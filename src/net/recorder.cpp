@@ -1,6 +1,5 @@
 #include "net/recorder.hpp"
 
-#include <array>
 #include <fstream>
 #include <sstream>
 
@@ -60,17 +59,6 @@ bool cost_report_from_json(const json::Value& v, CostReport& out) {
          field("p2p_messages", out.p2p_messages) &&
          field("p2p_elements", out.p2p_elements) &&
          field("broadcast_elements", out.broadcast_elements);
-}
-
-std::optional<FaultKind> fault_kind_from_name(std::string_view name) {
-  constexpr std::array<FaultKind, 7> kKinds = {
-      FaultKind::kDrop,           FaultKind::kTruncate,
-      FaultKind::kExtend,         FaultKind::kCorruptElement,
-      FaultKind::kCorruptBit,     FaultKind::kReplayStale,
-      FaultKind::kCrash};
-  for (FaultKind k : kKinds)
-    if (name == fault_kind_name(k)) return k;
-  return std::nullopt;
 }
 
 }  // namespace

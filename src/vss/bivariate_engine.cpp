@@ -810,18 +810,6 @@ ShareResult BivariateEngine::share_all(
 // Reconstruction
 // ---------------------------------------------------------------------------
 
-Fld BivariateEngine::committed_share_of(const LinComb& v,
-                                        net::PartyId party) const {
-  Fld acc = v.constant_term();
-  const Fld alpha = eval_point<64>(party);
-  for (const auto& [ref, coeff] : v.terms()) {
-    GFOR14_EXPECTS(ref.dealer < net_.n());
-    GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
-    acc += coeff * pools_[ref.dealer].eval_one(ref.index, alpha);
-  }
-  return acc;
-}
-
 void BivariateEngine::committed_shares_into(std::span<const LinComb> values,
                                            net::PartyId party,
                                            std::span<Fld> out) const {
@@ -832,8 +820,8 @@ void BivariateEngine::committed_shares_into(std::span<const LinComb> values,
   // total reference count. Dense-enough dealers get their whole range
   // evaluated in one batched Horner sweep (span kernels over the pool
   // planes); sparse dealers fall back to per-index Horner. Either way each
-  // share value is the same Horner recurrence, so the sums below are
-  // bit-identical to the scalar committed_share_of path.
+  // share value is the same Horner recurrence, so both paths give
+  // bit-identical sums.
   struct DealerStats {
     std::size_t refs = 0;
     std::size_t lo = ~std::size_t{0};
@@ -896,45 +884,10 @@ std::vector<Fld> BivariateEngine::decode_received(
     // then interpolate t + 1 accepted shares. Lagrange coefficients come
     // from the process-wide cache keyed by the accepted point set (the
     // common case is a single set across all values and rounds).
-    if (profile_.forgery_success_prob > 0.0) {
-      // The forgery coin draws from the shared adversary stream in (value,
-      // sender) order — that order is part of the determinism contract, so
-      // this path stays serial and per-value regardless of kernels.
-      for (std::size_t vi = 0; vi < values.size(); ++vi) {
-        std::vector<net::PartyId> accepted;
-        std::vector<Fld> accepted_vals;
-        for (net::PartyId i = 0; i < n && accepted.size() < t + 1; ++i) {
-          if (!per_sender[i]) continue;
-          const Fld revealed = (*per_sender[i])[vi];
-          const Fld expected = committed_share_of(values[vi], i);
-          bool accept = revealed == expected;
-          if (!accept) {
-            const double coin =
-                static_cast<double>(net_.adversary_rng().next_u64()) /
-                static_cast<double>(~0ULL);
-            accept = coin < profile_.forgery_success_prob;
-          }
-          if (accept) {
-            accepted.push_back(i);
-            accepted_vals.push_back(revealed);
-          }
-        }
-        if (accepted.size() < t + 1) continue;  // default 0 (cannot happen
-                                                // with an honest majority)
-        std::vector<Fld> xs(accepted.size());
-        for (std::size_t i = 0; i < accepted.size(); ++i)
-          xs[i] = eval_point<64>(accepted[i]);
-        const auto& lambda = LagrangeCache::instance().coefficients(
-            std::span<const Fld>(xs), Fld::zero());
-        out[vi] = ff::dot(std::span<const Fld>(lambda),
-                          std::span<const Fld>(accepted_vals));
-      }
-      return out;
-    }
-    // Idealized IC (the default): acceptance is the pure predicate
-    // revealed == committed share, so the walk batches over senders and
-    // each value keeps exactly the accept set the per-value walk would
-    // build (senders visited in index order, capped at t + 1 accepts).
+    // Idealized IC: acceptance is the pure predicate revealed == committed
+    // share, so the walk batches over senders and each value keeps exactly
+    // the accept set a per-value walk would build (senders visited in index
+    // order, capped at t + 1 accepts).
     // Accept sets live in flat storage — one (t + 1)-wide row of accepted
     // values, a count and a sender bitmask per value — so the walk
     // allocates nothing per value and distinct sets compare as masks.
@@ -1107,7 +1060,7 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
   net::PartyId viewer = 0;
   while (viewer < n && net_.is_corrupt(viewer)) ++viewer;
   GFOR14_EXPECTS(viewer < n);
-  // The n× committed_share_of evaluations per sender are the hot path of
+  // The n× committed-share evaluations per sender are the hot path of
   // reconstruction; each sender computes and queues independently. The
   // viewer keeps its own vector instead of re-deriving it for the decode.
   std::vector<Fld> own;

@@ -42,12 +42,11 @@
 //     share with the information-checking layer and interpolates t + 1
 //     accepted shares.
 //
-// Information-checking layer: the engine verifies revealed shares against
-// the committed share polynomial (the value determined by the honest joint
-// view), accepting a forged share only with a configurable probability
-// `forgery_success_prob` (default 0) — i.e., it *idealizes* the
-// unforgeability that RB89's IC signatures provide with probability
-// 1 - 2^-Omega(kappa), including their linearity across dealers. The
+// Information-checking layer: the engine accepts a revealed share iff it
+// equals the committed share (the value determined by the honest joint
+// view) — i.e., it *idealizes* the unforgeability that RB89's IC
+// signatures provide with probability 1 - 2^-Omega(kappa), including their
+// linearity across dealers. The
 // concrete three-party check-vector protocol, with its real keys, tags,
 // forgery probability and round cost, is implemented and validated
 // standalone in icp.{hpp,cpp}; DESIGN.md discusses why the split preserves
@@ -84,10 +83,6 @@ struct EngineProfile {
   /// Empty synchronization rounds appended to the sharing phase so the
   /// total matches the round count quoted in the paper for this scheme.
   std::size_t pad_rounds;
-  /// Probability that a forged share slips past the information-checking
-  /// layer (0 = idealized IC; tests use positive values to exercise the
-  /// statistical failure path).
-  double forgery_success_prob = 0.0;
 };
 
 class BivariateEngine final : public VssScheme {
@@ -145,11 +140,9 @@ class BivariateEngine final : public VssScheme {
                      bool force_physical = false);
   void run_padding_rounds();
 
-  Fld committed_share_of(const LinComb& v, net::PartyId party) const;
-  /// Batched committed_share_of: out[vi] = the party's committed share of
-  /// values[vi], with per-dealer pool evaluations amortized across values
-  /// through one span Horner sweep over each touched index range.
-  /// Bit-identical to calling committed_share_of per value.
+  /// out[vi] = the party's committed share of values[vi], with per-dealer
+  /// pool evaluations amortized across values through one span Horner
+  /// sweep over each touched index range.
   void committed_shares_into(std::span<const LinComb> values,
                              net::PartyId party, std::span<Fld> out) const;
   /// Decodes `values` from the share vectors one party holds after the

@@ -27,13 +27,11 @@ std::unique_ptr<VssScheme> make_vss(SchemeKind kind, net::Network& net) {
 }
 
 std::unique_ptr<VssScheme> make_vss(SchemeKind kind, net::Network& net,
-                                    std::size_t t,
-                                    double forgery_success_prob) {
+                                    std::size_t t) {
   GFOR14_EXPECTS(t <= scheme_max_t(kind, net.n()));
   EngineProfile profile;
   profile.name = scheme_name(kind);
   profile.t = t;
-  profile.forgery_success_prob = forgery_success_prob;
   switch (kind) {
     case SchemeKind::kBGW:
       profile.recon = ReconMode::kErrorCorrection;

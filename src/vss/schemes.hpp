@@ -26,11 +26,8 @@ std::size_t scheme_max_t(SchemeKind kind, std::size_t n);
 /// Creates the scheme bound to `net` with its maximum threshold.
 std::unique_ptr<VssScheme> make_vss(SchemeKind kind, net::Network& net);
 
-/// As above with an explicit threshold t (must not exceed scheme_max_t) and
-/// an optional forgery-success probability for the statistical schemes'
-/// information-checking layer (tests of the 2^-Omega(kappa) failure path).
+/// As above with an explicit threshold t (must not exceed scheme_max_t).
 std::unique_ptr<VssScheme> make_vss(SchemeKind kind, net::Network& net,
-                                    std::size_t t,
-                                    double forgery_success_prob = 0.0);
+                                    std::size_t t);
 
 }  // namespace gfor14::vss

@@ -27,6 +27,7 @@
 #include "common/digest.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
+#include "fault_hits.hpp"
 #include "net/adversary.hpp"
 #include "net/faultplan.hpp"
 #include "net/recorder.hpp"
@@ -140,8 +141,7 @@ net::Recording record_run(std::uint64_t seed, std::size_t threads,
   net.set_threads(threads);
   net.corrupt_first(1);
   net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
-  net::FaultPlan plan;
-  plan.corrupt_element(2, 0, net::kAllReceivers, 2).drop(4, 0, 2);
+  const net::FaultPlan plan = testutil::party0_faults();
   net.attach_faults(std::make_shared<net::FaultEngine>(plan, seed));
   auto recorder = std::make_shared<net::Recorder>(opt);
   net.attach_observer(recorder);
@@ -151,7 +151,9 @@ net::Recording record_run(std::uint64_t seed, std::size_t threads,
   for (std::size_t i = 0; i < 5; ++i)
     inputs.push_back(i + 1 < 5 ? Fld::from_u64(100 + i) : Fld::zero());
   chan.run(4, inputs);
-  return recorder->take();
+  net::Recording rec = recorder->take();
+  EXPECT_TRUE(testutil::every_fault_hit(plan, rec));
+  return rec;
 }
 
 /// Re-executes record_run's configuration with a ReplayVerifier attached.
@@ -162,9 +164,9 @@ std::optional<audit::Divergence> replay_run(const net::Recording& reference,
   net.set_threads(threads);
   net.corrupt_first(1);
   net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
-  net::FaultPlan plan;
-  plan.corrupt_element(2, 0, net::kAllReceivers, 2).drop(4, 0, 2);
-  net.attach_faults(std::make_shared<net::FaultEngine>(plan, seed));
+  const net::FaultPlan plan = testutil::party0_faults();
+  auto faults = std::make_shared<net::FaultEngine>(plan, seed);
+  net.attach_faults(faults);
   auto verifier = std::make_shared<audit::ReplayVerifier>(reference);
   net.attach_observer(verifier);
   auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
@@ -173,6 +175,7 @@ std::optional<audit::Divergence> replay_run(const net::Recording& reference,
   for (std::size_t i = 0; i < 5; ++i)
     inputs.push_back(i + 1 < 5 ? Fld::from_u64(100 + i) : Fld::zero());
   chan.run(4, inputs);
+  EXPECT_TRUE(testutil::every_fault_hit(plan, faults->events()));
   return verifier->finish();
 }
 

@@ -68,3 +68,37 @@ expect_cli_rejected(min_mps_inf --slo-min-mps inf)
 expect_cli_rejected(round_wall_overflow --slo-round-wall-p95 1e999)
 expect_cli_rejected(round_wall_hex --slo-round-wall-p95 0x10)
 expect_cli_rejected(retry_rate_negative --slo-max-retry-rate -0.5)
+
+# GFOR14_FAULT_SEED is read whole, like every numeric flag: a non-number or
+# trailing junk exits 2 naming the variable instead of running seed 0 or 12.
+function(expect_fault_seed_env name value want)
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E env "GFOR14_FAULT_SEED=${value}"
+            "${CLI}" channel --n 3 --kappa 2 --faults "drop@1:0->2"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL want)
+    message(FATAL_ERROR "${name}: gfor14_cli exited '${rc}', want ${want}\n${out}${err}")
+  endif()
+  if(want EQUAL 0 AND NOT out MATCHES "GFOR14_FAULT_SEED=${value}\n")
+    message(FATAL_ERROR "${name}: the run did not use seed ${value}:\n${out}")
+  endif()
+  if(want EQUAL 2 AND NOT err MATCHES "invalid value '${value}' for GFOR14_FAULT_SEED")
+    message(FATAL_ERROR "${name}: no diagnostic naming GFOR14_FAULT_SEED in:\n${err}")
+  endif()
+endfunction()
+
+expect_fault_seed_env(fault_seed_env_ok 12 0)
+expect_fault_seed_env(fault_seed_env_junk abc 2)
+expect_fault_seed_env(fault_seed_env_suffix 12abc 2)
+
+# The live --attack flag checks its value while parsing: an unknown name
+# exits 2 before any network is built (nothing on stdout).
+execute_process(
+  COMMAND "${CLI}" channel --n 3 --kappa 2 --attack bogus
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown --attack 'bogus'")
+  message(FATAL_ERROR "attack_bogus: gfor14_cli exited '${rc}', want 2 naming --attack\n${err}")
+endif()
+if(NOT out STREQUAL "")
+  message(FATAL_ERROR "attack_bogus: the run started before the rejection:\n${out}")
+endif()

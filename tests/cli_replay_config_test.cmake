@@ -1,7 +1,8 @@
-# Replay must reject a recording whose config block names a run shape the
-# live parser would refuse (n outside [3, 32], receiver >= n, non-integral
-# counts): a nonzero exit with a diagnostic naming the field, not a crash
-# or an attempt to run the bogus shape.
+# Replay must reject a recording whose config block holds a value the live
+# parser would refuse (n outside [3, 32], receiver >= n, non-integral
+# counts, an unknown attack, a malformed fault plan): exit 1 with a
+# diagnostic naming the field before replay starts, not a crash or an
+# attempt to run the bogus configuration.
 #
 #   cmake -DCLI=<gfor14_cli> -DWORK=<scratch dir> -P cli_replay_config_test.cmake
 
@@ -24,11 +25,14 @@ function(expect_rejected name pattern replacement diagnostic)
   execute_process(
     COMMAND "${CLI}" replay "${WORK}/${name}.json"
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
-    message(FATAL_ERROR "${name}: replay exited '${rc}', want a nonzero code\n${err}")
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "${name}: replay exited '${rc}', want 1\n${err}")
   endif()
   if(NOT err MATCHES "${diagnostic}")
     message(FATAL_ERROR "${name}: no '${diagnostic}' diagnostic in:\n${err}")
+  endif()
+  if(out MATCHES "replaying")
+    message(FATAL_ERROR "${name}: replay started before the rejection:\n${out}")
   endif()
 endfunction()
 
@@ -39,6 +43,12 @@ expect_rejected(fractional_n "${n_field}" "\\13.5" "config\\.n")
 expect_rejected(receiver_out_of_range "(\"receiver\": )2" "\\13"
                 "config\\.receiver 3 is out of range")
 expect_rejected(kappa_zero "(\"kappa\": )2" "\\10" "config\\.kappa must be in")
+# The recorded attack and fault plan are checked by the --attack and
+# --faults flags' own handlers.
+expect_rejected(attack_bogus "(\"attack\": )\"\"" "\\1\"bogus\""
+                "unknown config\\.attack 'bogus'")
+expect_rejected(faults_nonsense "(\"faults\": )\"\"" "\\1\"nonsense\""
+                "invalid value for config\\.faults")
 
 # Replay's trailing flags go through the live parser's strict rules: a
 # value with trailing junk is rejected with a diagnostic naming the flag.

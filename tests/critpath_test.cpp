@@ -24,6 +24,7 @@
 
 #include "anonchan/anonchan.hpp"
 #include "audit/critpath.hpp"
+#include "fault_hits.hpp"
 #include "net/adversary.hpp"
 #include "net/faultplan.hpp"
 #include "net/recorder.hpp"
@@ -40,8 +41,7 @@ net::Recording record_run(std::uint64_t seed, std::size_t threads,
   net.set_threads(threads);
   net.corrupt_first(1);
   net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
-  net::FaultPlan plan;
-  plan.corrupt_element(2, 0, net::kAllReceivers, 2).drop(4, 0, 2);
+  const net::FaultPlan plan = testutil::party0_faults();
   net.attach_faults(std::make_shared<net::FaultEngine>(plan, seed));
   auto recorder = std::make_shared<net::Recorder>(opt);
   net.attach_observer(recorder);
@@ -51,7 +51,9 @@ net::Recording record_run(std::uint64_t seed, std::size_t threads,
   for (std::size_t i = 0; i < 5; ++i)
     inputs.push_back(i + 1 < 5 ? Fld::from_u64(100 + i) : Fld::zero());
   chan.run(4, inputs);
-  return recorder->take();
+  net::Recording rec = recorder->take();
+  EXPECT_TRUE(testutil::every_fault_hit(plan, rec));
+  return rec;
 }
 
 // --- analyze() on a recorded run -------------------------------------------

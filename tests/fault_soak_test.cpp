@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "audit/replay.hpp"
 #include "baselines/dcnet.hpp"
 #include "common/metrics.hpp"
+#include "fault_hits.hpp"
 #include "net/adversary.hpp"
 #include "net/faultplan.hpp"
 #include "net/recorder.hpp"
@@ -190,6 +190,61 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   }
 }
 
+TEST(FaultPlanTest, EveryKindRoundTripsThroughBothNames) {
+  ASSERT_EQ(std::size(net::kFaultKinds), 7u);
+  for (std::size_t i = 0; i < std::size(net::kFaultKinds); ++i) {
+    const auto& row = net::kFaultKinds[i];
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(static_cast<std::size_t>(row.kind), i);  // every kind, once
+    // Spec token -> kind.
+    const std::string spec =
+        std::string(row.token) +
+        (row.kind == net::FaultKind::kCrash ? "@1:0" : "@1:0->2:1");
+    std::string error;
+    const auto plan = net::FaultPlan::parse(spec, &error);
+    ASSERT_TRUE(plan.has_value()) << spec << ": " << error;
+    EXPECT_EQ(plan->specs.at(0).kind, row.kind);
+    // Kind <-> canonical name.
+    EXPECT_STREQ(net::fault_kind_name(row.kind), row.name);
+    EXPECT_EQ(net::fault_kind_from_name(row.name), row.kind);
+  }
+  // Each text format reads only its own names.
+  EXPECT_FALSE(net::FaultPlan::parse("truncate@1:0->2:1").has_value());
+  EXPECT_FALSE(net::fault_kind_from_name("trunc").has_value());
+
+  // Canonical names survive a recording's JSON round trip: party 0 sends
+  // one payload to party 1 per round, and each round faults it with the
+  // next kind (a crash last, silencing the final round).
+  net::FaultPlan plan;
+  plan.drop(0, 0, 1)
+      .truncate(1, 0, 1, 1)
+      .extend(2, 0, 1, 1)
+      .corrupt_element(3, 0, 1, 1)
+      .corrupt_bit(4, 0, 1, 1)
+      .replay_stale(5, 0, 1)
+      .crash(6, 0);
+  net::Network net(3, 12);
+  net.attach_faults(std::make_shared<net::FaultEngine>(plan, 12));
+  auto recorder = std::make_shared<net::Recorder>();
+  net.attach_observer(recorder);
+  for (std::uint64_t r = 0; r < 7; ++r) {
+    net.begin_round();
+    net.send(0, 1, {Fld::from_u64(r), Fld::from_u64(r + 1)});
+    net.end_round();
+  }
+  const net::Recording rec = recorder->take();
+  EXPECT_TRUE(testutil::every_fault_hit(plan, rec));
+  std::string error;
+  const auto back = net::Recording::from_json(rec.to_json(), &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  std::vector<net::FaultKind> kinds;
+  for (const auto& round : back->rounds)
+    for (const auto& f : round.faults) kinds.push_back(f.spec.kind);
+  std::vector<net::FaultKind> want;
+  for (const auto& row : net::kFaultKinds) want.push_back(row.kind);
+  EXPECT_EQ(kinds, want);
+}
+
 TEST(FaultPlanTest, RandomPlansOnlyTargetTheGivenParties) {
   Rng rng(99);
   net::FaultPlan::RandomSpec spec;
@@ -303,14 +358,18 @@ TEST_F(FaultSoakTest, EmptyPlanIsByteIdenticalToNoEngine) {
 }
 
 TEST_F(FaultSoakTest, SameSeedReplayIsByteIdentical) {
+  // Every event lands on party 0's traffic: R1 slices (round 0), an R2
+  // check word (round 1) and the delivery rounds 9 and 10, before the
+  // crash silences it from round 11.
   net::FaultPlan plan;
-  plan.corrupt_element(2, 0, net::kAllReceivers, 2)
-      .corrupt_bit(3, 0, 1, 3)
-      .drop(4, 0, 2)
-      .extend(5, 0, net::kAllReceivers, 2)
-      .crash(8, 0);
+  plan.corrupt_element(0, 0, net::kAllReceivers, 2)
+      .corrupt_bit(1, 0, 1, 3)
+      .drop(9, 0, 2)
+      .extend(10, 0, net::kAllReceivers, 2)
+      .crash(11, 0);
   const RunResult a = execute_channel(31337, 1, plan, 5150);
   const RunResult b = execute_channel(31337, 1, plan, 5150);
+  EXPECT_TRUE(testutil::every_fault_hit(plan, a.recording));
   EXPECT_TRUE(identical(a.recording, b.recording));
   EXPECT_EQ(a.output, b.output);
   EXPECT_EQ(a.costs, b.costs);
@@ -326,10 +385,11 @@ TEST_F(FaultSoakTest, SameSeedReplayIsByteIdentical) {
 TEST_F(FaultSoakTest, FaultyRunsAreThreadCountIndependent) {
   net::FaultPlan plan;
   plan.corrupt_element(1, 0, net::kAllReceivers, 1)
-      .truncate(2, 0, 3, 2)
+      .truncate(0, 0, 3, 2)
       .crash(6, 0);
   const RunResult serial = execute_channel(90210, 1, plan, 8);
   const RunResult parallel = execute_channel(90210, 4, plan, 8);
+  EXPECT_TRUE(testutil::every_fault_hit(plan, serial.recording));
   EXPECT_TRUE(identical(serial.recording, parallel.recording));
   EXPECT_EQ(serial.output, parallel.output);
   EXPECT_EQ(serial.costs, parallel.costs);
@@ -366,9 +426,10 @@ TEST_F(FaultSoakTest, CrashedCorruptDealerNeverBlocksHonestDelivery) {
 }
 
 TEST_F(FaultSoakTest, RandomizedSoakHoldsRobustnessInvariants) {
-  std::uint64_t master_seed = 20140806;
-  if (const char* env = std::getenv("GFOR14_FAULT_SEED"))
-    master_seed = std::strtoull(env, nullptr, 10);
+  std::string bad;
+  const auto env_seed = net::fault_seed_from_env(20140806, &bad);
+  ASSERT_TRUE(env_seed.has_value()) << "malformed GFOR14_FAULT_SEED=" << bad;
+  const std::uint64_t master_seed = *env_seed;
   std::printf("GFOR14_FAULT_SEED=%llu (set this env var to replay)\n",
               static_cast<unsigned long long>(master_seed));
   Rng master(master_seed);
@@ -462,9 +523,10 @@ TEST_F(FaultSoakTest, RandomizedSoakHoldsRobustnessInvariants) {
 // across sessions diverges the recording comparison at the exact byte.
 // Replayable via GFOR14_FAULT_SEED like the randomized soak above.
 TEST_F(FaultSoakTest, ConcurrentFaultySessionsDoNotPerturbCleanOnes) {
-  std::uint64_t master_seed = 20140808;
-  if (const char* env = std::getenv("GFOR14_FAULT_SEED"))
-    master_seed = std::strtoull(env, nullptr, 10);
+  std::string bad;
+  const auto env_seed = net::fault_seed_from_env(20140808, &bad);
+  ASSERT_TRUE(env_seed.has_value()) << "malformed GFOR14_FAULT_SEED=" << bad;
+  const std::uint64_t master_seed = *env_seed;
   std::printf("GFOR14_FAULT_SEED=%llu (set this env var to replay)\n",
               static_cast<unsigned long long>(master_seed));
 

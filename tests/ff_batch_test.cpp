@@ -16,6 +16,7 @@
 #include "anonchan/anonchan.hpp"
 #include "audit/replay.hpp"
 #include "common/rng.hpp"
+#include "fault_hits.hpp"
 #include "ff/batch.hpp"
 #include "ff/gf2e.hpp"
 #include "ff/kernel.hpp"
@@ -296,8 +297,7 @@ net::Recording record_run(std::uint64_t seed, std::size_t threads) {
   net.set_threads(threads);
   net.corrupt_first(1);
   net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
-  net::FaultPlan plan;
-  plan.corrupt_element(2, 0, net::kAllReceivers, 2).drop(4, 0, 2);
+  const net::FaultPlan plan = testutil::party0_faults();
   net.attach_faults(std::make_shared<net::FaultEngine>(plan, seed));
   auto recorder =
       std::make_shared<net::Recorder>(net::Recorder::Options{true});
@@ -308,7 +308,9 @@ net::Recording record_run(std::uint64_t seed, std::size_t threads) {
   for (std::size_t i = 0; i < 5; ++i)
     inputs.push_back(i + 1 < 5 ? Fld::from_u64(100 + i) : Fld::zero());
   chan.run(4, inputs);
-  return recorder->take();
+  net::Recording rec = recorder->take();
+  EXPECT_TRUE(testutil::every_fault_hit(plan, rec));
+  return rec;
 }
 
 std::optional<audit::Divergence> replay_run(const net::Recording& reference,
@@ -318,9 +320,9 @@ std::optional<audit::Divergence> replay_run(const net::Recording& reference,
   net.set_threads(threads);
   net.corrupt_first(1);
   net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
-  net::FaultPlan plan;
-  plan.corrupt_element(2, 0, net::kAllReceivers, 2).drop(4, 0, 2);
-  net.attach_faults(std::make_shared<net::FaultEngine>(plan, seed));
+  const net::FaultPlan plan = testutil::party0_faults();
+  auto faults = std::make_shared<net::FaultEngine>(plan, seed);
+  net.attach_faults(faults);
   auto verifier = std::make_shared<audit::ReplayVerifier>(reference);
   net.attach_observer(verifier);
   auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
@@ -329,6 +331,7 @@ std::optional<audit::Divergence> replay_run(const net::Recording& reference,
   for (std::size_t i = 0; i < 5; ++i)
     inputs.push_back(i + 1 < 5 ? Fld::from_u64(100 + i) : Fld::zero());
   chan.run(4, inputs);
+  EXPECT_TRUE(testutil::every_fault_hit(plan, faults->events()));
   return verifier->finish();
 }
 

@@ -29,6 +29,7 @@
 #include "common/expect.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
+#include "fault_hits.hpp"
 #include "math/lagrange_cache.hpp"
 #include "math/poly.hpp"
 #include "server/supervisor.hpp"
@@ -73,15 +74,6 @@ std::string serialize_faults(const std::vector<net::FaultEvent>& events) {
   return s;
 }
 
-/// A deterministic in-model fault script against party 0 (who gets marked
-/// corrupt by the session): early-round drop, mid-run share corruption and
-/// a truncation, all inside the ~14 rounds a practical kappa=2 run takes.
-net::FaultPlan in_model_faults() {
-  net::FaultPlan plan;
-  plan.drop(2, 0, 1).corrupt_element(5, 0, 2, 1).truncate(7, 0, 1, 1);
-  return plan;
-}
-
 /// The mixed fleet: session id i deterministically picks its shape, so the
 /// same fleet can be rebuilt for solo baselines, permuted submission and
 /// different runtime thread counts. Mixes n ∈ {4,5,6}, all three VSS
@@ -101,7 +93,7 @@ server::SessionConfig fleet_config(std::size_t i) {
   cfg.light = (i % 4) == 3;
   const std::size_t lane_mix[] = {1, 4, hardware_threads()};
   cfg.lanes = lane_mix[i % 3];
-  if (i % 3 == 2) cfg.faults = in_model_faults();
+  if (i % 3 == 2) cfg.faults = testutil::party0_faults();
   return cfg;
 }
 
@@ -110,8 +102,12 @@ server::SessionConfig fleet_config(std::size_t i) {
 server::SessionResult solo_baseline(std::size_t i) {
   server::SessionConfig cfg = fleet_config(i);
   cfg.scope_label = "solo/" + std::to_string(i);
-  return server::run_attempt(cfg, kMasterSeed, server::AttemptSpec{})
-      .result.value();
+  auto result = server::run_attempt(cfg, kMasterSeed, server::AttemptSpec{})
+                    .result.value();
+  if (!cfg.faults.empty()) {
+    EXPECT_TRUE(testutil::every_fault_hit(cfg.faults, result.recording));
+  }
+  return result;
 }
 
 /// Admits every config up front and drains the runtime — one wave, one

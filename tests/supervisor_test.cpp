@@ -30,6 +30,7 @@
 #include "audit/replay.hpp"
 #include "common/expect.hpp"
 #include "common/metrics.hpp"
+#include "fault_hits.hpp"
 #include "server/supervisor.hpp"
 
 namespace gfor14 {
@@ -44,14 +45,6 @@ constexpr std::uint64_t kMasterSeed = 20260808;
   return ::testing::AssertionSuccess();
 }
 
-/// Deterministic in-model wire faults against party 0 (marked corrupt by
-/// the session), inside the rounds a practical kappa=2 run takes.
-net::FaultPlan in_model_faults() {
-  net::FaultPlan plan;
-  plan.drop(2, 0, 1).corrupt_element(5, 0, 2, 1).truncate(7, 0, 1, 1);
-  return plan;
-}
-
 /// Small mixed fleet: id picks n / scheme / profile and whether the session
 /// carries wire faults, so the same fleet rebuilds for baselines and for
 /// both thread counts.
@@ -62,7 +55,7 @@ server::SessionConfig fleet_config(std::size_t i) {
   cfg.scheme = (i % 2) ? vss::SchemeKind::kGGOR13 : vss::SchemeKind::kRB;
   cfg.kappa = 2;
   cfg.light = (i % 4) == 1;
-  if (i % 4 == 2) cfg.faults = in_model_faults();
+  if (i % 4 == 2) cfg.faults = testutil::party0_faults();
   return cfg;
 }
 
@@ -101,8 +94,12 @@ server::RuntimeReport run_fleet(server::SupervisorOptions sup,
 server::SessionResult solo_baseline(std::uint64_t id) {
   server::SessionConfig cfg = fleet_config(id);
   cfg.scope_label = "solo/" + std::to_string(id);
-  return server::run_attempt(cfg, kMasterSeed, server::AttemptSpec{})
-      .result.value();
+  auto result = server::run_attempt(cfg, kMasterSeed, server::AttemptSpec{})
+                    .result.value();
+  if (!cfg.faults.empty()) {
+    EXPECT_TRUE(testutil::every_fault_hit(cfg.faults, result.recording));
+  }
+  return result;
 }
 
 std::string describe_failures(const std::vector<server::FailureRecord>& fs) {

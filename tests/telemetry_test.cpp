@@ -90,7 +90,7 @@ std::string sampled_run(std::size_t threads, const std::string& scope_name) {
   net::Network net(5, 20140806);
   net.set_threads(threads);
   auto sampler = std::make_shared<telemetry::TelemetrySampler>(
-      net.registry_shared(), telemetry::TelemetrySampler::Options{1, 512});
+      net.registry_shared());
   net.attach_observer(sampler);
   auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
   anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(5, 2));
@@ -115,7 +115,7 @@ TEST_F(TelemetryTest, SamplerExcludesEnvironmentFromDeterministicSection) {
   metrics::RegistryAttachment attach(scope);
   net::Network net(4, 4);
   auto sampler = std::make_shared<telemetry::TelemetrySampler>(
-      net.registry_shared(), telemetry::TelemetrySampler::Options{1, 512});
+      net.registry_shared());
   net.attach_observer(sampler);
   net.begin_round();
   net.send(0, 1, pay(3));
@@ -132,17 +132,19 @@ TEST_F(TelemetryTest, RingDecimationDoublesStrideAndKeepsAlignment) {
   auto scope = metrics::Registry::instance().scope("t/decimate");
   metrics::RegistryAttachment attach(scope);
   net::Network net(4, 5);
-  auto sampler = std::make_shared<telemetry::TelemetrySampler>(
-      net.registry_shared(), telemetry::TelemetrySampler::Options{1, 4});
+  auto sampler =
+      std::make_shared<telemetry::TelemetrySampler>(net.registry_shared());
   net.attach_observer(sampler);
-  for (std::size_t r = 0; r < 24; ++r) {
+  // Twice past the ring bound: decimations at rounds 512 and 1024.
+  for (std::size_t r = 0; r < 1200; ++r) {
     net.begin_round();
     net.send(0, 1, pay(1));
     net.end_round();
   }
-  EXPECT_EQ(sampler->rounds_seen(), 24u);
-  EXPECT_GT(sampler->stride(), 1u);
-  EXPECT_LE(sampler->snapshots().size(), 4u);
+  EXPECT_EQ(sampler->rounds_seen(), 1200u);
+  EXPECT_EQ(sampler->stride(), 4u);
+  EXPECT_LE(sampler->snapshots().size(),
+            telemetry::TelemetrySampler::kMaxSnapshots);
   for (const auto& s : sampler->snapshots())
     EXPECT_EQ(s.round % sampler->stride(), 0u)
         << "round " << s.round << " stride " << sampler->stride();
@@ -150,24 +152,25 @@ TEST_F(TelemetryTest, RingDecimationDoublesStrideAndKeepsAlignment) {
 
 TEST_F(TelemetryTest, RingSurvivesThousandsOfWavesWithExactAlignment) {
   // Long-haul decimation, driven through the wave entry point the serve
-  // runtime uses: 1200 waves through a ring of 8 must double the stride at
-  // waves 8, 16, ..., 1024 — seven doublings to 256 — and end with exactly
-  // the four aligned survivors {256, 512, 768, 1024}, every slot j holding
-  // wave (j+1)*stride. All of it a pure function of the wave count.
+  // runtime uses: 65,600 waves through the 512-slot ring must double the
+  // stride at waves 512, 1024, ..., 65536 — eight doublings to 256 — and
+  // end with exactly the 256 aligned survivors {256, 512, ..., 65536},
+  // every slot j holding wave (j+1)*stride. All of it a pure function of
+  // the wave count.
   auto scope = metrics::Registry::instance().scope("t/longring");
   metrics::RegistryAttachment attach(scope);
-  telemetry::TelemetrySampler sampler(
-      scope, telemetry::TelemetrySampler::Options{1, 8});
-  constexpr std::size_t kWaves = 1200;
+  telemetry::TelemetrySampler sampler(scope);
+  constexpr std::size_t kWaves = 65600;
   for (std::size_t w = 0; w < kWaves; ++w) {
     scope->counter("server.waves").add();
     sampler.sample_wave();
     // The bound holds at every wave, not just at the end.
-    ASSERT_LT(sampler.snapshots().size(), 8u);
+    ASSERT_LT(sampler.snapshots().size(),
+              telemetry::TelemetrySampler::kMaxSnapshots);
   }
   EXPECT_EQ(sampler.rounds_seen(), kWaves);
   EXPECT_EQ(sampler.stride(), 256u);
-  ASSERT_EQ(sampler.snapshots().size(), 4u);
+  ASSERT_EQ(sampler.snapshots().size(), 256u);
   for (std::size_t j = 0; j < sampler.snapshots().size(); ++j) {
     const auto& s = sampler.snapshots()[j];
     EXPECT_EQ(s.round, (j + 1) * sampler.stride());
@@ -201,7 +204,7 @@ TEST_F(TelemetryTest, PrometheusExpositionParsesAsTextFormat) {
   metrics::RegistryAttachment attach(scope);
   net::Network net(4, 6);
   auto sampler = std::make_shared<telemetry::TelemetrySampler>(
-      net.registry_shared(), telemetry::TelemetrySampler::Options{1, 512});
+      net.registry_shared());
   net.attach_observer(sampler);
   net.begin_round();
   net.send(0, 1, pay(9));
@@ -291,7 +294,7 @@ TEST_F(TelemetryTest, RenderTopShowsCountersAndRates) {
   metrics::RegistryAttachment attach(scope);
   net::Network net(4, 7);
   auto sampler = std::make_shared<telemetry::TelemetrySampler>(
-      net.registry_shared(), telemetry::TelemetrySampler::Options{1, 512});
+      net.registry_shared());
   net.attach_observer(sampler);
   for (int r = 0; r < 3; ++r) {
     net.begin_round();
