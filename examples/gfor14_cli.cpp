@@ -87,10 +87,12 @@
 //
 // Attacks: dense, unequal, wrongcopy, guessing, zero, fixed (mounted by
 // party 0, which is marked corrupt).
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -316,7 +318,7 @@ bool parse(int argc, char** argv, Options& opt) {
   if (!parse_flags(value_flags(opt), argc, argv, 2)) return false;
   if (!opt.fault_seed_set) {
     std::string bad;
-    const auto seed = net::fault_seed_from_env(opt.seed, &bad);
+    const auto seed = net::seed_from_env("GFOR14_FAULT_SEED", opt.seed, &bad);
     if (!seed)
       return complain("invalid value '%s' for GFOR14_FAULT_SEED (expected "
                       "an unsigned integer)",
@@ -601,23 +603,46 @@ int run_compare(const Options& opt) {
   return 0;
 }
 
-/// A randomized in-model FaultPlan for one serve session: faults target
-/// party 0's traffic only (the session marks it corrupt), drawn from an Rng
-/// forked off the master seed by session id so the plan is a pure function
-/// of (seed, id) — independent of scheduling and of the other sessions.
+/// A randomized in-model FaultPlan for one serve session: three faults on
+/// party 0's point-to-point traffic (the session marks it corrupt), each in
+/// a round and on a channel where P0 sends: the VSS R1 slices and R2 checks
+/// (rounds 0 and 1), the challenge, cut-and-choose rounds A and B and the
+/// public g reconstruction (the four rounds after sharing), all to every
+/// other party, then the private delivery to the receiver P(n-1) only.
+/// The channels are distinct, so no fault lands on a queue an earlier one
+/// emptied, and replays come after round 0, when there is traffic to
+/// replay. Drawn from an Rng forked off the master seed by session id, so
+/// the plan is a pure function of (seed, id) — independent of scheduling
+/// and of the other sessions.
 net::FaultPlan serve_fault_plan(std::uint64_t master_seed, std::uint64_t id,
-                                std::size_t n) {
-  net::FaultPlan::RandomSpec spec;
-  spec.targets = {0};
-  spec.n = n;
-  spec.rounds = 12;
-  spec.count = 3;
-  spec.allow_crash = false;  // keep every session's round count comparable
-  Rng plan_rng = Rng(master_seed).fork(0x5E55104E5ULL ^ id);
-  return net::FaultPlan::random(plan_rng, spec);
+                                std::size_t n, std::size_t share_rounds) {
+  const std::size_t s = share_rounds;
+  const std::size_t rounds[] = {0, 1, s, s + 1, s + 2, s + 3, s + 4};
+  constexpr net::FaultKind kKinds[] = {
+      net::FaultKind::kDrop,           net::FaultKind::kTruncate,
+      net::FaultKind::kExtend,         net::FaultKind::kCorruptElement,
+      net::FaultKind::kCorruptBit,     net::FaultKind::kReplayStale,
+  };
+  Rng rng = Rng(master_seed).fork(0x5E55104E5ULL ^ id);
+  net::FaultPlan plan;
+  while (plan.specs.size() < 3) {
+    net::FaultSpec f;
+    f.round = rounds[rng.next_below(std::size(rounds))];
+    f.from = 0;
+    f.to = f.round == s + 4 ? n - 1 : 1 + rng.next_below(n - 1);
+    f.kind = kKinds[rng.next_below(std::size(kKinds) - (f.round == 0))];
+    f.amount = 1 + rng.next_below(4);
+    const bool taken = std::any_of(
+        plan.specs.begin(), plan.specs.end(), [&](const net::FaultSpec& g) {
+          return g.round == f.round && g.to == f.to;
+        });
+    if (!taken) plan.specs.push_back(f);
+  }
+  return plan;
 }
 
 server::SessionConfig serve_session_config(const Options& opt,
+                                           std::size_t share_rounds,
                                            std::size_t i) {
   server::SessionConfig cfg;
   cfg.id = i;
@@ -625,7 +650,8 @@ server::SessionConfig serve_session_config(const Options& opt,
   cfg.scheme = opt.scheme;
   cfg.kappa = opt.kappa;
   cfg.lanes = opt.lanes;
-  if (i < opt.faulty) cfg.faults = serve_fault_plan(opt.seed, i, opt.n);
+  if (i < opt.faulty)
+    cfg.faults = serve_fault_plan(opt.seed, i, opt.n, share_rounds);
   return cfg;
 }
 
@@ -644,6 +670,12 @@ int run_serve(const Options& opt) {
   sup.chaos.every = opt.crash_every;
   sup.slo = opt.slo;
   server::SupervisedRuntime runtime(sup);
+  // The faulty sessions' plans are laid out around the sharing phase.
+  std::size_t share_rounds = 0;
+  if (opt.faulty > 0) {
+    net::Network probe(opt.n, 0);
+    share_rounds = vss::make_vss(opt.scheme, probe)->share_rounds();
+  }
 
   // The §11 telemetry surface, sampled per scheduling wave instead of per
   // round barrier: the root scope carries the server.* health counters, so
@@ -664,7 +696,7 @@ int run_serve(const Options& opt) {
   std::atomic<bool> feeder_done{false};
   std::thread feeder([&] {
     for (std::size_t i = 0; i < opt.sessions; ++i)
-      if (!runtime.submit(serve_session_config(opt, i))) break;
+      if (!runtime.submit(serve_session_config(opt, share_rounds, i))) break;
     feeder_done.store(true);
   });
   while (!feeder_done.load() || !runtime.idle()) {

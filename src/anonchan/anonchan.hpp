@@ -4,10 +4,13 @@
 // Round structure (everything batched, all dealers in parallel):
 //   step 1   r_VSS-share rounds  — every party VSS-shares v, the kappa
 //            permuted copies w_j, the permutations pi_j, the non-zero index
-//            lists, and r^(i); the receiver additionally shares g_1..g_n;
-//   step 2   1 round             — public VSS-Rec of r = sum r^(i);
+//            lists, r^(i) and rho^(i); the receiver additionally shares
+//            g_1..g_n;
+//   step 2   1 round             — public VSS-Rec of r = sum r^(i) and
+//            rho = sum rho^(i);
 //   step 3   2 rounds            — cut-and-choose: open pi_j or the index
-//            list of w_j (round A), then the dependent zero/equality checks
+//            list of w_j (round A), then one zero test per copy, the
+//            dependent zero/equality checks combined in powers of rho
 //            (round B); failures disqualify;
 //   step 4   2 rounds            — public VSS-Rec of g_1..g_n, then private
 //            reconstruction of v = sum_{PASS} g_i(v^(i)) toward P*.

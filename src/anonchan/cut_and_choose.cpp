@@ -1,6 +1,7 @@
 #include "anonchan/cut_and_choose.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
 
 #include "common/expect.hpp"
@@ -24,46 +25,38 @@ std::optional<std::vector<std::size_t>> decode_index_list(
   return out;
 }
 
-std::vector<vss::LinComb> perm_diff_values(const Params& params,
-                                           const BatchLayout& layout,
-                                           std::size_t j,
-                                           const Permutation& pi) {
+vss::LinComb zero_test(const Params& params, const BatchLayout& layout,
+                       std::size_t j, const Opening& opened, Fld rho) {
   GFOR14_EXPECTS(j < params.kappa_cc);
-  GFOR14_EXPECTS(pi.size() == params.ell);
-  std::vector<vss::LinComb> out;
-  out.reserve(2 * params.ell);
-  for (std::size_t k = 0; k < params.ell; ++k)
-    out.push_back(layout.v_x.lc(pi(k)) - layout.w_x[j].lc(k));
-  for (std::size_t k = 0; k < params.ell; ++k)
-    out.push_back(layout.v_a.lc(pi(k)) - layout.w_a[j].lc(k));
-  return out;
-}
-
-std::vector<vss::LinComb> sparse_check_values(
-    const Params& params, const BatchLayout& layout, std::size_t j,
-    const std::vector<std::size_t>& w_indices) {
-  GFOR14_EXPECTS(j < params.kappa_cc);
+  vss::LinComb z;
+  Fld power = Fld::one();
+  // Adds rho^k * u_k for the next entry u_k = sum of `refs`.
+  const auto next = [&](std::initializer_list<vss::SharingRef> refs) {
+    for (const vss::SharingRef& ref : refs) z.add(ref, power);
+    power *= rho;
+  };
+  if (const auto* pi = std::get_if<Permutation>(&opened)) {
+    GFOR14_EXPECTS(pi->size() == params.ell);
+    for (std::size_t k = 0; k < params.ell; ++k)
+      next({layout.v_x.ref((*pi)(k)), layout.w_x[j].ref(k)});
+    for (std::size_t k = 0; k < params.ell; ++k)
+      next({layout.v_a.ref((*pi)(k)), layout.w_a[j].ref(k)});
+    return z;
+  }
+  const auto& w_indices = std::get<std::vector<std::size_t>>(opened);
   GFOR14_EXPECTS(w_indices.size() == params.d);
   std::vector<bool> nonzero(params.ell, false);
   for (std::size_t idx : w_indices) {
     GFOR14_EXPECTS(idx < params.ell);
     nonzero[idx] = true;
   }
-  std::vector<vss::LinComb> out;
-  out.reserve(2 * (params.ell - params.d) + 2 * (params.d - 1));
-  // Alleged zero entries (both components).
-  for (std::size_t k = 0; k < params.ell; ++k)
-    if (!nonzero[k]) out.push_back(layout.w_x[j].lc(k));
-  for (std::size_t k = 0; k < params.ell; ++k)
-    if (!nonzero[k]) out.push_back(layout.w_a[j].lc(k));
-  // Consecutive differences of alleged non-zero entries (both components).
-  for (std::size_t m = 0; m + 1 < w_indices.size(); ++m)
-    out.push_back(layout.w_x[j].lc(w_indices[m + 1]) -
-                  layout.w_x[j].lc(w_indices[m]));
-  for (std::size_t m = 0; m + 1 < w_indices.size(); ++m)
-    out.push_back(layout.w_a[j].lc(w_indices[m + 1]) -
-                  layout.w_a[j].lc(w_indices[m]));
-  return out;
+  for (const vss::Slab* w : {&layout.w_x[j], &layout.w_a[j]})
+    for (std::size_t k = 0; k < params.ell; ++k)
+      if (!nonzero[k]) next({w->ref(k)});
+  for (const vss::Slab* w : {&layout.w_x[j], &layout.w_a[j]})
+    for (std::size_t m = 0; m + 1 < w_indices.size(); ++m)
+      next({w->ref(w_indices[m + 1]), w->ref(w_indices[m])});
+  return z;
 }
 
 std::vector<vss::LinComb> delivery_values(

@@ -4,12 +4,13 @@
 // Everything here is expressed as linear combinations over sharings, so
 // each check is a VSS-Rec of a public LinComb — exactly what the Linearity
 // property licenses. Step 3 needs two reconstruction rounds: the opened
-// permutation / index list first (round A), then the difference / zero /
-// equality checks that depend on it (round B).
+// permutation / index list first (round A), then one batched zero test per
+// copy that depends on it (round B).
 #pragma once
 
 #include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "anonchan/params.hpp"
@@ -25,20 +26,19 @@ namespace gfor14::anonchan {
 std::optional<std::vector<std::size_t>> decode_index_list(
     std::span<const Fld> enc, std::size_t ell);
 
-/// Round B values for an opened permutation (challenge bit 0):
-/// u[k] = v[pi(k)] - w_j[k] for both components — must reconstruct to the
-/// all-zero vector.
-std::vector<vss::LinComb> perm_diff_values(const Params& params,
-                                           const BatchLayout& layout,
-                                           std::size_t j,
-                                           const Permutation& pi);
+/// What round A opened for copy j: the permutation pi_j (challenge bit 0)
+/// or the non-zero index list of w_j (challenge bit 1).
+using Opening = std::variant<Permutation, std::vector<std::size_t>>;
 
-/// Round B values for an opened index list (challenge bit 1): the alleged
-/// zero entries of w_j (both components), then the consecutive differences
-/// of alleged non-zero entries (both components) — all must be zero.
-std::vector<vss::LinComb> sparse_check_values(
-    const Params& params, const BatchLayout& layout, std::size_t j,
-    const std::vector<std::size_t>& w_indices);
+/// Round B's single value for copy j: z = sum_k rho^k u_k over the entries
+/// u_0, u_1, ... that must all be zero. For an opened permutation they are
+/// u[k] = v[pi(k)] - w_j[k], x components then a components; for an opened
+/// index list, the alleged zero entries of w_j (x, then a), then the
+/// consecutive differences of its alleged non-zero entries (x, then a).
+/// A non-zero u opens z = 0 with probability below 2 ell / |F| over a
+/// uniform rho fixed after the commitments; honest copies open 0.
+vss::LinComb zero_test(const Params& params, const BatchLayout& layout,
+                       std::size_t j, const Opening& opened, Fld rho);
 
 /// Step 4: the 2*ell linear combinations of the delivered vector
 /// v = sum_{i in PASS} g_i(v^(i)) — x components first, then a components.

@@ -107,9 +107,10 @@ std::optional<FaultSpec> parse_entry(std::string_view entry,
 
 }  // namespace
 
-std::optional<std::uint64_t> fault_seed_from_env(std::uint64_t fallback,
-                                                 std::string* bad) {
-  const char* env = std::getenv("GFOR14_FAULT_SEED");
+std::optional<std::uint64_t> seed_from_env(const char* var,
+                                           std::uint64_t fallback,
+                                           std::string* bad) {
+  const char* env = std::getenv(var);
   if (env == nullptr) return fallback;
   std::uint64_t seed = 0;
   if (parse_size(env, seed)) return seed;

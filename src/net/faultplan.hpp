@@ -76,11 +76,13 @@ const char* fault_kind_name(FaultKind kind);
 /// Inverse of fault_kind_name; nullopt for any other string.
 std::optional<FaultKind> fault_kind_from_name(std::string_view name);
 
-/// The GFOR14_FAULT_SEED environment override of a fault seed, a decimal
-/// u64 read whole: `fallback` when the variable is unset, nullopt (with
-/// the variable's value in `*bad` when non-null) when it is anything else.
-std::optional<std::uint64_t> fault_seed_from_env(std::uint64_t fallback,
-                                                 std::string* bad = nullptr);
+/// A replay-seed environment override (GFOR14_FAULT_SEED,
+/// GFOR14_SWEEP_SEED), a decimal u64 read whole from the variable `var`:
+/// `fallback` when it is unset, nullopt (with its value in `*bad` when
+/// non-null) when it is anything else.
+std::optional<std::uint64_t> seed_from_env(const char* var,
+                                           std::uint64_t fallback,
+                                           std::string* bad = nullptr);
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kDrop;

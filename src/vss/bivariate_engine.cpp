@@ -31,6 +31,12 @@ std::optional<std::size_t> dec(Fld f, std::size_t bound) {
 // chunks than lanes.
 constexpr std::size_t kDecodeChunk = 2048;
 
+// Terms from which a combination is folded into its share polynomial once
+// per reconstruction instead of evaluated term by term per party. A
+// cut-and-choose zero test has thousands of terms; every other combination
+// AnonChan opens has at most n, where the fold only adds work.
+constexpr std::size_t kFoldTerms = 256;
+
 /// The pair challenge a party uses when the other side's R1 word is missing
 /// or malformed (only pairs with a corrupt sender ever fall back to it).
 const Fld kDefaultChallenge = Fld::one();
@@ -810,12 +816,52 @@ ShareResult BivariateEngine::share_all(
 // Reconstruction
 // ---------------------------------------------------------------------------
 
-void BivariateEngine::committed_shares_into(std::span<const LinComb> values,
-                                           net::PartyId party,
-                                           std::span<Fld> out) const {
+std::vector<std::vector<Fld>> BivariateEngine::fold_long_values(
+    const std::vector<LinComb>& values) const {
+  std::vector<std::size_t> long_values;
+  for (std::size_t vi = 0; vi < values.size(); ++vi)
+    if (values[vi].terms().size() >= kFoldTerms) long_values.push_back(vi);
+  if (long_values.empty()) return {};
+  const std::size_t coeffs = profile_.t + 1;
+  std::vector<std::vector<Fld>> folded(values.size());
+  ThreadPool::instance().parallel_for(
+      0, long_values.size(), net_.threads(), [&](std::size_t li) {
+        const LinComb& v = values[long_values[li]];
+        const auto& terms = v.terms();
+        std::vector<Fld> weights(terms.size()), gathered(terms.size());
+        for (std::size_t k = 0; k < terms.size(); ++k) {
+          const SharingRef ref = terms[k].first;
+          GFOR14_EXPECTS(ref.dealer < net_.n());
+          GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
+          weights[k] = terms[k].second;
+        }
+        // Coefficient c of the folded polynomial is the combination of
+        // every term's x^c coefficient: one gather and one dot per plane.
+        std::vector<Fld>& poly = folded[long_values[li]];
+        poly.resize(coeffs);
+        for (std::size_t c = 0; c < coeffs; ++c) {
+          for (std::size_t k = 0; k < terms.size(); ++k)
+            gathered[k] = pools_[terms[k].first.dealer].plane(c)
+                              [terms[k].first.index];
+          poly[c] = ff::batch::dot(std::span<const Fld>(weights),
+                                   std::span<const Fld>(gathered));
+        }
+        poly[0] += v.constant_term();
+      });
+  return folded;
+}
+
+void BivariateEngine::committed_shares_into(
+    std::span<const LinComb> values,
+    std::span<const std::vector<Fld>> folded, net::PartyId party,
+    std::span<Fld> out) const {
   GFOR14_EXPECTS(out.size() == values.size());
+  GFOR14_EXPECTS(folded.empty() || folded.size() == values.size());
   const std::size_t n = net_.n();
   const Fld alpha = eval_point<64>(party);
+  const auto is_folded = [&](std::size_t vi) {
+    return !folded.empty() && !folded[vi].empty();
+  };
   // Stats pass: find, per dealer, the index range the requests touch and the
   // total reference count. Dense-enough dealers get their whole range
   // evaluated in one batched Horner sweep (span kernels over the pool
@@ -828,8 +874,9 @@ void BivariateEngine::committed_shares_into(std::span<const LinComb> values,
     std::size_t hi = 0;
   };
   std::vector<DealerStats> stats(n);
-  for (const LinComb& v : values)
-    for (const auto& [ref, coeff] : v.terms()) {
+  for (std::size_t vi = 0; vi < values.size(); ++vi) {
+    if (is_folded(vi)) continue;
+    for (const auto& [ref, coeff] : values[vi].terms()) {
       GFOR14_EXPECTS(ref.dealer < n);
       GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
       DealerStats& s = stats[ref.dealer];
@@ -837,6 +884,7 @@ void BivariateEngine::committed_shares_into(std::span<const LinComb> values,
       s.lo = std::min(s.lo, ref.index);
       s.hi = std::max(s.hi, ref.index + 1);
     }
+  }
   std::vector<std::vector<Fld>> table(n);
   for (net::PartyId d = 0; d < n; ++d) {
     const DealerStats& s = stats[d];
@@ -848,6 +896,14 @@ void BivariateEngine::committed_shares_into(std::span<const LinComb> values,
     }
   }
   for (std::size_t vi = 0; vi < values.size(); ++vi) {
+    if (is_folded(vi)) {
+      // Same share by exact field arithmetic: a (t + 1)-term Horner.
+      Fld acc = Fld::zero();
+      for (std::size_t c = folded[vi].size(); c-- > 0;)
+        acc = acc * alpha + folded[vi][c];
+      out[vi] = acc;
+      continue;
+    }
     Fld acc = values[vi].constant_term();
     for (const auto& [ref, coeff] : values[vi].terms()) {
       const Fld share =
@@ -873,6 +929,7 @@ Fld BivariateEngine::committed_value(const LinComb& v) const {
 
 std::vector<Fld> BivariateEngine::decode_received(
     const std::vector<LinComb>& values,
+    std::span<const std::vector<Fld>> folded,
     std::span<const std::optional<std::span<const Fld>>> per_sender,
     net::PartyId self) {
   const std::size_t n = net_.n();
@@ -919,7 +976,8 @@ std::vector<Fld> BivariateEngine::decode_received(
             if (i != self) {
               const std::span<Fld> dst(expected.data() + lo, len);
               committed_shares_into(
-                  std::span<const LinComb>(values.data() + lo, len), i, dst);
+                  std::span<const LinComb>(values.data() + lo, len),
+                  folded.empty() ? folded : folded.subspan(lo, len), i, dst);
               exp = dst.data();
             }
             for (std::size_t k = 0; k < len; ++k) {
@@ -1063,13 +1121,17 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
   // The n× committed-share evaluations per sender are the hot path of
   // reconstruction; each sender computes and queues independently. The
   // viewer keeps its own vector instead of re-deriving it for the decode.
+  // Long combinations are folded once here, for every sender and the
+  // decoder alike.
+  const std::vector<std::vector<Fld>> folded = fold_long_values(values);
   std::vector<Fld> own;
   net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
     net::Payload payload(values.size());
     charge_share_buffer(values.size());
     committed_shares_into(std::span<const LinComb>(values.data(),
                                                    values.size()),
-                          i, std::span<Fld>(payload.data(), payload.size()));
+                          folded, i,
+                          std::span<Fld>(payload.data(), payload.size()));
     for (net::PartyId j = 0; j < n; ++j)
       if (i != j) lane.send(j, payload);
     if (i == viewer) own = std::move(payload);
@@ -1086,7 +1148,7 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
     if (!msgs.empty() && msgs.front().size() == values.size())
       per_sender[i] = std::span<const Fld>(msgs.front());
   }
-  return decode_received(values, per_sender, viewer);
+  return decode_received(values, folded, per_sender, viewer);
 }
 
 std::vector<Fld> BivariateEngine::reconstruct_private(
@@ -1110,8 +1172,8 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
       net::Payload payload(req.values.size());
       charge_share_buffer(req.values.size());
       committed_shares_into(
-          std::span<const LinComb>(req.values.data(), req.values.size()), i,
-          std::span<Fld>(payload.data(), payload.size()));
+          std::span<const LinComb>(req.values.data(), req.values.size()), {},
+          i, std::span<Fld>(payload.data(), payload.size()));
       lane.send(req.receiver, std::move(payload));
     }
   });
@@ -1125,7 +1187,7 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
     const std::size_t slot = seen_for_receiver[req.receiver]++;
     std::vector<Fld> own(req.values.size());
     committed_shares_into(
-        std::span<const LinComb>(req.values.data(), req.values.size()),
+        std::span<const LinComb>(req.values.data(), req.values.size()), {},
         req.receiver, std::span<Fld>(own));
     std::vector<std::optional<std::span<const Fld>>> per_sender(n);
     for (net::PartyId i = 0; i < n; ++i) {
@@ -1137,7 +1199,7 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
       if (slot < msgs.size() && msgs[slot].size() == req.values.size())
         per_sender[i] = std::span<const Fld>(msgs[slot]);
     }
-    out.push_back(decode_received(req.values, per_sender, req.receiver));
+    out.push_back(decode_received(req.values, {}, per_sender, req.receiver));
   }
   return out;
 }

@@ -140,10 +140,18 @@ class BivariateEngine final : public VssScheme {
                      bool force_physical = false);
   void run_padding_rounds();
 
-  /// out[vi] = the party's committed share of values[vi], with per-dealer
-  /// pool evaluations amortized across values through one span Horner
-  /// sweep over each touched index range.
+  /// Per value, the t + 1 coefficients (x^0 first) of its committed share
+  /// polynomial, for every value of at least kFoldTerms terms; empty for
+  /// shorter values, and no entries at all when no value is that long.
+  std::vector<std::vector<Fld>> fold_long_values(
+      const std::vector<LinComb>& values) const;
+  /// out[vi] = the party's committed share of values[vi]: a Horner of
+  /// folded[vi] when that is non-empty; otherwise per-dealer pool
+  /// evaluations amortized across values through one span Horner sweep
+  /// over each touched index range. `folded` is empty or parallel to
+  /// `values`.
   void committed_shares_into(std::span<const LinComb> values,
+                             std::span<const std::vector<Fld>> folded,
                              net::PartyId party, std::span<Fld> out) const;
   /// Decodes `values` from the share vectors one party holds after the
   /// reveal round: per_sender[i] views sender i's delivered vector (nullopt
@@ -152,6 +160,7 @@ class BivariateEngine final : public VssScheme {
   /// idealized-IC path requires n <= 64 (accept sets are sender bitmasks).
   std::vector<Fld> decode_received(
       const std::vector<LinComb>& values,
+      std::span<const std::vector<Fld>> folded,
       std::span<const std::optional<std::span<const Fld>>> per_sender,
       net::PartyId self);
 

@@ -4,9 +4,14 @@
 // audits it, shares tampered on the wire are filtered out by the
 // information-checking layer, and the only way past the proof is guessing
 // every one of the kappa_cc challenge bits — probability 2^-kappa_cc.
+// Round B's batched zero test catches a single bad entry wherever it sits,
+// and two equal errors that a plain sum would cancel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "anonchan/anonchan.hpp"
@@ -33,6 +38,9 @@ struct SharedCommitment {
   BatchLayout layout;
   anonchan::SenderCommitment commitment;
 
+  /// Round B's batching coefficient, drawn after the commitment.
+  Fld rho;
+
   SharedCommitment(anonchan::SenderStrategy& strategy, std::uint64_t seed)
       : net(4, seed),
         vss(vss::make_vss(SchemeKind::kRB, net)),
@@ -43,6 +51,7 @@ struct SharedCommitment {
     std::vector<std::vector<Fld>> batches(net.n());
     batches[0] = commitment.secrets;
     vss->share_all(batches);
+    rho = Fld::random(net.rng_of(1));
   }
 
   std::vector<Fld> open(const std::vector<vss::LinComb>& values) {
@@ -59,10 +68,13 @@ struct SharedCommitment {
         std::span<const Fld>(open(layout.idx[j].all())), params.ell);
   }
 
-  bool all_zero(const std::vector<vss::LinComb>& checks) {
-    for (Fld f : open(checks))
-      if (!f.is_zero()) return false;
-    return true;
+  /// Round B for copy j: whether the zero test over `opened` opens to zero.
+  bool zero_test_passes(std::size_t j, const anonchan::Opening& opened) {
+    return opens_zero(j, opened, rho);
+  }
+  bool opens_zero(std::size_t j, const anonchan::Opening& opened, Fld r) {
+    return open({anonchan::zero_test(params, layout, j, opened, r)})[0]
+        .is_zero();
   }
 };
 
@@ -74,8 +86,7 @@ TEST(CutAndChooseOpen, HonestOpenVerifiesOnBothBranches) {
     // vector u[k] = v[pi(k)] - w_j[k] reconstructs to all zeros.
     const auto pi = sc.open_permutation(j);
     ASSERT_TRUE(pi.has_value()) << "copy " << j;
-    EXPECT_TRUE(sc.all_zero(
-        anonchan::perm_diff_values(sc.params, sc.layout, j, *pi)));
+    EXPECT_TRUE(sc.zero_test_passes(j, *pi));
     // Bit 1 branch: the index list decodes, matches the ground-truth
     // non-zero positions of w_j = pi_j(v), and the zero/equality checks
     // all reconstruct to zero.
@@ -83,8 +94,7 @@ TEST(CutAndChooseOpen, HonestOpenVerifiesOnBothBranches) {
     ASSERT_TRUE(idx.has_value()) << "copy " << j;
     EXPECT_EQ(*idx, anonchan::permuted_indices(*pi, sc.commitment.v_indices,
                                                sc.params.ell));
-    EXPECT_TRUE(sc.all_zero(
-        anonchan::sparse_check_values(sc.params, sc.layout, j, *idx)));
+    EXPECT_TRUE(sc.zero_test_passes(j, *idx));
   }
 }
 
@@ -97,12 +107,10 @@ TEST(CutAndChooseOpen, UnequalEntriesCaughtByIndexBranchOnly) {
   for (std::size_t j = 0; j < sc.params.kappa_cc; ++j) {
     const auto pi = sc.open_permutation(j);
     ASSERT_TRUE(pi.has_value());
-    EXPECT_TRUE(sc.all_zero(
-        anonchan::perm_diff_values(sc.params, sc.layout, j, *pi)));
+    EXPECT_TRUE(sc.zero_test_passes(j, *pi));
     const auto idx = sc.open_index_list(j);
     ASSERT_TRUE(idx.has_value());
-    EXPECT_FALSE(sc.all_zero(
-        anonchan::sparse_check_values(sc.params, sc.layout, j, *idx)));
+    EXPECT_FALSE(sc.zero_test_passes(j, *idx));
   }
 }
 
@@ -115,12 +123,10 @@ TEST(CutAndChooseOpen, WrongCopiesCaughtByPermutationBranchOnly) {
   for (std::size_t j = 0; j < sc.params.kappa_cc; ++j) {
     const auto idx = sc.open_index_list(j);
     ASSERT_TRUE(idx.has_value());
-    EXPECT_TRUE(sc.all_zero(
-        anonchan::sparse_check_values(sc.params, sc.layout, j, *idx)));
+    EXPECT_TRUE(sc.zero_test_passes(j, *idx));
     const auto pi = sc.open_permutation(j);
     ASSERT_TRUE(pi.has_value());
-    if (!sc.all_zero(
-            anonchan::perm_diff_values(sc.params, sc.layout, j, *pi)))
+    if (!sc.zero_test_passes(j, *pi))
       caught_somewhere = true;
   }
   EXPECT_TRUE(caught_somewhere);
@@ -138,15 +144,169 @@ TEST(CutAndChooseOpen, WireTamperedSharesAreFilteredByTheICLayer) {
   for (std::size_t j = 0; j < sc.params.kappa_cc; ++j) {
     const auto pi = sc.open_permutation(j);
     ASSERT_TRUE(pi.has_value());
-    EXPECT_TRUE(sc.all_zero(
-        anonchan::perm_diff_values(sc.params, sc.layout, j, *pi)));
+    EXPECT_TRUE(sc.zero_test_passes(j, *pi));
     const auto idx = sc.open_index_list(j);
     ASSERT_TRUE(idx.has_value());
     EXPECT_EQ(*idx, anonchan::permuted_indices(*pi, sc.commitment.v_indices,
                                                sc.params.ell));
-    EXPECT_TRUE(sc.all_zero(
-        anonchan::sparse_check_values(sc.params, sc.layout, j, *idx)));
+    EXPECT_TRUE(sc.zero_test_passes(j, *idx));
   }
+}
+
+// --- Round B's batched zero test ------------------------------------------
+
+/// An honest commitment whose every copy w_j gets `error` added to the
+/// entries pick(params, non-zero index list of w_j). Entries count
+/// component-major: e < ell is w_x[e], otherwise w_a[e - ell].
+class TamperedCopies final : public anonchan::SenderStrategy {
+ public:
+  using Pick = std::function<std::vector<std::size_t>(
+      const Params&, const std::vector<std::size_t>&)>;
+  TamperedCopies(Pick pick, Fld error)
+      : pick_(std::move(pick)), error_(error) {}
+
+  anonchan::SenderCommitment build(const Params& params,
+                                   const BatchLayout& layout, Fld input,
+                                   Rng& rng) override {
+    auto c = anonchan::HonestSender().build(params, layout, input, rng);
+    for (std::size_t j = 0; j < params.kappa_cc; ++j) {
+      // The tag component is non-zero exactly at w_j's non-zero entries.
+      std::vector<std::size_t> nonzero;
+      for (std::size_t k = 0; k < params.ell; ++k)
+        if (!c.secrets[layout.w_a[j].base + k].is_zero()) nonzero.push_back(k);
+      for (std::size_t e : pick_(params, nonzero)) {
+        const vss::Slab& w = e < params.ell ? layout.w_x[j] : layout.w_a[j];
+        c.secrets[w.base + e % params.ell] += error_;
+      }
+    }
+    return c;
+  }
+
+ private:
+  Pick pick_;
+  Fld error_;
+};
+
+/// The first, a middle and the last of `count` positions.
+std::vector<std::size_t> ends_and_middle(std::size_t count) {
+  return {0, count / 2, count - 1};
+}
+
+/// The w entry of the q-th alleged zero entry on the index-list branch (x
+/// components first, then a components, as round B orders them).
+std::size_t alleged_zero_entry(const Params& params,
+                               const std::vector<std::size_t>& nonzero,
+                               std::size_t q) {
+  const std::size_t per_component = params.ell - params.d;
+  std::size_t seen = 0;
+  for (std::size_t k = 0; k < params.ell; ++k) {
+    if (std::find(nonzero.begin(), nonzero.end(), k) != nonzero.end())
+      continue;
+    if (seen++ == q % per_component)
+      return (q < per_component ? 0 : params.ell) + k;
+  }
+  ADD_FAILURE() << "no alleged zero entry " << q;
+  return 0;
+}
+
+/// Runs one n = 4 channel with P0 corrupt, committing through `strategy`;
+/// true iff P0 ends outside PASS with a public anonchan.check.nonzero blame
+/// while every honest input is delivered.
+bool disqualified_by_zero_test(
+    std::shared_ptr<anonchan::SenderStrategy> strategy, std::uint64_t seed) {
+  net::Network net(4, seed);
+  net.set_corrupt(0, true);
+  auto vss = vss::make_vss(SchemeKind::kRB, net);
+  AnonChan chan(net, *vss, Params::practical(4, 3));
+  chan.set_strategy(0, std::move(strategy));
+  const std::vector<Fld> inputs = {Fld::from_u64(77), Fld::from_u64(201),
+                                   Fld::from_u64(202), Fld::zero()};
+  const auto out = chan.run(3, inputs);
+  for (std::size_t i = 1; i < 3; ++i)
+    EXPECT_TRUE(out.delivered(inputs[i])) << "honest input " << i;
+  bool blamed = false;
+  for (const auto& b : net.blames())
+    blamed |= b.accused == 0 && b.reason == "anonchan.check.nonzero";
+  return !out.pass[0] && blamed;
+}
+
+TEST(CutAndChooseZeroTest, OneWrongCopyEntryIsCaughtAtAnyPosition) {
+  // w_j differs from pi_j(v) in exactly one entry: the first, a middle or
+  // the last of the 2 ell permuted differences. Both branches see it (on the
+  // index-list branch as a non-zero alleged zero or a non-zero consecutive
+  // difference), so the dealer is disqualified whatever the challenge.
+  const Params params = Params::practical(4, 3);
+  for (std::size_t q : ends_and_middle(2 * params.ell)) {
+    SCOPED_TRACE("entry " + std::to_string(q));
+    const auto pick = [q](const Params&, const std::vector<std::size_t>&) {
+      return std::vector<std::size_t>{q};
+    };
+    TamperedCopies attack(pick, Fld::from_u64(5));
+    SharedCommitment sc(attack, 60000 + q);
+    for (std::size_t j = 0; j < sc.params.kappa_cc; ++j) {
+      const auto pi = sc.open_permutation(j);
+      ASSERT_TRUE(pi.has_value());
+      EXPECT_FALSE(sc.zero_test_passes(j, *pi));
+      const auto idx = sc.open_index_list(j);
+      ASSERT_TRUE(idx.has_value());
+      EXPECT_FALSE(sc.zero_test_passes(j, *idx));
+    }
+    EXPECT_TRUE(disqualified_by_zero_test(
+        std::make_shared<TamperedCopies>(pick, Fld::from_u64(5)), 61000 + q));
+  }
+}
+
+TEST(CutAndChooseZeroTest, OneNonzeroAllegedZeroEntryIsCaughtAtAnyPosition) {
+  // One alleged zero entry of w_j is non-zero: the first, a middle or the
+  // last of the 2 (ell - d) alleged zeros the index-list branch tests. The
+  // permutation branch sees the same entry as a permuted difference.
+  const Params params = Params::practical(4, 3);
+  for (std::size_t q : ends_and_middle(2 * (params.ell - params.d))) {
+    SCOPED_TRACE("alleged zero " + std::to_string(q));
+    const auto pick = [q](const Params& p,
+                          const std::vector<std::size_t>& nonzero) {
+      return std::vector<std::size_t>{alleged_zero_entry(p, nonzero, q)};
+    };
+    TamperedCopies attack(pick, Fld::from_u64(9));
+    SharedCommitment sc(attack, 62000 + q);
+    for (std::size_t j = 0; j < sc.params.kappa_cc; ++j) {
+      const auto idx = sc.open_index_list(j);
+      ASSERT_TRUE(idx.has_value());
+      EXPECT_FALSE(sc.zero_test_passes(j, *idx));
+      const auto pi = sc.open_permutation(j);
+      ASSERT_TRUE(pi.has_value());
+      EXPECT_FALSE(sc.zero_test_passes(j, *pi));
+    }
+    EXPECT_TRUE(disqualified_by_zero_test(
+        std::make_shared<TamperedCopies>(pick, Fld::from_u64(9)), 63000 + q));
+  }
+}
+
+TEST(CutAndChooseZeroTest, EqualErrorsThatCancelInAPlainSumAreCaught) {
+  // The same error in two alleged zero entries (the first and the last):
+  // in characteristic 2 they cancel in any sum with equal coefficients, so
+  // the zero test opens 0 at rho = 1 on both branches. Distinct powers of a
+  // random rho keep them apart.
+  const auto pick = [](const Params& p,
+                       const std::vector<std::size_t>& nonzero) {
+    const std::size_t last = 2 * (p.ell - p.d) - 1;
+    return std::vector<std::size_t>{alleged_zero_entry(p, nonzero, 0),
+                                    alleged_zero_entry(p, nonzero, last)};
+  };
+  TamperedCopies attack(pick, Fld::from_u64(0xC0FFEE));
+  SharedCommitment sc(attack, 64000);
+  for (std::size_t j = 0; j < sc.params.kappa_cc; ++j) {
+    const auto idx = sc.open_index_list(j);
+    ASSERT_TRUE(idx.has_value());
+    EXPECT_TRUE(sc.opens_zero(j, *idx, Fld::one()));
+    EXPECT_FALSE(sc.zero_test_passes(j, *idx));
+    const auto pi = sc.open_permutation(j);
+    ASSERT_TRUE(pi.has_value());
+    EXPECT_TRUE(sc.opens_zero(j, *pi, Fld::one()));
+    EXPECT_FALSE(sc.zero_test_passes(j, *pi));
+  }
+  EXPECT_TRUE(disqualified_by_zero_test(
+      std::make_shared<TamperedCopies>(pick, Fld::from_u64(0xC0FFEE)), 64001));
 }
 
 TEST(CutAndChooseOpen, EscapePathIsExactlyGuessingEveryChallengeBit) {

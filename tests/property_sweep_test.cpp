@@ -6,12 +6,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <string>
 
 #include "anonchan/anonchan.hpp"
 #include "net/adversary.hpp"
+#include "net/faultplan.hpp"
 #include "vss/schemes.hpp"
 
 namespace gfor14 {
@@ -160,13 +160,12 @@ TEST(ParallelSweep, RandomConfigurationsMatchSerialByteForByte) {
   //
   // The sweep seed is fresh each run and printed below; replay any failure
   // exactly by setting the one environment variable GFOR14_SWEEP_SEED.
-  std::uint64_t sweep_seed;
-  if (const char* env = std::getenv("GFOR14_SWEEP_SEED"); env && *env) {
-    sweep_seed = std::strtoull(env, nullptr, 10);
-  } else {
-    std::random_device rd;
-    sweep_seed = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  }
+  std::random_device rd;
+  const std::uint64_t fresh = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
+  std::string bad;
+  const auto env_seed = net::seed_from_env("GFOR14_SWEEP_SEED", fresh, &bad);
+  ASSERT_TRUE(env_seed.has_value()) << "malformed GFOR14_SWEEP_SEED=" << bad;
+  const std::uint64_t sweep_seed = *env_seed;
   std::printf("[ParallelSweep] GFOR14_SWEEP_SEED=%llu (export to replay)\n",
               static_cast<unsigned long long>(sweep_seed));
 
