@@ -222,6 +222,36 @@ TEST_P(VssSchemeTest, CommittedValueOracleMatchesReconstruction) {
   EXPECT_EQ(vss->reconstruct_public({v})[0], vss->committed_value(v));
 }
 
+TEST_P(VssSchemeTest, LongCombinationsReconstructTheCommittedValue) {
+  // Combinations of hundreds of terms take the engine's folded path (one
+  // share polynomial per value, evaluated per party); they must open to
+  // the committed value next to short ones, with a constant term, terms
+  // from several dealers, repeated terms, and shares rewritten on the wire.
+  const auto [kind, n] = GetParam();
+  for (std::size_t lanes : {1u, 4u}) {
+    net::Network net(n, 91);
+    net.set_threads(lanes);
+    net.corrupt_first(scheme_max_t(kind, n));
+    net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
+    auto vss = make_vss(kind, net);
+    Rng rng(17);
+    std::vector<std::vector<Fld>> batches(n);
+    for (auto& b : batches)
+      for (std::size_t k = 0; k < 400; ++k) b.push_back(Fld::random(rng));
+    vss->share_all(batches);
+    std::vector<LinComb> values(3);
+    for (std::size_t k = 0; k < 1200; ++k)
+      values[0].add({k % n, k % 400}, Fld::random(rng));
+    values[0].add_constant(fe(7));
+    values[1].add({0, 3}, fe(2)).add({n - 1, 5}, fe(9));
+    for (std::size_t k = 0; k < 300; ++k) values[2].add({1, k % 150}, fe(k));
+    const auto opened = vss->reconstruct_public(values);
+    for (std::size_t vi = 0; vi < values.size(); ++vi)
+      EXPECT_EQ(opened[vi], vss->committed_value(values[vi]))
+          << "value " << vi << " lanes " << lanes;
+  }
+}
+
 TEST_P(VssSchemeTest, SequentialShareAllAppends) {
   const auto [kind, n] = GetParam();
   net::Network net(n, 41);
