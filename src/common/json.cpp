@@ -96,10 +96,12 @@ class Parser {
   /// write nests a handful of levels).
   static constexpr std::size_t kMaxDepth = 256;
 
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, std::span<const std::string_view> path = {},
+         const Value::ElementSink* sink = nullptr)
+      : text_(text), path_(path), sink_(sink) {}
 
   std::optional<Value> run() {
-    auto v = parse_value();
+    auto v = parse_value(path_.empty() ? kOffPath : 0);
     if (!v) return std::nullopt;
     skip_ws();
     if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
@@ -180,12 +182,20 @@ class Parser {
     return std::nullopt;  // unterminated
   }
 
-  std::optional<Value> parse_array_body() {
+  /// Path components matched by the value about to be parsed (all of
+  /// path_ = a diverted array), or kOffPath once it left the path.
+  static constexpr std::size_t kOffPath = static_cast<std::size_t>(-1);
+  std::size_t step(std::size_t match, std::string_view name) const {
+    return match < path_.size() && path_[match] == name ? match + 1 : kOffPath;
+  }
+
+  std::optional<Value> parse_array_body(std::size_t match) {
+    if (match == path_.size()) return parse_diverted_body();
     Value arr = Value::array();
     skip_ws();
     if (eat(']')) return arr;
     for (;;) {
-      auto v = parse_value();
+      auto v = parse_value(step(match, "*"));
       if (!v) return std::nullopt;
       arr.push_back(std::move(*v));
       if (eat(']')) return arr;
@@ -193,7 +203,38 @@ class Parser {
     }
   }
 
-  std::optional<Value> parse_object_body() {
+  std::optional<Value> parse_diverted_body() {
+    const std::size_t array = diverted_++;
+    skip_ws();
+    if (eat(']')) return Value::array();
+    for (;;) {
+      skip_ws();
+      if (pos_ < text_.size() && text_[pos_] == '"') {
+        // Unescaped strings are handed over in place; anything else takes
+        // the general string path.
+        std::size_t end = ++pos_;
+        while (end < text_.size() && text_[end] != '"' && text_[end] != '\\')
+          ++end;
+        if (end < text_.size() && text_[end] == '"') {
+          const std::string_view body = text_.substr(pos_, end - pos_);
+          pos_ = end + 1;
+          (*sink_)(array, &body);
+        } else {
+          const auto body = parse_string_body();
+          if (!body) return std::nullopt;
+          const std::string_view view(*body);
+          (*sink_)(array, &view);
+        }
+      } else {
+        if (!parse_value(kOffPath)) return std::nullopt;
+        (*sink_)(array, nullptr);
+      }
+      if (eat(']')) return Value::array();
+      if (!eat(',')) return std::nullopt;
+    }
+  }
+
+  std::optional<Value> parse_object_body(std::size_t match) {
     Value obj = Value::object();
     skip_ws();
     if (eat('}')) return obj;
@@ -202,7 +243,7 @@ class Parser {
       auto key = parse_string_body();
       if (!key) return std::nullopt;
       if (!eat(':')) return std::nullopt;
-      auto v = parse_value();
+      auto v = parse_value(step(match, *key));
       if (!v) return std::nullopt;
       // A repeated key has no single meaning (set() would keep the last
       // one silently), so the document is rejected.
@@ -213,7 +254,7 @@ class Parser {
     }
   }
 
-  std::optional<Value> parse_value() {
+  std::optional<Value> parse_value(std::size_t match) {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     char c = text_[pos_];
@@ -232,7 +273,7 @@ class Parser {
       if (depth_ == kMaxDepth) return std::nullopt;
       ++pos_;
       ++depth_;
-      auto v = c == '[' ? parse_array_body() : parse_object_body();
+      auto v = c == '[' ? parse_array_body(match) : parse_object_body(match);
       --depth_;
       return v;
     }
@@ -253,8 +294,11 @@ class Parser {
   }
 
   std::string_view text_;
+  std::span<const std::string_view> path_;
+  const Value::ElementSink* sink_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  ///< open arrays/objects around pos_
+  std::size_t diverted_ = 0;
 };
 
 }  // namespace
@@ -268,6 +312,12 @@ std::string Value::dump(int indent) const {
 
 std::optional<Value> Value::parse(std::string_view text) {
   return Parser(text).run();
+}
+
+std::optional<Value> Value::parse(std::string_view text,
+                                  std::span<const std::string_view> path,
+                                  const ElementSink& element) {
+  return Parser(text, path, &element).run();
 }
 
 bool Value::operator==(const Value& o) const {

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -92,6 +94,19 @@ class Value {
   /// trailing garbage, a key repeated within one object, or array/object
   /// nesting deeper than 256 levels.
   static std::optional<Value> parse(std::string_view text);
+
+  /// Receives the elements of diverted arrays (see below): `array` numbers
+  /// the diverted arrays in document order from 0, and `text` is the
+  /// element's string value, or nullptr when the element is not a string.
+  using ElementSink =
+      std::function<void(std::size_t array, const std::string_view* text)>;
+  /// The same strict parse, except that arrays found at `path` — member
+  /// names from the root, "*" for any array element — are diverted: each
+  /// parses to an empty array and hands its elements to `element` instead
+  /// of building a Value per element (a recording's payload words).
+  static std::optional<Value> parse(std::string_view text,
+                                    std::span<const std::string_view> path,
+                                    const ElementSink& element);
 
   bool operator==(const Value& o) const;
 

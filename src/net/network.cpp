@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common/metrics.hpp"
+#include "common/recycler.hpp"
 #include "common/thread_pool.hpp"
 #include "net/faultplan.hpp"
 
@@ -40,6 +41,24 @@ CostReport CostReport::operator-(const CostReport& o) const {
   r.broadcast_elements = broadcast_elements - o.broadcast_elements;
   return r;
 }
+
+namespace {
+
+/// Deleter of a published round, run by whichever thread drops its last
+/// reference: the large payloads go back to the recycler (the next op's R1
+/// messages reuse them), then the rest is freed.
+void release_round(const RoundTraffic* published) {
+  auto* round = const_cast<RoundTraffic*>(published);  // allocated non-const
+  BufferRecycler& recycler = BufferRecycler::instance();
+  for (auto& row : round->p2p)
+    for (auto& queue : row)
+      for (auto& payload : queue) recycler.give(std::move(payload));
+  for (auto& queue : round->bcast)
+    for (auto& payload : queue) recycler.give(std::move(payload));
+  delete round;
+}
+
+}  // namespace
 
 void RoundTraffic::reset(std::size_t n) {
   p2p.assign(n, std::vector<PayloadQueue>(n));
@@ -211,7 +230,8 @@ void Network::end_round() {
   in_round_ = false;
   costs_.rounds += 1;
   if (round_used_broadcast_) costs_.broadcast_rounds += 1;
-  delivered_ = std::make_shared<const RoundTraffic>(std::move(pending_));
+  delivered_ = std::shared_ptr<const RoundTraffic>(
+      new RoundTraffic(std::move(pending_)), release_round);
   pending_.reset(n_);
 
   const CostReport round_delta = costs_ - round_start_costs_;
@@ -292,6 +312,7 @@ void Network::substitute_p2p(PartyId from, PartyId to,
   // The substituted payloads are freshly built buffers, so the allocation
   // counters only ever grow — a drop frees memory but allocates none.
   meters_.alloc_count->add(payloads.size());
+  for (auto& p : slot) BufferRecycler::instance().give(std::move(p));
   slot = std::move(payloads);
   // Poison outstanding views of this queue (debug-checked use-after-free).
   channel_stamp_[to * n_ + from] = ++stamp_counter_;
@@ -314,6 +335,7 @@ void Network::substitute_broadcast(PartyId from,
     meters_.alloc_bytes->add(p.size() * sizeof(Fld));
   }
   meters_.alloc_count->add(payloads.size());
+  for (auto& p : slot) BufferRecycler::instance().give(std::move(p));
   slot = std::move(payloads);
   if (in_adversary_turn_)
     tamper_log_.push_back({costs_.rounds, from, 0, true});

@@ -302,6 +302,8 @@ class Network {
   /// The same traffic as a shared handle: every round's delivered traffic
   /// is immutable once published, so an observer may keep it alive past
   /// the round (the flight recorder retains payloads this way, uncopied).
+  /// A view into a payload must hold this handle while it reads; when the
+  /// last handle drops, the large payloads go back to the BufferRecycler.
   const std::shared_ptr<const RoundTraffic>& delivered_shared() const {
     return delivered_;
   }

@@ -1,7 +1,8 @@
 #include "net/recorder.hpp"
 
+#include <algorithm>
+#include <array>
 #include <fstream>
-#include <sstream>
 
 #include "common/provenance.hpp"
 #include "common/trace.hpp"
@@ -61,6 +62,36 @@ bool cost_report_from_json(const json::Value& v, CostReport& out) {
          field("broadcast_elements", out.broadcast_elements);
 }
 
+/// Payload words decoded while a recording file is parsed: every message
+/// payload array's words in one flat vector, which all loaded rounds share.
+struct LoadedPayloads {
+  struct Array {
+    std::size_t offset = 0, count = 0;
+    const char* error = nullptr;  ///< the first bad element's diagnostic
+  };
+  std::shared_ptr<std::vector<Fld>> words =
+      std::make_shared<std::vector<Fld>>();
+  std::vector<Array> arrays;
+
+  /// The json::Value::ElementSink of Recording::load's parse.
+  void element(std::size_t array, const std::string_view* text) {
+    while (arrays.size() <= array) arrays.push_back({words->size(), 0, nullptr});
+    Array& a = arrays[array];
+    ++a.count;
+    if (a.error != nullptr) return;
+    const auto word = text ? parse_hex_u64(*text) : std::nullopt;
+    if (text == nullptr) a.error = "payload element is not a string";
+    else if (!word) a.error = "malformed payload element";
+    else words->push_back(Fld::from_u64(*word));
+  }
+};
+
+/// Recording::from_json, reading message payloads from `loaded` (the k-th
+/// payload array of the document is loaded->arrays[k]) when it is non-null.
+std::optional<Recording> recording_from_json(const json::Value& v,
+                                             const LoadedPayloads* loaded,
+                                             std::string* error);
+
 }  // namespace
 
 std::string hex_u64(std::uint64_t v) {
@@ -74,14 +105,24 @@ std::string hex_u64(std::uint64_t v) {
 }
 
 std::optional<std::uint64_t> parse_hex_u64(std::string_view s) {
+  // Digit value per byte, 16 for anything but a lowercase hex digit: a
+  // table lookup, since branching on random recorded digits mispredicts.
+  static constexpr auto kDigit = [] {
+    std::array<std::uint8_t, 256> t{};
+    t.fill(16);
+    for (int c = 0; c < 16; ++c)
+      t[static_cast<unsigned char>("0123456789abcdef"[c])] = c;
+    return t;
+  }();
   if (s.empty() || s.size() > 16) return std::nullopt;
   std::uint64_t v = 0;
+  unsigned seen = 0;
   for (char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else return std::nullopt;
+    const unsigned d = kDigit[static_cast<unsigned char>(c)];
+    seen |= d;
+    v = v << 4 | (d & 15);
   }
+  if (seen & 16) return std::nullopt;
   return v;
 }
 
@@ -302,6 +343,14 @@ json::Value Recording::to_json() const {
 
 std::optional<Recording> Recording::from_json(const json::Value& v,
                                               std::string* error) {
+  return recording_from_json(v, nullptr, error);
+}
+
+namespace {
+
+std::optional<Recording> recording_from_json(const json::Value& v,
+                                             const LoadedPayloads* loaded,
+                                             std::string* error) {
   const auto fail = [&](const std::string& why) -> std::optional<Recording> {
     if (error != nullptr) *error = why;
     return std::nullopt;
@@ -309,11 +358,11 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
   if (!v.is_object()) return fail("recording is not a JSON object");
   const json::Value* format = v.find("format");
   if (format == nullptr || !format->is_string() ||
-      format->as_string() != kFormat)
+      format->as_string() != Recording::kFormat)
     return fail("missing or unknown 'format'");
   const json::Value* version = v.find("version");
   std::uint64_t version_value = 0;
-  if (!count_from_json(version, version_value) || version_value != kVersion)
+  if (!count_from_json(version, version_value) || version_value != Recording::kVersion)
     return fail("unsupported recording version");
 
   Recording rec;
@@ -331,6 +380,7 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
 
   const json::Value* rounds = v.find("rounds");
   if (rounds == nullptr || !rounds->is_array()) return fail("missing 'rounds'");
+  std::size_t next_array = 0;  // into loaded->arrays
   for (const json::Value& ro : rounds->items()) {
     if (!ro.is_object()) return fail("round entry is not an object");
     RecordedRound round;
@@ -399,6 +449,20 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
         const json::Value* payload = mo.find("payload");
         if (payload == nullptr || !payload->is_array())
           return fail("full-fidelity message missing 'payload'");
+        if (loaded != nullptr) {
+          const LoadedPayloads::Array a =
+              next_array < loaded->arrays.size()
+                  ? loaded->arrays[next_array]
+                  : LoadedPayloads::Array{};
+          ++next_array;
+          if (a.count != msg.elements)
+            return fail("message payload length disagrees with 'len'");
+          if (a.error != nullptr) return fail(a.error);
+          msg.payload =
+              std::span<const Fld>(*loaded->words).subspan(a.offset, a.count);
+          round.messages.push_back(msg);
+          continue;
+        }
         if (payload->size() != msg.elements)
           return fail("message payload length disagrees with 'len'");
         for (const json::Value& e : payload->items()) {
@@ -410,7 +474,9 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
       }
       round.messages.push_back(msg);
     }
-    if (rec.full) {
+    if (rec.full && loaded != nullptr) {
+      round.owner = loaded->words;
+    } else if (rec.full) {
       std::size_t offset = 0;
       for (RecordedMessage& m : round.messages) {
         m.payload = std::span<const Fld>(*words).subspan(offset, m.elements);
@@ -495,6 +561,8 @@ std::optional<Recording> Recording::from_json(const json::Value& v,
   return rec;
 }
 
+}  // namespace
+
 bool Recording::save(const std::string& path) const {
   std::ofstream out(path, std::ios::out | std::ios::trunc);
   if (!out.is_open()) return false;
@@ -504,19 +572,30 @@ bool Recording::save(const std::string& path) const {
 
 std::optional<Recording> Recording::load(const std::string& path,
                                          std::string* error) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
     if (error != nullptr) *error = "cannot open " + path;
     return std::nullopt;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const auto doc = json::Value::parse(text.str());
-  if (!doc) {
+  in.seekg(0, std::ios::end);
+  std::string text(static_cast<std::size_t>(std::max<std::streamoff>(in.tellg(), 0)), '\0');
+  in.seekg(0, std::ios::beg);
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  // Payload words go straight into one flat vector instead of a JSON value
+  // per word; everything else is the strict parse and from_json's checks.
+  static constexpr std::string_view kPayloadPath[] = {"rounds", "*", "messages",
+                                                      "*", "payload"};
+  LoadedPayloads loaded;
+  const auto doc = json::Value::parse(
+      text, kPayloadPath,
+      [&](std::size_t array, const std::string_view* word) {
+        loaded.element(array, word);
+      });
+  if (!in || !doc) {
     if (error != nullptr) *error = path + " is not valid JSON";
     return std::nullopt;
   }
-  return from_json(*doc, error);
+  return recording_from_json(*doc, &loaded, error);
 }
 
 }  // namespace gfor14::net

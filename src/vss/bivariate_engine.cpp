@@ -43,38 +43,34 @@ const Fld kDefaultChallenge = Fld::one();
 
 /// Words per dot-product block of a challenge combination.
 constexpr std::size_t kChallengeBlock = 1024;
-using ChallengePowers = std::array<Fld, kChallengeBlock>;
+/// w[k * s + c] = rho^(k+1) * x^c for the kChallengeBlock / s slices of s
+/// coefficients one block covers.
+using ChallengeWeights = std::array<Fld, kChallengeBlock>;
 
-/// rho^1 .. rho^kChallengeBlock.
-void challenge_powers(Fld rho, ChallengePowers& powers) {
-  Fld acc = rho;
-  for (Fld& p : powers) {
-    p = acc;
-    acc *= rho;
+void challenge_weights(Fld rho, Fld x, std::size_t s, ChallengeWeights& w) {
+  Fld rk = rho;
+  for (std::size_t k = 0; k < kChallengeBlock / s; ++k, rk *= rho) {
+    Fld term = rk;
+    for (std::size_t c = 0; c < s; ++c, term *= x) w[k * s + c] = term;
   }
 }
 
-/// sum_k rho^(k+1) * f_k(x) over the slices f_k of `block`: per coefficient
-/// plane, a blocked dot against the power table Horner-combined in
-/// rho^kChallengeBlock (message_digest's shape), then the planes
-/// Horner-combined in x.
-Fld challenge_combination(const SliceBlock& block, Fld x,
-                          const ChallengePowers& powers) {
-  const std::size_t m = block.size();
-  const std::size_t blocks = (m + kChallengeBlock - 1) / kChallengeBlock;
-  Fld acc = Fld::zero();
-  for (std::size_t c = block.coeffs_per_poly(); c-- > 0;) {
-    const std::span<const Fld> plane = block.plane(c);
-    Fld h = Fld::zero();
-    for (std::size_t j = blocks; j-- > 0;) {
-      const std::span<const Fld> part = plane.subspan(
-          j * kChallengeBlock, std::min(kChallengeBlock, m - j * kChallengeBlock));
-      h = h * powers.back() +
-          ff::batch::dot(part, std::span<const Fld>(powers).first(part.size()));
-    }
-    acc = acc * x + h;
+/// sum_k rho^(k+1) * f_k(x) over the slices f_k of `slices`: a blocked dot
+/// of the wire words against the weight table, Horner-combined in rho^(slices
+/// per block) (message_digest's shape). Zero for a zero view.
+Fld challenge_combination(const SliceView& slices, const ChallengeWeights& w) {
+  const std::span<const Fld> words = slices.words();
+  const std::size_t s = slices.coeffs_per_poly();
+  const std::size_t block = kChallengeBlock / s * s;
+  const Fld step = w[block - s];
+  Fld h = Fld::zero();
+  for (std::size_t j = (words.size() + block - 1) / block; j-- > 0;) {
+    const std::span<const Fld> part = words.subspan(
+        j * block, std::min(block, words.size() - j * block));
+    h = h * step +
+        ff::batch::dot(part, std::span<const Fld>(w).first(part.size()));
   }
-  return acc;
+  return h;
 }
 
 }  // namespace
@@ -132,10 +128,13 @@ struct BivariateEngine::ShareCtx {
   // Ground-truth polynomials per dealer, dealt straight into
   // coefficient-major planes (indexed like batches).
   std::vector<BivariateBatch> bivariate;
-  // recv[i][d]: the slice block party i currently holds for dealer d
-  // (plane(c)[k] = x^c coefficient of the k-th slice); sized where R1 fills
-  // it and evolving as published slices are adopted.
-  std::vector<std::vector<SliceBlock>> recv;
+  // recv[i][d]: the slices party i currently holds for dealer d, read in
+  // place: the R1 message as delivered (r1 keeps it alive), the dealer's
+  // own slot in own[d], an adopted opening in `openings`, or zeros.
+  std::vector<std::vector<SliceView>> recv;
+  std::shared_ptr<const net::RoundTraffic> r1;
+  std::vector<Recycled> own;
+  std::vector<std::vector<net::Payload>> openings;
   // rho[i * n + j]: the pair challenge party i uses with party j (drawn by
   // the lower index, received by the higher); statistical profiles only.
   std::vector<Fld> rho;
@@ -155,7 +154,7 @@ struct BivariateEngine::ShareCtx {
   // Public fault flags per dealer (missing/inconsistent publications).
   std::vector<bool> public_fault;
   // Everything the dealer has published so far: party -> opened slices.
-  std::vector<std::map<net::PartyId, SliceBlock>> published;
+  std::vector<std::map<net::PartyId, SliceView>> published;
   // Current accuser set per dealer (level being processed).
   std::vector<std::set<net::PartyId>> accusers;
   // Private conflict flag per (party, dealer).
@@ -214,49 +213,49 @@ void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
       sk.delta = sk.delta * Poly{{ctx.alpha[honest[z]], Fld::one()}};
     skew[d] = std::move(sk);
   }
-  // out[d * n + i]: party d's R1 payload for party i, built off the round so
-  // the handler below only moves payloads onto the wire.
+  // out[d * n + i]: party d's R1 payload for party i, sized from the
+  // recycler and built off the round so the handler below only moves
+  // payloads onto the wire. Challenges and garbage slices first, per party:
+  // their draws from rng_of(d) are part of the transcript, so each party's
+  // stay one serial loop.
   std::vector<net::Payload> out(n * n);
-  // Challenges and garbage slices first, per party: their draws from
-  // rng_of(d) are part of the transcript, so each party's stay one serial
-  // loop.
   net_.for_each_party([&](net::PartyId d) {
-    for (net::PartyId i = d + 1; challenges && i < n; ++i) {
-      ctx.rho[d * n + i] = Fld::random_nonzero(net_.rng_of(d));
-      out[d * n + i].push_back(ctx.rho[d * n + i]);
-    }
-    if (!sends_slices(d)) return;
-    const std::size_t m = (*ctx.batches)[d].size();
+    const std::size_t m = sends_slices(d) ? (*ctx.batches)[d].size() : 0;
     for (net::PartyId i = 0; i < n; ++i) {
-      if (!garbage(d, i)) continue;
+      if (i == d) continue;
       net::Payload& payload = out[d * n + i];
-      payload.reserve(lead(d, i) + m * (t + 1));
+      payload = BufferRecycler::instance().take(lead(d, i) + m * (t + 1));
+      if (lead(d, i) > 0)
+        payload[0] = ctx.rho[d * n + i] = Fld::random_nonzero(net_.rng_of(d));
+    }
+    for (net::PartyId i = 0; i < n && m > 0; ++i) {
+      if (!garbage(d, i)) continue;
+      Fld* word = out[d * n + i].data() + lead(d, i);
       for (std::size_t k = 0; k < m; ++k) {
         const Poly slice = Poly::random(net_.rng_of(d), t);
         for (std::size_t c = 0; c <= t; ++c)
-          payload.push_back(c < slice.coeffs().size() ? slice.coeffs()[c]
-                                                      : Fld::zero());
+          *word++ = c < slice.coeffs().size() ? slice.coeffs()[c] : Fld::zero();
       }
     }
   });
   // Honest slices, one task per (dealer, party) pair: one batched Horner
-  // sweep over the dealer's planes, straight into the wire layout — or, for
-  // the dealer's own slot (local state, no self-message), into recv[d][d].
+  // sweep over the dealer's planes, straight into the wire layout — for
+  // the dealer's own slot (local state, no self-message), into own[d].
   for_each_pair([&](net::PartyId d, net::PartyId i) {
     const std::size_t m = (*ctx.batches)[d].size();
     if (m == 0) return;
     if (!sends_slices(d)) {
-      if (i == d) ctx.recv[d][d].assign(m, t + 1);
+      if (i == d) ctx.recv[d][d] = SliceView::zeros(m, t + 1);
       return;
     }
     charge_share_buffer(m * (t + 1));
     if (i == d) {
-      ctx.bivariate[d].slices_at(ctx.alpha[d], ctx.recv[d][d]);
+      ctx.own[d] = Recycled(m * (t + 1));
+      ctx.bivariate[d].slices_kmajor(ctx.alpha[d], *ctx.own[d]);
+      ctx.recv[d][d] = SliceView(*ctx.own[d], t + 1);
     } else if (!garbage(d, i)) {
-      net::Payload& payload = out[d * n + i];
-      payload.resize(lead(d, i) + m * (t + 1));
       const std::span<Fld> slices =
-          std::span<Fld>(payload).subspan(lead(d, i));
+          std::span<Fld>(out[d * n + i]).subspan(lead(d, i));
       ctx.bivariate[d].slices_kmajor(ctx.alpha[i], slices);
       if (skew[d] && skew[d]->victim == i) {
         const auto& dc = skew[d]->delta.coeffs();
@@ -274,14 +273,15 @@ void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
   // (the paper's default-message convention) and earn the dealer a blame
   // record, filed afterwards per accuser in dealer order. A message of just
   // the challenge carries no slices; a challenge in a malformed message is
-  // replaced by the default.
+  // replaced by the default. Whole messages are read in place.
   enum : std::uint8_t { kOk, kMissing, kMalformed };
   std::vector<std::uint8_t> status(n * n, kOk);
+  ctx.r1 = net_.delivered_shared();
   for_each_pair([&](net::PartyId i, net::PartyId d) {
     if (i == d) return;
     const std::size_t m = (*ctx.batches)[d].size();
     const std::size_t skip = lead(d, i);
-    const auto& msgs = net_.delivered().p2p[i][d];
+    const auto& msgs = ctx.r1->p2p[i][d];
     const std::size_t size = msgs.empty() ? 0 : msgs.front().size();
     const bool whole = !msgs.empty() && size == skip + m * (t + 1);
     const bool bare = !msgs.empty() && skip > 0 && size == skip;
@@ -289,11 +289,11 @@ void BivariateEngine::round_distribute_slices(ShareCtx& ctx) {
     if (m == 0) return;
     if (!whole) {
       status[i * n + d] = msgs.empty() || bare ? kMissing : kMalformed;
-      ctx.recv[i][d].assign(m, t + 1);
+      ctx.recv[i][d] = SliceView::zeros(m, t + 1);
       return;
     }
-    ctx.recv[i][d].load_kmajor(
-        t + 1, std::span<const Fld>(msgs.front()).subspan(skip));
+    ctx.recv[i][d] =
+        SliceView(std::span<const Fld>(msgs.front()).subspan(skip), t + 1);
   });
   for (net::PartyId i = 0; i < n; ++i)
     for (net::PartyId d : ctx.dealers) {
@@ -317,8 +317,10 @@ void BivariateEngine::round_cross_checks(ShareCtx& ctx) {
     net::Payload& payload = out[i * n + j];
     payload.resize(ctx.check_words);
     charge_share_buffer(ctx.check_words);
-    ChallengePowers powers{};
-    if (!per_secret) challenge_powers(ctx.rho[i * n + j], powers);
+    ChallengeWeights weights{};
+    if (!per_secret)
+      challenge_weights(ctx.rho[i * n + j], ctx.alpha[j], profile_.t + 1,
+                        weights);
     std::size_t pos = 0;
     for (net::PartyId d : ctx.dealers) {
       const std::size_t m = (*ctx.batches)[d].size();
@@ -326,8 +328,7 @@ void BivariateEngine::round_cross_checks(ShareCtx& ctx) {
         ctx.recv[i][d].eval_range(ctx.alpha[j], 0,
                                   std::span<Fld>(payload).subspan(pos, m));
       } else {
-        payload[pos] =
-            challenge_combination(ctx.recv[i][d], ctx.alpha[j], powers);
+        payload[pos] = challenge_combination(ctx.recv[i][d], weights);
       }
       pos += check_width(m);
     }
@@ -439,7 +440,8 @@ ShareResult BivariateEngine::share_all(
   ctx.alpha.resize(n);
   for (net::PartyId i = 0; i < n; ++i) ctx.alpha[i] = eval_point<64>(i);
   ctx.bivariate.resize(n);
-  ctx.recv.assign(n, std::vector<SliceBlock>(n));
+  ctx.recv.assign(n, std::vector<SliceView>(n));
+  ctx.own.resize(n);
   if (!per_secret_checks()) ctx.rho.assign(n * n, kDefaultChallenge);
   ctx.public_fault.assign(n, false);
   ctx.published.resize(n);
@@ -513,7 +515,7 @@ ShareResult BivariateEngine::share_all(
   // Whether a party's slices of dealer d, evaluated at `x`, match `values`
   // on the secrets check word b covers: one batched Horner sweep.
   std::vector<Fld> mine;
-  const auto matches = [&](const SliceBlock& slices, Fld x, std::size_t b,
+  const auto matches = [&](const SliceView& slices, Fld x, std::size_t b,
                            std::span<const Fld> values) {
     mine.resize(values.size());
     slices.eval_range(x, b * values.size(), std::span<Fld>(mine));
@@ -594,26 +596,24 @@ ShareResult BivariateEngine::share_all(
           continue;
         const std::size_t m = batches[d].size();
         auto& payload = out[d];
-        for (net::PartyId a : ctx.accusers[d]) {
+        const auto open = [&](net::PartyId a) {
           payload.push_back(enc(a));
           payload.resize(payload.size() + m * (t + 1));
-          ctx.bivariate[d].slices_kmajor(
-              ctx.alpha[a],
-              std::span<Fld>(payload).last(m * (t + 1)));
-        }
+          const std::span<Fld> slices = std::span<Fld>(payload).last(m * (t + 1));
+          ctx.bivariate[d].slices_kmajor(ctx.alpha[a], slices);
+          return slices;
+        };
+        for (net::PartyId a : ctx.accusers[d]) open(a);
         if (b != DealerBehaviour::kUnsolicitedOpening) continue;
         net::PartyId victim = 0;
         while (victim < n && (victim == d || net_.is_corrupt(victim) ||
                               ctx.accusers[d].contains(victim)))
           ++victim;
         if (victim == n) continue;
-        payload.push_back(enc(victim));
-        payload.resize(payload.size() + m * (t + 1));
-        const std::span<Fld> slices = std::span<Fld>(payload).last(m * (t + 1));
-        ctx.bivariate[d].slices_kmajor(ctx.alpha[victim], slices);
+        const std::span<Fld> slices = open(victim);
         for (std::size_t k = 0; k < m; ++k) slices[k * (t + 1)] += Fld::one();
       }
-      std::vector<net::Payload> seen;
+      std::vector<net::Payload>& seen = ctx.openings.emplace_back();
       publish_round(out, seen);
       std::vector<std::set<net::PartyId>> next_accusers(n);
       for (net::PartyId d : ctx.dealers) {
@@ -630,18 +630,16 @@ ShareResult BivariateEngine::share_all(
             net_.blame(net::kPublicBlame, d, "vss.open.unsolicited");
             continue;
           }
-          SliceBlock slices;
-          slices.load_kmajor(t + 1, std::span<const Fld>(payload).subspan(
-                                        pos + 1, m * (t + 1)));
+          const SliceView slices(
+              std::span<const Fld>(payload).subspan(pos + 1, m * (t + 1)),
+              t + 1);
           // Public cross-checks: opened slices must agree with previously
           // opened slices and with published resolutions.
-          for (const auto& [b_party, b_slices] : ctx.published[d]) {
-            for (std::size_t k = 0; k < m; ++k) {
+          for (const auto& [b_party, b_slices] : ctx.published[d])
+            for (std::size_t k = 0; k < m; ++k)
               if (slices.eval_at(k, ctx.alpha[b_party]) !=
                   b_slices.eval_at(k, ctx.alpha[*a]))
                 ctx.public_fault[d] = true;
-            }
-          }
           for (const auto& [c, values] : ctx.resolutions) {
             if (c.d != d || (c.lo != *a && c.hi != *a)) continue;
             const net::PartyId other = c.lo == *a ? c.hi : c.lo;
@@ -656,15 +654,12 @@ ShareResult BivariateEngine::share_all(
             for (std::size_t k = 0; k < m; ++k) {
               if (ctx.recv[p][d].eval_at(k, ctx.alpha[*a]) !=
                   slices.eval_at(k, ctx.alpha[p])) {
-                if (level == 0) {
-                  next_accusers[d].insert(p);
-                } else {
-                  ctx.conflicted[p][d] = true;
-                }
+                if (level == 0) next_accusers[d].insert(p);
+                else ctx.conflicted[p][d] = true;
               }
             }
           }
-          ctx.published[d].emplace(*a, std::move(slices));
+          ctx.published[d].emplace(*a, slices);
           opened.insert(*a);
         }
         // Ignoring an accuser is a public fault.
@@ -707,6 +702,8 @@ ShareResult BivariateEngine::share_all(
     net_.end_round();
   }
   run_padding_rounds();
+  // The dealt planes are spent: back to the recycler before finalize takes.
+  ctx.bivariate.clear();
 
   // Finalize: append sharings, derive committed share polynomials. The
   // qualification flags live in vector<bool> (adjacent bits share a byte),
@@ -765,41 +762,38 @@ ShareResult BivariateEngine::share_all(
     }
     // Interpolate the committed share polynomials g(y) = F(0, y) for the
     // whole batch at once: a party's final share of index k is its slice
-    // evaluated at y = 0 — exactly the x^0 coefficient plane of its slice
-    // block — so g's coefficient planes are t + 1 span axpys, and the
+    // evaluated at y = 0 — exactly the x^0 column of its slices, gathered
+    // into `yrow` — so g's coefficient planes are t + 1 span axpys, and the
     // consistency sweep (every other content honest share lies on g, the
     // qualification invariant) is one batched Horner per tail party.
-    std::vector<std::vector<Fld>> gplanes(
-        t + 1, std::vector<Fld>(m, Fld::zero()));
+    // g accumulates straight into the dealer's zeroed pool columns.
+    const auto gplane = [&](std::size_t c) {
+      return pools_[d].plane(c).subspan(base[d], m);
+    };
+    Recycled yrow(m), pred(m);
     for (std::size_t i = 0; i <= t; ++i) {
-      const std::span<const Fld> yrow = ctx.recv[content[i]][d].plane(0);
+      ctx.recv[content[i]][d].column(0, 0, *yrow);
       const auto& bc = basis[i].coeffs();
       for (std::size_t c = 0; c < bc.size(); ++c)
-        ff::batch::axpy<64>(bc[c], yrow, std::span<Fld>(gplanes[c]));
+        ff::batch::axpy<64>(bc[c], std::span<const Fld>(*yrow), gplane(c));
     }
     std::vector<std::uint8_t> ok_k(m, 1);
-    std::vector<Fld> pred(m);
     for (std::size_t i = t + 1; i < content.size(); ++i) {
-      std::copy(gplanes[t].begin(), gplanes[t].end(), pred.begin());
+      std::copy(gplane(t).begin(), gplane(t).end(), pred->begin());
       for (std::size_t c = t; c-- > 0;)
-        ff::batch::horner_fold<64>(xs[i], std::span<Fld>(pred),
-                                   std::span<const Fld>(gplanes[c]));
-      const std::span<const Fld> yrow = ctx.recv[content[i]][d].plane(0);
+        ff::batch::horner_fold<64>(xs[i], std::span<Fld>(*pred),
+                                   std::span<const Fld>(gplane(c)));
+      ctx.recv[content[i]][d].column(0, 0, *yrow);
       for (std::size_t k = 0; k < m; ++k)
-        if (pred[k] != yrow[k]) ok_k[k] = 0;
+        if ((*pred)[k] != (*yrow)[k]) ok_k[k] = 0;
     }
-    // Consistent columns land in the pool; inconsistent ones stay the
-    // default zero and mark the dealer faulty (same degradation as before).
-    for (std::size_t c = 0; c <= t; ++c) {
-      const std::span<Fld> dst = pools_[d].plane(c);
-      for (std::size_t k = 0; k < m; ++k)
-        if (ok_k[k]) dst[base[d] + k] = gplanes[c][k];
+    // Inconsistent columns go back to the default zero and mark the dealer
+    // faulty (same degradation as before).
+    for (std::size_t k = 0; k < m; ++k) {
+      if (ok_k[k]) continue;
+      finalize_fault[d] = 2;
+      for (std::size_t c = 0; c <= t; ++c) gplane(c)[k] = Fld::zero();
     }
-    for (std::size_t k = 0; k < m; ++k)
-      if (!ok_k[k]) {
-        finalize_fault[d] = 2;
-        break;
-      }
   });
   for (net::PartyId d : ctx.dealers) {
     if (finalize_fault[d] == 0) continue;

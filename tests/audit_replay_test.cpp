@@ -241,6 +241,70 @@ TEST(Recorder, LoadRejectsNonRecordingJson) {
   std::remove(path.c_str());
 }
 
+// Recording::load decodes payload words during the parse instead of through
+// a JSON value per word; a bad payload must still fail with from_json's
+// diagnostic, and a good one must load the same words.
+TEST(Recorder, LoadKeepsPayloadDiagnostics) {
+  net::Network net(3, 5);
+  auto recorder = std::make_shared<net::Recorder>();
+  net.attach_observer(recorder);
+  net.begin_round();
+  net.send(0, 1, {Fld::from_u64(9), Fld::from_u64(0xabc)});
+  net.send(1, 2, {});
+  net.end_round();
+  const std::string good = recorder->recording().to_json().dump();
+  const std::string path = ::testing::TempDir() + "gfor14_payload_test.json";
+  const auto load_text = [&](const std::string& text, std::string& error) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    auto rec = net::Recording::load(path, &error);
+    std::remove(path.c_str());
+    return rec;
+  };
+  const std::string word = "\"0000000000000abc\"";
+  ASSERT_NE(good.find(word), std::string::npos);
+  const auto edited = [&](const std::string& with) {
+    return good.substr(0, good.find(word)) + with +
+           good.substr(good.find(word) + word.size());
+  };
+  {
+    std::string error;
+    const auto rec = load_text(good, error);
+    ASSERT_TRUE(rec.has_value()) << error;
+    ASSERT_EQ(rec->rounds.size(), 1u);
+    ASSERT_EQ(rec->rounds[0].messages.size(), 2u);
+    const auto& first = rec->rounds[0].messages[0].payload;
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(first[1], Fld::from_u64(0xabc));
+    EXPECT_TRUE(rec->rounds[0].messages[1].payload.empty());
+  }
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"0000000000000ABC\"", "malformed payload element"},
+      {"\"00000000000000abc\"", "malformed payload element"},
+      {"\"\"", "malformed payload element"},
+      {"\"\\u0030\"", ""},  // an escaped "0" is a valid digit
+      {"2748", "payload element is not a string"},
+      {"[\"0\"]", "payload element is not a string"},
+      {"\"0\", \"1\"", "message payload length disagrees with 'len'"},
+  };
+  for (const auto& [with, diagnostic] : cases) {
+    SCOPED_TRACE(with);
+    std::string error, dom_error;
+    const auto rec = load_text(edited(with), error);
+    const auto doc = json::Value::parse(edited(with));
+    ASSERT_TRUE(doc.has_value());
+    const auto dom = net::Recording::from_json(*doc, &dom_error);
+    EXPECT_EQ(rec.has_value(), dom.has_value());
+    EXPECT_EQ(error, diagnostic);
+    EXPECT_EQ(dom_error, diagnostic);
+  }
+  std::string error;
+  EXPECT_FALSE(load_text(edited("\"0\",]"), error).has_value());
+  EXPECT_NE(error.find("is not valid JSON"), std::string::npos);
+}
+
 // Counts read from a recording go through json::Value::as_count: values
 // no unchecked double -> integer cast can represent (huge, negative,
 // fractional) fail the load with a diagnostic instead of invoking UB.

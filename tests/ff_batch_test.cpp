@@ -172,7 +172,7 @@ TYPED_TEST(FfBatchTest, ScaleAndHornerFoldMatchScalarOracle) {
 
 // --- SoA share containers (vss/soa.hpp) ------------------------------------
 
-TEST(SoaContainers, SliceBlockMatchesPolyEvalAndWireLayout) {
+TEST(SoaContainers, SliceViewMatchesPolyEvalAndWireLayout) {
   Rng rng(239);
   const std::size_t m = 37, coeffs = 4;
   std::vector<Poly> polys;
@@ -183,14 +183,18 @@ TEST(SoaContainers, SliceBlockMatchesPolyEvalAndWireLayout) {
     for (std::size_t c = 0; c < coeffs; ++c)
       wire.push_back(c < pc.size() ? pc[c] : Fld::zero());
   }
-  vss::SliceBlock block;
-  block.load_kmajor(coeffs, std::span<const Fld>(wire));
+  vss::SliceView block(std::span<const Fld>(wire), coeffs);
   ASSERT_EQ(block.size(), m);
   ASSERT_EQ(block.coeffs_per_poly(), coeffs);
-  // The k-major wire layout lands coefficient-major.
-  for (std::size_t c = 0; c < coeffs; ++c)
+  // The view reads the k-major wire layout in place, and its columns are
+  // the coefficient planes.
+  EXPECT_EQ(block.words().data(), wire.data());
+  for (std::size_t c = 0; c < coeffs; ++c) {
+    std::vector<Fld> column(m);
+    block.column(c, 0, std::span<Fld>(column));
     for (std::size_t k = 0; k < m; ++k)
-      EXPECT_EQ(block.plane(c)[k], wire[k * coeffs + c]);
+      EXPECT_EQ(column[k], wire[k * coeffs + c]);
+  }
   for (const Fld x : {Fld::zero(), Fld::one(), Fld::random(rng)}) {
     std::vector<Fld> all(m);
     block.eval_range(x, 0, std::span<Fld>(all));
@@ -204,9 +208,15 @@ TEST(SoaContainers, SliceBlockMatchesPolyEvalAndWireLayout) {
       }
     }
   }
-  block.assign(m, coeffs);  // the default-message block
-  for (std::size_t k = 0; k < m; ++k)
+  block = vss::SliceView::zeros(m, coeffs);  // the default message
+  ASSERT_EQ(block.size(), m);
+  EXPECT_TRUE(block.words().empty());
+  std::vector<Fld> zeros(m, Fld::one());
+  block.eval_range(Fld::random(rng), 0, std::span<Fld>(zeros));
+  for (std::size_t k = 0; k < m; ++k) {
     EXPECT_EQ(block.eval_at(k, Fld::random(rng)), Fld::zero());
+    EXPECT_EQ(zeros[k], Fld::zero());
+  }
 }
 
 // Dealing straight into SoA planes draws exactly what the per-secret
@@ -249,18 +259,20 @@ TEST(SoaContainers, BivariateBatchSlicesMatchScalarSlices) {
     polys.push_back(SymmetricBivariate::random_with_secret(scalar_rng, deg, s));
   vss::BivariateBatch batch;
   batch.random_with_secrets(batch_rng, deg, std::span<const Fld>(secrets));
-  vss::SliceBlock block;
   std::vector<Fld> wire(m * (deg + 1));
+  std::vector<std::vector<Fld>> columns(deg + 1, std::vector<Fld>(m));
   for (std::size_t party = 0; party < 5; ++party) {
     const Fld y0 = eval_point<64>(party);
-    batch.slices_at(y0, block);
     batch.slices_kmajor(y0, std::span<Fld>(wire));
+    const vss::SliceView block(std::span<const Fld>(wire), deg + 1);
+    for (std::size_t c = 0; c <= deg; ++c)
+      block.column(c, 0, std::span<Fld>(columns[c]));
     for (std::size_t k = 0; k < m; ++k) {
       const Poly expect = polys[k].slice(y0);
       const auto& ec = expect.coeffs();
       for (std::size_t c = 0; c <= deg; ++c) {
         const Fld want = c < ec.size() ? ec[c] : Fld::zero();
-        EXPECT_EQ(block.plane(c)[k], want)
+        EXPECT_EQ(columns[c][k], want)
             << "party=" << party << " k=" << k << " c=" << c;
         EXPECT_EQ(wire[k * (deg + 1) + c], want)
             << "party=" << party << " k=" << k << " c=" << c;
