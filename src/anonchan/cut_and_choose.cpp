@@ -37,6 +37,7 @@ vss::LinComb zero_test(const Params& params, const BatchLayout& layout,
   };
   if (const auto* pi = std::get_if<Permutation>(&opened)) {
     GFOR14_EXPECTS(pi->size() == params.ell);
+    z.reserve(4 * params.ell);  // ell two-term entries per component
     for (std::size_t k = 0; k < params.ell; ++k)
       next({layout.v_x.ref((*pi)(k)), layout.w_x[j].ref(k)});
     for (std::size_t k = 0; k < params.ell; ++k)
@@ -50,6 +51,9 @@ vss::LinComb zero_test(const Params& params, const BatchLayout& layout,
     GFOR14_EXPECTS(idx < params.ell);
     nonzero[idx] = true;
   }
+  // Per component: at most ell one-term zero entries and d - 1 two-term
+  // differences.
+  z.reserve(2 * (params.ell + 2 * params.d));
   for (const vss::Slab* w : {&layout.w_x[j], &layout.w_a[j]})
     for (std::size_t k = 0; k < params.ell; ++k)
       if (!nonzero[k]) next({w->ref(k)});

@@ -79,6 +79,8 @@ BivariateEngine::BivariateEngine(net::Network& net, EngineProfile profile)
     : net_(net),
       vss_alloc_count_(&net.registry().counter("vss.alloc.count")),
       vss_alloc_bytes_(&net.registry().counter("vss.alloc.bytes")),
+      recon_fallback_values_(
+          &net.registry().counter("vss.recon.fallback_values")),
       profile_(profile),
       behaviour_(net.n(), DealerBehaviour::kHonest),
       qualified_(net.n(), true),
@@ -847,12 +849,16 @@ std::vector<std::vector<Fld>> BivariateEngine::fold_long_values(
 
 void BivariateEngine::committed_shares_into(
     std::span<const LinComb> values,
-    std::span<const std::vector<Fld>> folded, net::PartyId party,
+    std::span<const std::vector<Fld>> folded,
+    std::span<const std::size_t> which, net::PartyId party,
     std::span<Fld> out) const {
-  GFOR14_EXPECTS(out.size() == values.size());
+  GFOR14_EXPECTS(out.size() == (which.empty() ? values.size() : which.size()));
   GFOR14_EXPECTS(folded.empty() || folded.size() == values.size());
   const std::size_t n = net_.n();
   const Fld alpha = eval_point<64>(party);
+  const auto value_at = [&](std::size_t j) {
+    return which.empty() ? j : which[j];
+  };
   const auto is_folded = [&](std::size_t vi) {
     return !folded.empty() && !folded[vi].empty();
   };
@@ -868,7 +874,8 @@ void BivariateEngine::committed_shares_into(
     std::size_t hi = 0;
   };
   std::vector<DealerStats> stats(n);
-  for (std::size_t vi = 0; vi < values.size(); ++vi) {
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    const std::size_t vi = value_at(j);
     if (is_folded(vi)) continue;
     for (const auto& [ref, coeff] : values[vi].terms()) {
       GFOR14_EXPECTS(ref.dealer < n);
@@ -889,13 +896,14 @@ void BivariateEngine::committed_shares_into(
       pools_[d].eval_range(alpha, s.lo, std::span<Fld>(table[d]));
     }
   }
-  for (std::size_t vi = 0; vi < values.size(); ++vi) {
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    const std::size_t vi = value_at(j);
     if (is_folded(vi)) {
       // Same share by exact field arithmetic: a (t + 1)-term Horner.
       Fld acc = Fld::zero();
       for (std::size_t c = folded[vi].size(); c-- > 0;)
         acc = acc * alpha + folded[vi][c];
-      out[vi] = acc;
+      out[j] = acc;
       continue;
     }
     Fld acc = values[vi].constant_term();
@@ -906,7 +914,7 @@ void BivariateEngine::committed_shares_into(
               : table[ref.dealer][ref.index - stats[ref.dealer].lo];
       acc += coeff * share;
     }
-    out[vi] = acc;
+    out[j] = acc;
   }
 }
 
@@ -928,101 +936,8 @@ std::vector<Fld> BivariateEngine::decode_received(
     net::PartyId self) {
   const std::size_t n = net_.n();
   const std::size_t t = profile_.t;
+  const bool ic = profile_.recon == ReconMode::kAuthenticated;
   std::vector<Fld> out(values.size(), Fld::zero());
-
-  if (profile_.recon == ReconMode::kAuthenticated) {
-    // Filter each revealed share through the information-checking layer,
-    // then interpolate t + 1 accepted shares. Lagrange coefficients come
-    // from the process-wide cache keyed by the accepted point set (the
-    // common case is a single set across all values and rounds).
-    // Idealized IC: acceptance is the pure predicate revealed == committed
-    // share, so the walk batches over senders and each value keeps exactly
-    // the accept set a per-value walk would build (senders visited in index
-    // order, capped at t + 1 accepts).
-    // Accept sets live in flat storage — one (t + 1)-wide row of accepted
-    // values, a count and a sender bitmask per value — so the walk
-    // allocates nothing per value and distinct sets compare as masks.
-    GFOR14_EXPECTS(n <= 64);
-    const std::size_t m = values.size();
-    const std::size_t need = t + 1;
-    std::vector<Fld> acc_vals(m * need);
-    std::vector<std::uint8_t> acc_count(m, 0);
-    std::vector<std::uint64_t> acc_mask(m, 0);
-    const std::size_t nchunks = (m + kDecodeChunk - 1) / kDecodeChunk;
-    // One walk per chunk of values, chunks spread over the lanes: senders in
-    // index order, each sender's expected shares evaluated for the chunk
-    // only, stopping as soon as every value of the chunk holds t + 1
-    // accepts. Small chunks keep the lanes evenly loaded (a stalled lane
-    // holds up one chunk, not a whole sender), and the per-chunk early exit
-    // skips at least every sender the all-values walk would skip.
-    std::vector<Fld> expected(m);
-    ThreadPool::instance().parallel_for(
-        0, nchunks, net_.threads(), [&](std::size_t ci) {
-          const std::size_t lo = ci * kDecodeChunk;
-          const std::size_t len = std::min(kDecodeChunk, m - lo);
-          std::size_t unfinished = len;
-          for (net::PartyId i = 0; i < n && unfinished > 0; ++i) {
-            if (!per_sender[i]) continue;
-            const Fld* revealed = per_sender[i]->data() + lo;
-            // The decoding party's own revealed vector is its committed
-            // shares already.
-            const Fld* exp = revealed;
-            if (i != self) {
-              const std::span<Fld> dst(expected.data() + lo, len);
-              committed_shares_into(
-                  std::span<const LinComb>(values.data() + lo, len),
-                  folded.empty() ? folded : folded.subspan(lo, len), i, dst);
-              exp = dst.data();
-            }
-            for (std::size_t k = 0; k < len; ++k) {
-              const std::size_t vi = lo + k;
-              const std::size_t c = acc_count[vi];
-              if (c == need || revealed[k] != exp[k]) continue;
-              acc_vals[vi * need + c] = exp[k];
-              acc_mask[vi] |= std::uint64_t{1} << i;
-              acc_count[vi] = static_cast<std::uint8_t>(c + 1);
-              if (c + 1 == need) --unfinished;
-            }
-          }
-        });
-    // Accept sets repeat massively across values (usually one distinct set
-    // per call), so resolve each distinct set's Lagrange row once — the
-    // per-value work then collapses to a t+1-wide dot with no cache-key
-    // allocation or lock traffic inside the parallel section.
-    std::vector<std::uint64_t> distinct;
-    for (std::size_t vi = 0; vi < m; ++vi)
-      if (acc_count[vi] == need &&
-          std::find(distinct.begin(), distinct.end(), acc_mask[vi]) ==
-              distinct.end())
-        distinct.push_back(acc_mask[vi]);
-    auto& lcache = LagrangeCache::instance();
-    std::vector<const std::vector<Fld>*> set_lambda(distinct.size());
-    std::vector<Fld> xs;
-    for (std::size_t s = 0; s < distinct.size(); ++s) {
-      xs.clear();
-      for (net::PartyId i = 0; i < n; ++i)
-        if ((distinct[s] >> i) & 1) xs.push_back(eval_point<64>(i));
-      set_lambda[s] =
-          &lcache.coefficients(std::span<const Fld>(xs), Fld::zero());
-    }
-    ThreadPool::instance().parallel_for(
-        0, nchunks, net_.threads(), [&](std::size_t ci) {
-          const std::size_t lo = ci * kDecodeChunk;
-          const std::size_t hi = std::min(lo + kDecodeChunk, m);
-          for (std::size_t vi = lo; vi < hi; ++vi) {
-            if (acc_count[vi] < need) continue;  // default 0
-            const std::size_t s = static_cast<std::size_t>(
-                std::find(distinct.begin(), distinct.end(), acc_mask[vi]) -
-                distinct.begin());
-            const std::span<const Fld> ys(acc_vals.data() + vi * need, need);
-            out[vi] = ff::dot(std::span<const Fld>(*set_lambda[s]), ys);
-          }
-        });
-    return out;
-  }
-
-  // Error-correction mode (t < n/3): Berlekamp–Welch with a fast path that
-  // first tries plain interpolation through the first t + 1 present shares.
   std::vector<Fld> xs;
   std::vector<net::PartyId> present;
   for (net::PartyId i = 0; i < n; ++i) {
@@ -1031,7 +946,7 @@ std::vector<Fld> BivariateEngine::decode_received(
     xs.push_back(eval_point<64>(i));
   }
   const std::size_t navail = present.size();
-  if (navail < t + 1) {
+  if (!ic && navail < t + 1) {
     // Fewer shares than the degree bound: no interpolation is possible, so
     // every value degrades to the canonical default (zero) instead of
     // aborting the honest viewer; the absent senders earn blame records.
@@ -1040,62 +955,123 @@ std::vector<Fld> BivariateEngine::decode_received(
         net_.blame(net::kPublicBlame, i, "vss.recon.missing_share");
     return out;
   }
-  const std::size_t max_errors = navail > t ? (navail - t - 1) / 2 : 0;
-  // Precompute, once per call, the Lagrange evaluation rows of the head
-  // interpolation at zero and at every tail point: head(x_i) and head(0)
-  // are then inner products with the received shares (no per-value
-  // interpolation or field inversions).
-  const std::span<const Fld> head_x(xs.data(), t + 1);
+  // One decode for both modes. The consistency sweep interpolates the first
+  // t + 1 present shares at zero (the head) and checks every other present
+  // share against the head; a value whose shares all lie on it takes the
+  // head's value. The rest are disputed and go to the mode's fallback.
+  // Berlekamp–Welch would return exactly an all-consistent polynomial, so
+  // BGW trusts the sweep from t + 1 shares. The IC walk interpolates t + 1
+  // shares equal to the committed ones; the head is that polynomial once
+  // t + 1 of the present shares are correct, which 2t + 1 present shares
+  // with at most t bad senders guarantee (n - t do not: at n = 6, t = 2,
+  // two bad of four present shares can lie on a wrong curve through the
+  // two correct ones). Below its minimum every value is disputed.
+  const bool sweep = navail >= (ic ? 2 * t + 1 : t + 1);
   auto& lcache = LagrangeCache::instance();
-  const auto& lambda0 = lcache.coefficients(head_x, Fld::zero());
+  const std::vector<Fld>* lambda0 = nullptr;
   std::vector<const std::vector<Fld>*> tail_rows;
-  tail_rows.reserve(navail - (t + 1));
-  for (std::size_t i = t + 1; i < navail; ++i)
-    tail_rows.push_back(&lcache.coefficients(head_x, xs[i]));
-  // Chunked span decode: each sender's revealed vector is contiguous over
-  // the value index, so the head interpolation at zero and at every tail
-  // point are t + 1 span-axpys per chunk instead of per-value dots — the
-  // same field operations in the same Horner/accumulation order, evaluated
-  // column-wise (exact arithmetic: bit-identical results, see
-  // tests/ff_batch_test.cpp). Chunks split across lanes; without that the
-  // serial decode would Amdahl-cap reconstruction speedups.
+  if (sweep) {
+    // The head's Lagrange rows at zero and at every tail point, once per
+    // call: head(0) and head(x_i) are then span axpys over the shares.
+    const std::span<const Fld> head_x(xs.data(), t + 1);
+    lambda0 = &lcache.coefficients(head_x, Fld::zero());
+    for (std::size_t i = t + 1; i < navail; ++i)
+      tail_rows.push_back(&lcache.coefficients(head_x, xs[i]));
+  }
+  const std::size_t max_errors = navail > t ? (navail - t - 1) / 2 : 0;
+  const std::size_t need = t + 1;
+  GFOR14_EXPECTS(!ic || n <= 64);  // fallback accept sets are sender masks
+  // Chunks of values split across lanes; each sender's revealed vector is
+  // contiguous over the value index, so the sweep is t + 1 span axpys per
+  // row (exact arithmetic: bit-identical to per-value dots).
   const std::size_t nchunks =
       (values.size() + kDecodeChunk - 1) / kDecodeChunk;
   ThreadPool::instance().parallel_for(
       0, nchunks, net_.threads(), [&](std::size_t ci) {
         const std::size_t lo = ci * kDecodeChunk;
-        const std::size_t hi = std::min(lo + kDecodeChunk, values.size());
-        const std::size_t len = hi - lo;
-        const std::span<Fld> dst(out.data() + lo, len);
+        const std::size_t len = std::min(kDecodeChunk, values.size() - lo);
         const auto row = [&](std::size_t i) {
           return std::span<const Fld>(per_sender[present[i]]->data() + lo,
                                       len);
         };
-        // Fast path for the whole chunk: interpolate the head senders at 0.
-        for (std::size_t i = 0; i <= t; ++i)
-          ff::batch::axpy<64>(lambda0[i], row(i), dst);
-        // Consistency sweep: every tail share must lie on the head
-        // interpolation; failures fall back to Berlekamp-Welch per value.
-        std::vector<std::uint8_t> ok(len, 1);
-        std::vector<Fld> pred(len);
-        for (std::size_t j = 0; t + 1 + j < navail; ++j) {
-          std::fill(pred.begin(), pred.end(), Fld::zero());
+        std::vector<std::uint8_t> ok(len, sweep ? 1 : 0);
+        if (sweep) {
+          const std::span<Fld> dst(out.data() + lo, len);
           for (std::size_t i = 0; i <= t; ++i)
-            ff::batch::axpy<64>((*tail_rows[j])[i], row(i),
-                                std::span<Fld>(pred));
-          const std::span<const Fld> tail = row(t + 1 + j);
-          for (std::size_t k = 0; k < len; ++k)
-            if (pred[k] != tail[k]) ok[k] = 0;
+            ff::batch::axpy<64>((*lambda0)[i], row(i), dst);
+          std::vector<Fld> pred(len);
+          for (std::size_t j = 0; j < tail_rows.size(); ++j) {
+            std::fill(pred.begin(), pred.end(), Fld::zero());
+            for (std::size_t i = 0; i <= t; ++i)
+              ff::batch::axpy<64>((*tail_rows[j])[i], row(i),
+                                  std::span<Fld>(pred));
+            const std::span<const Fld> tail = row(t + 1 + j);
+            for (std::size_t k = 0; k < len; ++k)
+              if (pred[k] != tail[k]) ok[k] = 0;
+          }
         }
-        for (std::size_t k = 0; k < len; ++k) {
-          if (ok[k]) continue;
+        std::vector<std::size_t> disputed;
+        for (std::size_t k = 0; k < len; ++k)
+          if (!ok[k]) disputed.push_back(lo + k);
+        if (disputed.empty()) return;
+        recon_fallback_values_->add(disputed.size());
+        if (!ic) {
           std::vector<Fld> ys(navail);
-          for (std::size_t i = 0; i < navail; ++i)
-            ys[i] = (*per_sender[present[i]])[lo + k];
-          auto decoded = berlekamp_welch(xs, ys, t, max_errors);
-          // Overwrites the fast-path accumulation; no decode keeps the
-          // canonical default (zero), matching the per-value code.
-          dst[k] = decoded ? decoded->eval(Fld::zero()) : Fld::zero();
+          for (std::size_t vi : disputed) {
+            for (std::size_t i = 0; i < navail; ++i)
+              ys[i] = (*per_sender[present[i]])[vi];
+            auto decoded = berlekamp_welch(xs, ys, t, max_errors);
+            // No decode keeps the canonical default (zero).
+            out[vi] = decoded ? decoded->eval(Fld::zero()) : Fld::zero();
+          }
+          return;
+        }
+        // Idealized IC walk over the disputed values: senders in index
+        // order, a revealed share accepted iff it equals the committed share
+        // (the decoder's own shares are committed already), until each value
+        // holds t + 1 accepts. Accept sets are flat: a (t + 1)-wide row of
+        // accepted values, a count and a sender mask per value.
+        const std::size_t m = disputed.size();
+        std::vector<Fld> acc_vals(m * need), expected(m);
+        std::vector<std::uint8_t> acc_count(m, 0);
+        std::vector<std::uint64_t> acc_mask(m, 0);
+        std::size_t unfinished = m;
+        for (net::PartyId i = 0; i < n && unfinished > 0; ++i) {
+          if (!per_sender[i]) continue;
+          if (i != self)
+            committed_shares_into(values, folded, disputed, i, expected);
+          for (std::size_t k = 0; k < m; ++k) {
+            const Fld revealed = (*per_sender[i])[disputed[k]];
+            const std::size_t c = acc_count[k];
+            if (c == need || (i != self && revealed != expected[k])) continue;
+            acc_vals[k * need + c] = revealed;
+            acc_mask[k] |= std::uint64_t{1} << i;
+            acc_count[k] = static_cast<std::uint8_t>(c + 1);
+            if (c + 1 == need) --unfinished;
+          }
+        }
+        // Accept sets repeat across values (usually one per chunk), so each
+        // distinct set's Lagrange row is resolved once.
+        std::vector<std::pair<std::uint64_t, const std::vector<Fld>*>> sets;
+        std::vector<Fld> set_x;
+        for (std::size_t k = 0; k < m; ++k) {
+          Fld& value = out[disputed[k]];
+          value = Fld::zero();  // too few accepts: the canonical default
+          if (acc_count[k] < need) continue;
+          auto s = std::find_if(sets.begin(), sets.end(), [&](const auto& e) {
+            return e.first == acc_mask[k];
+          });
+          if (s == sets.end()) {
+            set_x.clear();
+            for (net::PartyId i = 0; i < n; ++i)
+              if ((acc_mask[k] >> i) & 1) set_x.push_back(eval_point<64>(i));
+            sets.emplace_back(acc_mask[k],
+                              &lcache.coefficients(set_x, Fld::zero()));
+            s = sets.end() - 1;
+          }
+          value = ff::dot(std::span<const Fld>(*s->second),
+                          std::span<const Fld>(acc_vals.data() + k * need,
+                                               need));
         }
       });
   return out;
@@ -1122,9 +1098,7 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
   net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
     net::Payload payload(values.size());
     charge_share_buffer(values.size());
-    committed_shares_into(std::span<const LinComb>(values.data(),
-                                                   values.size()),
-                          folded, i,
+    committed_shares_into(values, folded, {}, i,
                           std::span<Fld>(payload.data(), payload.size()));
     for (net::PartyId j = 0; j < n; ++j)
       if (i != j) lane.send(j, payload);
@@ -1165,9 +1139,8 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
       if (i == req.receiver) continue;
       net::Payload payload(req.values.size());
       charge_share_buffer(req.values.size());
-      committed_shares_into(
-          std::span<const LinComb>(req.values.data(), req.values.size()), {},
-          i, std::span<Fld>(payload.data(), payload.size()));
+      committed_shares_into(req.values, {}, {}, i,
+                            std::span<Fld>(payload.data(), payload.size()));
       lane.send(req.receiver, std::move(payload));
     }
   });
@@ -1180,9 +1153,8 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
   for (const auto& req : requests) {
     const std::size_t slot = seen_for_receiver[req.receiver]++;
     std::vector<Fld> own(req.values.size());
-    committed_shares_into(
-        std::span<const LinComb>(req.values.data(), req.values.size()), {},
-        req.receiver, std::span<Fld>(own));
+    committed_shares_into(req.values, {}, {}, req.receiver,
+                          std::span<Fld>(own));
     std::vector<std::optional<std::span<const Fld>>> per_sender(n);
     for (net::PartyId i = 0; i < n; ++i) {
       if (i == req.receiver) {

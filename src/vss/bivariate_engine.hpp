@@ -36,11 +36,14 @@
 // Reconstruction (one round, no broadcast):
 //   every party sends its combined share of each requested linear
 //   combination to the receiver(s);
-//   * BGW profile (t < n/3): the receiver Reed–Solomon-decodes
-//     (Berlekamp–Welch) with up to t errors — fully concrete;
-//   * RB89/GGOR13 profiles (t < n/2): the receiver verifies each revealed
-//     share with the information-checking layer and interpolates t + 1
-//     accepted shares.
+//   the receiver interpolates the first t + 1 present shares and checks
+//   every other one against them; only values whose shares disagree go to
+//   the profile's fallback:
+//   * BGW profile (t < n/3): Reed–Solomon decoding (Berlekamp–Welch) with
+//     up to t errors — fully concrete;
+//   * RB89/GGOR13 profiles (t < n/2): verify each revealed share with the
+//     information-checking layer and interpolate t + 1 accepted shares
+//     (every value, when fewer than 2t + 1 shares are present).
 //
 // Information-checking layer: the engine accepts a revealed share iff it
 // equals the committed share (the value determined by the honest joint
@@ -145,19 +148,23 @@ class BivariateEngine final : public VssScheme {
   /// shorter values, and no entries at all when no value is that long.
   std::vector<std::vector<Fld>> fold_long_values(
       const std::vector<LinComb>& values) const;
-  /// out[vi] = the party's committed share of values[vi]: a Horner of
-  /// folded[vi] when that is non-empty; otherwise per-dealer pool
-  /// evaluations amortized across values through one span Horner sweep
-  /// over each touched index range. `folded` is empty or parallel to
-  /// `values`.
+  /// out[j] = the party's committed share of values[vi], vi = which[j]
+  /// (vi = j when `which` is empty): a Horner of folded[vi] when that is
+  /// non-empty; otherwise per-dealer pool evaluations amortized across
+  /// values through one span Horner sweep over each touched index range.
+  /// `folded` is empty or parallel to `values`.
   void committed_shares_into(std::span<const LinComb> values,
                              std::span<const std::vector<Fld>> folded,
+                             std::span<const std::size_t> which,
                              net::PartyId party, std::span<Fld> out) const;
   /// Decodes `values` from the share vectors one party holds after the
   /// reveal round: per_sender[i] views sender i's delivered vector (nullopt
   /// when missing or the wrong size); per_sender[self] is the decoding
-  /// party's own committed shares, accepted without re-evaluation. The
-  /// idealized-IC path requires n <= 64 (accept sets are sender bitmasks).
+  /// party's own committed shares, accepted without re-evaluation. One
+  /// consistency sweep for both ReconModes; only the values it disputes go
+  /// to the mode's fallback (Berlekamp–Welch, or the idealized-IC walk,
+  /// which requires n <= 64: its accept sets are sender bitmasks), counted
+  /// in `vss.recon.fallback_values`.
   std::vector<Fld> decode_received(
       const std::vector<LinComb>& values,
       std::span<const std::vector<Fld>> folded,
@@ -177,6 +184,7 @@ class BivariateEngine final : public VssScheme {
   net::Network& net_;
   metrics::Counter* vss_alloc_count_ = nullptr;
   metrics::Counter* vss_alloc_bytes_ = nullptr;
+  metrics::Counter* recon_fallback_values_ = nullptr;
   EngineProfile profile_;
   std::vector<DealerBehaviour> behaviour_;
   bool false_complaints_ = false;

@@ -35,6 +35,8 @@ class LinComb {
   LinComb& add(SharingRef ref, Fld coeff);
   LinComb& add_constant(Fld c);
   LinComb& add(const LinComb& other, Fld coeff);
+  /// Room for `terms` terms in total, for a caller that knows its count.
+  void reserve(std::size_t terms) { terms_.reserve(terms); }
 
   friend LinComb operator+(const LinComb& a, const LinComb& b);
   friend LinComb operator-(const LinComb& a, const LinComb& b);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "anonchan/anonchan.hpp"
 #include "common/digest.hpp"
 #include "net/adversary.hpp"
 #include "net/recorder.hpp"
@@ -507,20 +508,27 @@ TEST(VssPairChecks, UnsolicitedOpeningIsIgnoredAndBlamed) {
 
 // --- Flat accept-set decode vs. the scalar oracle -------------------------
 
-// The idealized-IC decoder walks senders per chunk of values over flat
+/// Values the decoder has sent to its fallback so far in this scope.
+std::uint64_t fallback_values(const net::Network& net) {
+  return net.registry().counter("vss.recon.fallback_values").value();
+}
+
+// The idealized-IC fallback walks senders per chunk of values over flat
 // accept sets. These runs pin it to the committed_value oracle at 1 and 4
 // lanes, with accept sets that differ across values:
 // party 1 corrupts every even-indexed value, party 2 reveals vectors of the
 // wrong size, party 3 corrupts every third value. With n = 5 and t = 2 the
 // decoder accepts {0,4}, {0,1,3}, {0,1,4} or {0,3,4} (party 4 being the
 // decoding receiver or an honest sender), so values with vi % 6 == 0 keep
-// only two accepts and default to zero.
+// only two accepts and default to zero. Four present shares are fewer than
+// the 2t + 1 the consistency sweep needs, so every value is disputed.
 struct DecodeRun {
   std::vector<Fld> pub;
   std::vector<std::vector<Fld>> priv;
   std::vector<Fld> oracle_pub;
   std::vector<std::vector<Fld>> oracle_priv;
   std::uint64_t digest = 0;
+  std::uint64_t fallbacks = 0;
 };
 
 bool correct_share(std::size_t sender, std::size_t vi) {
@@ -587,8 +595,10 @@ DecodeRun run_flat_decode(SchemeKind kind, std::size_t lanes) {
       }));
 
   DecodeRun run;
+  const std::uint64_t fallbacks_before = fallback_values(net);
   run.pub = vss->reconstruct_public(values);
   run.priv = vss->reconstruct_private_multi(requests);
+  run.fallbacks = fallback_values(net) - fallbacks_before;
   run.digest = recorder->recording().final_digest;
   const auto oracle = [&](const std::vector<LinComb>& vals) {
     std::vector<Fld> expect(vals.size(), Fld::zero());
@@ -617,6 +627,10 @@ void check_flat_decode(SchemeKind kind) {
   EXPECT_EQ(one.pub, four.pub);
   EXPECT_EQ(one.priv, four.priv);
   EXPECT_EQ(one.digest, four.digest);
+  std::size_t decoded = one.pub.size();
+  for (const auto& p : one.priv) decoded += p.size();
+  EXPECT_EQ(one.fallbacks, decoded);
+  EXPECT_EQ(four.fallbacks, decoded);
 }
 
 TEST(VssFlatDecode, RbMatchesScalarOracleAtOneAndFourLanes) {
@@ -625,6 +639,168 @@ TEST(VssFlatDecode, RbMatchesScalarOracleAtOneAndFourLanes) {
 
 TEST(VssFlatDecode, GgorMatchesScalarOracleAtOneAndFourLanes) {
   check_flat_decode(SchemeKind::kGGOR13);
+}
+
+// --- One decode path: the sweep first, the fallback only for disputes -----
+
+constexpr SchemeKind kAllSchemes[] = {SchemeKind::kRB, SchemeKind::kGGOR13,
+                                      SchemeKind::kBGW};
+
+TEST(VssReconFallback, HonestChannelsAndPublishNeverFallBack) {
+  constexpr std::size_t kN = 5;
+  std::vector<Fld> inputs;
+  for (std::size_t i = 0; i < kN; ++i) inputs.push_back(fe(1000 + i));
+  for (SchemeKind kind : kAllSchemes)
+    for (std::size_t lanes : {1u, 4u}) {
+      net::Network net(kN, 31);
+      net.set_threads(lanes);
+      auto vss = make_vss(kind, net);
+      anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(kN, 2));
+      const std::uint64_t before = fallback_values(net);
+      const auto out = chan.run(kN - 1, inputs);
+      for (std::size_t i = 0; i < kN; ++i)
+        EXPECT_TRUE(out.delivered(inputs[i])) << scheme_name(kind);
+      EXPECT_EQ(fallback_values(net), before)
+          << scheme_name(kind) << " lanes " << lanes;
+    }
+  net::Network net(kN, 32);
+  auto vss = make_vss(SchemeKind::kRB, net);
+  anonchan::AnonChan chan(net, *vss, anonchan::Params::practical(kN, 2));
+  const std::uint64_t before = fallback_values(net);
+  const auto out = chan.publish(inputs);
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_TRUE(out.delivered(inputs[i]));
+  EXPECT_EQ(fallback_values(net), before);
+}
+
+TEST(VssReconFallback, ShareCorruptionReachesTheFallback) {
+  constexpr std::size_t kN = 5;
+  for (SchemeKind kind : kAllSchemes) {
+    net::Network net(kN, 33);
+    const std::size_t t = scheme_max_t(kind, kN);
+    for (std::size_t i = kN - t; i < kN; ++i) net.set_corrupt(i, true);
+    auto vss = make_vss(kind, net);
+    std::vector<std::vector<Fld>> batches(kN);
+    batches[0] = {fe(123), fe(456)};
+    vss->share_all(batches);
+    net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
+    const std::vector<LinComb> values = {LinComb::of({0, 0}),
+                                         LinComb::of({0, 1})};
+    const std::uint64_t before = fallback_values(net);
+    EXPECT_EQ(vss->reconstruct_public(values),
+              (std::vector<Fld>{fe(123), fe(456)}))
+        << scheme_name(kind);
+    EXPECT_EQ(vss->reconstruct_private(0, values),
+              (std::vector<Fld>{fe(123), fe(456)}))
+        << scheme_name(kind);
+    EXPECT_GT(fallback_values(net), before) << scheme_name(kind);
+  }
+}
+
+// With every share present, one corrupt sender alters exactly one value at
+// the first index, the middle of a later decode chunk (2048 values) and
+// the last index: those three values, and only those, are disputed, and
+// the fallback still returns the committed values.
+TEST(VssReconFallback, OneCorruptSenderDisputesOnlyItsAlteredValues) {
+  constexpr std::size_t kN = 5;
+  constexpr std::size_t kValues = 3 * 2048;
+  constexpr std::size_t kAltered[] = {0, 2048 + 1024, kValues - 1};
+  for (SchemeKind kind : kAllSchemes)
+    for (std::size_t lanes : {1u, 4u}) {
+      net::Network net(kN, 34);
+      net.set_threads(lanes);
+      auto vss = make_vss(kind, net);
+      std::vector<std::vector<Fld>> batches(kN);
+      for (std::size_t d = 0; d < kN; ++d)
+        for (std::size_t k = 0; k < 1000; ++k)
+          batches[d].push_back(fe(5 + d * 100003 + k * 7919));
+      vss->share_all(batches);
+      std::vector<LinComb> values;
+      for (std::size_t vi = 0; vi < kValues; ++vi) {
+        LinComb v = LinComb::of({vi % kN, vi % 1000});
+        if (vi % 3 == 0) v.add({(vi + 1) % kN, (vi * 7) % 1000}, fe(vi + 2));
+        values.push_back(v);
+      }
+      net.set_corrupt(2, true);
+      net.attach_adversary(std::make_shared<net::CallbackAdversary>(
+          [&](net::Network& nw) {
+            std::vector<std::vector<net::Payload>> out(nw.n());
+            for (const auto& view : nw.pending_from_corrupt(2)) {
+              net::Payload payload = view.payload();
+              for (std::size_t vi : kAltered) payload[vi] += Fld::one();
+              out[view.peer].push_back(std::move(payload));
+            }
+            for (net::PartyId to = 0; to < nw.n(); ++to)
+              if (!out[to].empty())
+                nw.replace_pending(2, to, std::move(out[to]));
+          }));
+      std::vector<Fld> committed;
+      for (const LinComb& v : values) committed.push_back(vss->committed_value(v));
+      const std::uint64_t before = fallback_values(net);
+      EXPECT_EQ(vss->reconstruct_public(values), committed)
+          << scheme_name(kind) << " lanes " << lanes;
+      EXPECT_EQ(fallback_values(net) - before, 3u) << scheme_name(kind);
+      EXPECT_EQ(vss->reconstruct_private(4, values), committed)
+          << scheme_name(kind) << " lanes " << lanes;
+      EXPECT_EQ(fallback_values(net) - before, 6u) << scheme_name(kind);
+    }
+}
+
+// Beyond the corruption bound (three misbehaving parties at t = 2), two
+// senders reveal a consistent wrong polynomial H = P + delta through the
+// honest shares of parties 0 and 4, and party 3's shares go missing. All
+// four present shares lie on H, but only two of them pass information
+// checking, fewer than t + 1: the oracle's answer is the default zero. A
+// sweep trusted from n - t (or t + 1) present shares would return
+// H(0) = P(0) + 1 instead; 2t + 1 sends every value to the oracle.
+TEST(VssReconFallback, ConsistentLiesBelowTwoTPlusOneGoToTheOracle) {
+  constexpr std::size_t kN = 5;
+  const Fld a0 = eval_point<64>(0), a4 = eval_point<64>(4);
+  // delta(x) = (x - a0)(x - a4) / (a0 a4): zero at a0 and a4, one at 0.
+  const auto delta = [&](net::PartyId p) {
+    const Fld x = eval_point<64>(p);
+    return (x + a0) * (x + a4) / (a0 * a4);
+  };
+  for (SchemeKind kind : {SchemeKind::kRB, SchemeKind::kGGOR13})
+    for (std::size_t lanes : {1u, 4u}) {
+      net::Network net(kN, 35);
+      net.set_threads(lanes);
+      auto vss = make_vss(kind, net);
+      ASSERT_EQ(vss->t(), 2u);
+      std::vector<std::vector<Fld>> batches(kN);
+      for (std::size_t d = 0; d < kN; ++d)
+        for (std::size_t k = 0; k < 300; ++k)
+          batches[d].push_back(fe(9 + d * 1009 + k));
+      vss->share_all(batches);
+      std::vector<LinComb> values;
+      for (std::size_t vi = 0; vi < 2500; ++vi)
+        values.push_back(LinComb::of({vi % kN, vi % 300}));
+      for (net::PartyId p = 1; p <= 3; ++p) net.set_corrupt(p, true);
+      net.attach_adversary(std::make_shared<net::CallbackAdversary>(
+          [&](net::Network& nw) {
+            for (net::PartyId p = 1; p <= 3; ++p) {
+              std::vector<std::vector<net::Payload>> out(nw.n());
+              for (const auto& view : nw.pending_from_corrupt(p)) {
+                net::Payload payload = view.payload();
+                if (p == 3) {
+                  payload.pop_back();  // wrong size: missing
+                } else {
+                  for (Fld& share : payload) share += delta(p);
+                }
+                out[view.peer].push_back(std::move(payload));
+              }
+              for (net::PartyId to = 0; to < nw.n(); ++to)
+                if (!out[to].empty())
+                  nw.replace_pending(p, to, std::move(out[to]));
+            }
+          }));
+      const std::vector<Fld> zeros(values.size(), Fld::zero());
+      const std::uint64_t before = fallback_values(net);
+      EXPECT_EQ(vss->reconstruct_public(values), zeros)
+          << scheme_name(kind) << " lanes " << lanes;
+      EXPECT_EQ(vss->reconstruct_private(4, values), zeros)
+          << scheme_name(kind) << " lanes " << lanes;
+      EXPECT_EQ(fallback_values(net) - before, 2 * values.size());
+    }
 }
 
 // --- Golden sharing transcripts ------------------------------------------
