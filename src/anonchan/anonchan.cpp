@@ -196,8 +196,17 @@ AnonChan::Proof AnonChan::prove(const std::vector<net::PartyId>& receivers,
              n, std::vector<std::optional<Opening>>(params_.kappa_cc)));
   {
     trace::Span phase("cut_and_choose.open");
+    // Every passing dealer opens, per session, an index list (d values)
+    // or a permutation (ell values) per copy.
+    const std::size_t passing =
+        static_cast<std::size_t>(std::count(pass.begin(), pass.end(), true));
+    std::size_t per_session = 0;
+    for (std::size_t j = 0; j < params_.kappa_cc; ++j)
+      per_session += bits[j] ? params_.d : params_.ell;
     std::vector<vss::LinComb> open_a;
+    open_a.reserve(passing * S * per_session);
     std::vector<ARef> a_refs;
+    a_refs.reserve(passing * S * params_.kappa_cc);
     for (net::PartyId i = 0; i < n; ++i) {
       if (!pass[i]) continue;
       for (std::size_t s = 0; s < S; ++s) {
@@ -240,8 +249,13 @@ AnonChan::Proof AnonChan::prove(const std::vector<net::PartyId>& receivers,
   // --- Step 3, round B: one batched zero test per (dealer, copy) ---------
   {
     trace::Span phase("cut_and_choose.check");
+    const std::size_t tests =
+        static_cast<std::size_t>(std::count(pass.begin(), pass.end(), true)) *
+        S * params_.kappa_cc;
     std::vector<vss::LinComb> open_b;
+    open_b.reserve(tests);
     std::vector<net::PartyId> b_dealers;
+    b_dealers.reserve(tests);
     for (net::PartyId i = 0; i < n; ++i) {
       if (!pass[i]) continue;
       for (std::size_t s = 0; s < S; ++s) {
@@ -333,6 +347,7 @@ ManyOutput AnonChan::run_many_to(
   {
     trace::Span phase("deliver.permutations");
     std::vector<vss::LinComb> g_values;
+    g_values.reserve(S * n * params_.ell);
     for (std::size_t s = 0; s < S; ++s)
       for (std::size_t gi = 0; gi < n; ++gi)
         for (std::size_t k = 0; k < params_.ell; ++k)

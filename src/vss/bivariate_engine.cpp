@@ -25,17 +25,11 @@ std::optional<std::size_t> dec(Fld f, std::size_t bound) {
   return static_cast<std::size_t>(v);
 }
 
-// Values per parallel_for index in the reconstruction decoders: large
-// enough that the pool's shared cursor is touched a few times per call,
-// not once per value, small enough that a call splits into many more
-// chunks than lanes.
-constexpr std::size_t kDecodeChunk = 2048;
-
-// Terms from which a combination is folded into its share polynomial once
-// per reconstruction instead of evaluated term by term per party. A
-// cut-and-choose zero test has thousands of terms; every other combination
-// AnonChan opens has at most n, where the fold only adds work.
-constexpr std::size_t kFoldTerms = 256;
+// Work per parallel_for index in reconstruction — values in the decoder,
+// terms in the fold: large enough that the pool's shared cursor is touched
+// a few times per call, not once per value, small enough that a call
+// splits into many more chunks than lanes.
+constexpr std::size_t kReconChunk = 2048;
 
 /// The pair challenge a party uses when the other side's R1 word is missing
 /// or malformed (only pairs with a corrupt sender ever fall back to it).
@@ -781,10 +775,7 @@ ShareResult BivariateEngine::share_all(
     }
     std::vector<std::uint8_t> ok_k(m, 1);
     for (std::size_t i = t + 1; i < content.size(); ++i) {
-      std::copy(gplane(t).begin(), gplane(t).end(), pred->begin());
-      for (std::size_t c = t; c-- > 0;)
-        ff::batch::horner_fold<64>(xs[i], std::span<Fld>(*pred),
-                                   std::span<const Fld>(gplane(c)));
+      pools_[d].eval_range(xs[i], base[d], *pred);
       ctx.recv[content[i]][d].column(0, 0, *yrow);
       for (std::size_t k = 0; k < m; ++k)
         if ((*pred)[k] != (*yrow)[k]) ok_k[k] = 0;
@@ -812,110 +803,59 @@ ShareResult BivariateEngine::share_all(
 // Reconstruction
 // ---------------------------------------------------------------------------
 
-std::vector<std::vector<Fld>> BivariateEngine::fold_long_values(
-    const std::vector<LinComb>& values) const {
-  std::vector<std::size_t> long_values;
-  for (std::size_t vi = 0; vi < values.size(); ++vi)
-    if (values[vi].terms().size() >= kFoldTerms) long_values.push_back(vi);
-  if (long_values.empty()) return {};
-  const std::size_t coeffs = profile_.t + 1;
-  std::vector<std::vector<Fld>> folded(values.size());
+std::vector<SharePool> BivariateEngine::fold(
+    std::span<const std::vector<LinComb>* const> lists) const {
+  // Chunks of consecutive values of one list, cut once they hold
+  // kReconChunk terms, so a long value (a round-B zero test) is a chunk of
+  // its own and short ones share one.
+  struct Chunk {
+    std::size_t list, lo, hi;
+  };
+  std::vector<Chunk> chunks;
+  std::vector<SharePool> blocks(lists.size());
+  for (std::size_t r = 0; r < lists.size(); ++r) {
+    const std::vector<LinComb>& values = *lists[r];
+    blocks[r].configure(profile_.t + 1);
+    blocks[r].append_zero(values.size());
+    std::size_t lo = 0, terms = 0;
+    for (std::size_t vi = 0; vi < values.size(); ++vi) {
+      terms += values[vi].terms().size() + 1;
+      if (terms < kReconChunk && vi + 1 < values.size()) continue;
+      chunks.push_back({r, lo, vi + 1});
+      lo = vi + 1;
+      terms = 0;
+    }
+  }
   ThreadPool::instance().parallel_for(
-      0, long_values.size(), net_.threads(), [&](std::size_t li) {
-        const LinComb& v = values[long_values[li]];
-        const auto& terms = v.terms();
-        std::vector<Fld> weights(terms.size()), gathered(terms.size());
-        for (std::size_t k = 0; k < terms.size(); ++k) {
-          const SharingRef ref = terms[k].first;
-          GFOR14_EXPECTS(ref.dealer < net_.n());
-          GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
-          weights[k] = terms[k].second;
+      0, chunks.size(), net_.threads(), [&](std::size_t ci) {
+        const Chunk& chunk = chunks[ci];
+        SharePool& block = blocks[chunk.list];
+        std::vector<Fld> weights, gathered;
+        for (std::size_t vi = chunk.lo; vi < chunk.hi; ++vi) {
+          const LinComb& v = (*lists[chunk.list])[vi];
+          const auto& terms = v.terms();
+          weights.resize(terms.size());
+          gathered.resize(terms.size());
+          for (std::size_t k = 0; k < terms.size(); ++k) {
+            const SharingRef ref = terms[k].first;
+            GFOR14_EXPECTS(ref.dealer < net_.n());
+            GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
+            weights[k] = terms[k].second;
+          }
+          // Coefficient c of the value's share polynomial is the
+          // combination of every term's x^c coefficient: one gather and one
+          // dot per plane.
+          for (std::size_t c = 0; c <= profile_.t; ++c) {
+            for (std::size_t k = 0; k < terms.size(); ++k)
+              gathered[k] = pools_[terms[k].first.dealer].plane(c)
+                                [terms[k].first.index];
+            block.plane(c)[vi] = ff::batch::dot(
+                std::span<const Fld>(weights), std::span<const Fld>(gathered));
+          }
+          block.plane(0)[vi] += v.constant_term();
         }
-        // Coefficient c of the folded polynomial is the combination of
-        // every term's x^c coefficient: one gather and one dot per plane.
-        std::vector<Fld>& poly = folded[long_values[li]];
-        poly.resize(coeffs);
-        for (std::size_t c = 0; c < coeffs; ++c) {
-          for (std::size_t k = 0; k < terms.size(); ++k)
-            gathered[k] = pools_[terms[k].first.dealer].plane(c)
-                              [terms[k].first.index];
-          poly[c] = ff::batch::dot(std::span<const Fld>(weights),
-                                   std::span<const Fld>(gathered));
-        }
-        poly[0] += v.constant_term();
       });
-  return folded;
-}
-
-void BivariateEngine::committed_shares_into(
-    std::span<const LinComb> values,
-    std::span<const std::vector<Fld>> folded,
-    std::span<const std::size_t> which, net::PartyId party,
-    std::span<Fld> out) const {
-  GFOR14_EXPECTS(out.size() == (which.empty() ? values.size() : which.size()));
-  GFOR14_EXPECTS(folded.empty() || folded.size() == values.size());
-  const std::size_t n = net_.n();
-  const Fld alpha = eval_point<64>(party);
-  const auto value_at = [&](std::size_t j) {
-    return which.empty() ? j : which[j];
-  };
-  const auto is_folded = [&](std::size_t vi) {
-    return !folded.empty() && !folded[vi].empty();
-  };
-  // Stats pass: find, per dealer, the index range the requests touch and the
-  // total reference count. Dense-enough dealers get their whole range
-  // evaluated in one batched Horner sweep (span kernels over the pool
-  // planes); sparse dealers fall back to per-index Horner. Either way each
-  // share value is the same Horner recurrence, so both paths give
-  // bit-identical sums.
-  struct DealerStats {
-    std::size_t refs = 0;
-    std::size_t lo = ~std::size_t{0};
-    std::size_t hi = 0;
-  };
-  std::vector<DealerStats> stats(n);
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    const std::size_t vi = value_at(j);
-    if (is_folded(vi)) continue;
-    for (const auto& [ref, coeff] : values[vi].terms()) {
-      GFOR14_EXPECTS(ref.dealer < n);
-      GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
-      DealerStats& s = stats[ref.dealer];
-      ++s.refs;
-      s.lo = std::min(s.lo, ref.index);
-      s.hi = std::max(s.hi, ref.index + 1);
-    }
-  }
-  std::vector<std::vector<Fld>> table(n);
-  for (net::PartyId d = 0; d < n; ++d) {
-    const DealerStats& s = stats[d];
-    if (s.refs == 0) continue;
-    const std::size_t width = s.hi - s.lo;
-    if (s.refs >= 16 && s.refs * 4 >= width) {
-      table[d].resize(width);
-      pools_[d].eval_range(alpha, s.lo, std::span<Fld>(table[d]));
-    }
-  }
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    const std::size_t vi = value_at(j);
-    if (is_folded(vi)) {
-      // Same share by exact field arithmetic: a (t + 1)-term Horner.
-      Fld acc = Fld::zero();
-      for (std::size_t c = folded[vi].size(); c-- > 0;)
-        acc = acc * alpha + folded[vi][c];
-      out[j] = acc;
-      continue;
-    }
-    Fld acc = values[vi].constant_term();
-    for (const auto& [ref, coeff] : values[vi].terms()) {
-      const Fld share =
-          table[ref.dealer].empty()
-              ? pools_[ref.dealer].eval_one(ref.index, alpha)
-              : table[ref.dealer][ref.index - stats[ref.dealer].lo];
-      acc += coeff * share;
-    }
-    out[j] = acc;
-  }
+  return blocks;
 }
 
 Fld BivariateEngine::committed_value(const LinComb& v) const {
@@ -930,14 +870,14 @@ Fld BivariateEngine::committed_value(const LinComb& v) const {
 }
 
 std::vector<Fld> BivariateEngine::decode_received(
-    const std::vector<LinComb>& values,
-    std::span<const std::vector<Fld>> folded,
+    const SharePool& folded,
     std::span<const std::optional<std::span<const Fld>>> per_sender,
     net::PartyId self) {
   const std::size_t n = net_.n();
   const std::size_t t = profile_.t;
+  const std::size_t nvalues = folded.count();
   const bool ic = profile_.recon == ReconMode::kAuthenticated;
-  std::vector<Fld> out(values.size(), Fld::zero());
+  std::vector<Fld> out(nvalues, Fld::zero());
   std::vector<Fld> xs;
   std::vector<net::PartyId> present;
   for (net::PartyId i = 0; i < n; ++i) {
@@ -985,11 +925,11 @@ std::vector<Fld> BivariateEngine::decode_received(
   // contiguous over the value index, so the sweep is t + 1 span axpys per
   // row (exact arithmetic: bit-identical to per-value dots).
   const std::size_t nchunks =
-      (values.size() + kDecodeChunk - 1) / kDecodeChunk;
+      (nvalues + kReconChunk - 1) / kReconChunk;
   ThreadPool::instance().parallel_for(
       0, nchunks, net_.threads(), [&](std::size_t ci) {
-        const std::size_t lo = ci * kDecodeChunk;
-        const std::size_t len = std::min(kDecodeChunk, values.size() - lo);
+        const std::size_t lo = ci * kReconChunk;
+        const std::size_t len = std::min(kReconChunk, nvalues - lo);
         const auto row = [&](std::size_t i) {
           return std::span<const Fld>(per_sender[present[i]]->data() + lo,
                                       len);
@@ -1028,22 +968,24 @@ std::vector<Fld> BivariateEngine::decode_received(
         }
         // Idealized IC walk over the disputed values: senders in index
         // order, a revealed share accepted iff it equals the committed share
-        // (the decoder's own shares are committed already), until each value
-        // holds t + 1 accepts. Accept sets are flat: a (t + 1)-wide row of
-        // accepted values, a count and a sender mask per value.
+        // (the folded polynomial at the sender's point; the decoder's own
+        // shares are committed already), until each value holds t + 1
+        // accepts. Accept sets are flat: a (t + 1)-wide row of accepted
+        // values, a count and a sender mask per value.
         const std::size_t m = disputed.size();
-        std::vector<Fld> acc_vals(m * need), expected(m);
+        std::vector<Fld> acc_vals(m * need);
         std::vector<std::uint8_t> acc_count(m, 0);
         std::vector<std::uint64_t> acc_mask(m, 0);
         std::size_t unfinished = m;
         for (net::PartyId i = 0; i < n && unfinished > 0; ++i) {
           if (!per_sender[i]) continue;
-          if (i != self)
-            committed_shares_into(values, folded, disputed, i, expected);
+          const Fld alpha = eval_point<64>(i);
           for (std::size_t k = 0; k < m; ++k) {
             const Fld revealed = (*per_sender[i])[disputed[k]];
             const std::size_t c = acc_count[k];
-            if (c == need || (i != self && revealed != expected[k])) continue;
+            if (c == need || (i != self &&
+                              revealed != folded.eval_one(disputed[k], alpha)))
+              continue;
             acc_vals[k * need + c] = revealed;
             acc_mask[k] |= std::uint64_t{1} << i;
             acc_count[k] = static_cast<std::uint8_t>(c + 1);
@@ -1088,18 +1030,16 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
   net::PartyId viewer = 0;
   while (viewer < n && net_.is_corrupt(viewer)) ++viewer;
   GFOR14_EXPECTS(viewer < n);
-  // The n× committed-share evaluations per sender are the hot path of
-  // reconstruction; each sender computes and queues independently. The
-  // viewer keeps its own vector instead of re-deriving it for the decode.
-  // Long combinations are folded once here, for every sender and the
-  // decoder alike.
-  const std::vector<std::vector<Fld>> folded = fold_long_values(values);
+  // The values are folded once, for every sender and the decoder alike;
+  // each sender's reveal vector is then one span Horner at its point, run
+  // on its own lane. The viewer keeps its own vector for the decode.
+  const std::vector<LinComb>* list = &values;
+  const SharePool folded = std::move(fold({&list, 1})[0]);
   std::vector<Fld> own;
   net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
     net::Payload payload(values.size());
     charge_share_buffer(values.size());
-    committed_shares_into(values, folded, {}, i,
-                          std::span<Fld>(payload.data(), payload.size()));
+    folded.eval_range(eval_point<64>(i), 0, payload);
     for (net::PartyId j = 0; j < n; ++j)
       if (i != j) lane.send(j, payload);
     if (i == viewer) own = std::move(payload);
@@ -1116,7 +1056,7 @@ std::vector<Fld> BivariateEngine::reconstruct_public(
     if (!msgs.empty() && msgs.front().size() == values.size())
       per_sender[i] = std::span<const Fld>(msgs.front());
   }
-  return decode_received(values, folded, per_sender, viewer);
+  return decode_received(folded, per_sender, viewer);
 }
 
 std::vector<Fld> BivariateEngine::reconstruct_private(
@@ -1129,19 +1069,25 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
   const std::size_t n = net_.n();
   trace::Span span("vss.reconstruct_private", net_);
   span.metric("requests", static_cast<double>(requests.size()));
-  for (const auto& req : requests) GFOR14_EXPECTS(req.receiver < n);
+  std::vector<const std::vector<LinComb>*> lists;
+  lists.reserve(requests.size());
+  for (const auto& req : requests) {
+    GFOR14_EXPECTS(req.receiver < n);
+    lists.push_back(&req.values);
+  }
+  // Every request is folded in one pass, as in reconstruct_public.
+  const std::vector<SharePool> folded = fold(lists);
   // Sender-major iteration (each sender walks the requests in order) keeps
   // every (sender, receiver) channel's message sequence in request order —
   // exactly what the slot-indexed inbox reads below rely on — while letting
   // each sender evaluate its committed shares on its own lane.
   net_.run_round([&](net::PartyId i, net::RoundLane& lane) {
-    for (const auto& req : requests) {
-      if (i == req.receiver) continue;
-      net::Payload payload(req.values.size());
-      charge_share_buffer(req.values.size());
-      committed_shares_into(req.values, {}, {}, i,
-                            std::span<Fld>(payload.data(), payload.size()));
-      lane.send(req.receiver, std::move(payload));
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      if (i == requests[r].receiver) continue;
+      net::Payload payload(folded[r].count());
+      charge_share_buffer(payload.size());
+      folded[r].eval_range(eval_point<64>(i), 0, payload);
+      lane.send(requests[r].receiver, std::move(payload));
     }
   });
   // Per receiver, messages arrive in request order (FIFO per channel), so
@@ -1150,11 +1096,11 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
   std::vector<std::size_t> seen_for_receiver(n, 0);
   std::vector<std::vector<Fld>> out;
   out.reserve(requests.size());
-  for (const auto& req : requests) {
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const PrivateRequest& req = requests[r];
     const std::size_t slot = seen_for_receiver[req.receiver]++;
     std::vector<Fld> own(req.values.size());
-    committed_shares_into(req.values, {}, {}, req.receiver,
-                          std::span<Fld>(own));
+    folded[r].eval_range(eval_point<64>(req.receiver), 0, own);
     std::vector<std::optional<std::span<const Fld>>> per_sender(n);
     for (net::PartyId i = 0; i < n; ++i) {
       if (i == req.receiver) {
@@ -1165,7 +1111,7 @@ std::vector<std::vector<Fld>> BivariateEngine::reconstruct_private_multi(
       if (slot < msgs.size() && msgs[slot].size() == req.values.size())
         per_sender[i] = std::span<const Fld>(msgs[slot]);
     }
-    out.push_back(decode_received(req.values, {}, per_sender, req.receiver));
+    out.push_back(decode_received(folded[r], per_sender, req.receiver));
   }
   return out;
 }

@@ -34,8 +34,10 @@
 // accounting downstream experiments report matches the paper's comparison.
 //
 // Reconstruction (one round, no broadcast):
-//   every party sends its combined share of each requested linear
-//   combination to the receiver(s);
+//   every requested linear combination is first folded into its committed
+//   share polynomial (the same combination of the dealers' polynomials);
+//   every party sends that polynomial's value at its own point, for each
+//   requested combination, to the receiver(s);
 //   the receiver interpolates the first t + 1 present shares and checks
 //   every other one against them; only values whose shares disagree go to
 //   the profile's fallback:
@@ -143,31 +145,24 @@ class BivariateEngine final : public VssScheme {
                      bool force_physical = false);
   void run_padding_rounds();
 
-  /// Per value, the t + 1 coefficients (x^0 first) of its committed share
-  /// polynomial, for every value of at least kFoldTerms terms; empty for
-  /// shorter values, and no entries at all when no value is that long.
-  std::vector<std::vector<Fld>> fold_long_values(
-      const std::vector<LinComb>& values) const;
-  /// out[j] = the party's committed share of values[vi], vi = which[j]
-  /// (vi = j when `which` is empty): a Horner of folded[vi] when that is
-  /// non-empty; otherwise per-dealer pool evaluations amortized across
-  /// values through one span Horner sweep over each touched index range.
-  /// `folded` is empty or parallel to `values`.
-  void committed_shares_into(std::span<const LinComb> values,
-                             std::span<const std::vector<Fld>> folded,
-                             std::span<const std::size_t> which,
-                             net::PartyId party, std::span<Fld> out) const;
-  /// Decodes `values` from the share vectors one party holds after the
-  /// reveal round: per_sender[i] views sender i's delivered vector (nullopt
-  /// when missing or the wrong size); per_sender[self] is the decoding
-  /// party's own committed shares, accepted without re-evaluation. One
-  /// consistency sweep for both ReconModes; only the values it disputes go
-  /// to the mode's fallback (Berlekamp–Welch, or the idealized-IC walk,
-  /// which requires n <= 64: its accept sets are sender bitmasks), counted
-  /// in `vss.recon.fallback_values`.
+  /// The committed share polynomials of the requested values, one block per
+  /// list: column vi of blocks[r] is (*lists[r])[vi] applied to the dealers'
+  /// pool columns (VSS linearity), its constant term in plane 0. Every
+  /// committed share of a reconstruction is then a pool evaluation of these
+  /// blocks: eval_range for a sender's reveal vector, eval_one for one
+  /// disputed value. Scratch, not a wire buffer: no vss.alloc charge.
+  std::vector<SharePool> fold(
+      std::span<const std::vector<LinComb>* const> lists) const;
+  /// Decodes the folded values from the share vectors one party holds
+  /// after the reveal round: per_sender[i] views sender i's delivered vector
+  /// (nullopt when missing or the wrong size); per_sender[self] is the
+  /// decoding party's own committed shares, accepted without
+  /// re-evaluation. One consistency sweep for both ReconModes; only the
+  /// values it disputes go to the mode's fallback (Berlekamp–Welch, or the
+  /// idealized-IC walk, which requires n <= 64: its accept sets are sender
+  /// bitmasks), counted in `vss.recon.fallback_values`.
   std::vector<Fld> decode_received(
-      const std::vector<LinComb>& values,
-      std::span<const std::vector<Fld>> folded,
+      const SharePool& folded,
       std::span<const std::optional<std::span<const Fld>>> per_sender,
       net::PartyId self);
 

@@ -103,9 +103,10 @@ class BivariateBatch {
   Recycled data_;  // (*data_)[(i * dp1_ + j) * m_ + k]
 };
 
-/// Growable coefficient-major pool of committed share polynomials for one
-/// dealer — the SoA replacement for vector<Sharing>. Columns are appended
-/// zero and filled by finalize; evaluation at a party point is one batched
+/// Growable coefficient-major pool of committed share polynomials: one
+/// dealer's sharings (the SoA replacement for vector<Sharing>; columns are
+/// appended zero and filled by finalize), or the folded values of one
+/// reconstruction request. Evaluation at a party point is one batched
 /// Horner sweep over any contiguous index range.
 class SharePool {
  public:

@@ -8,6 +8,7 @@
 
 #include "anonchan/anonchan.hpp"
 #include "common/digest.hpp"
+#include "math/poly.hpp"
 #include "net/adversary.hpp"
 #include "net/recorder.hpp"
 #include "vss/schemes.hpp"
@@ -224,33 +225,108 @@ TEST_P(VssSchemeTest, CommittedValueOracleMatchesReconstruction) {
 }
 
 TEST_P(VssSchemeTest, LongCombinationsReconstructTheCommittedValue) {
-  // Combinations of hundreds of terms take the engine's folded path (one
-  // share polynomial per value, evaluated per party); they must open to
-  // the committed value next to short ones, with a constant term, terms
-  // from several dealers, repeated terms, and shares rewritten on the wire.
+  // Every combination is folded once into its committed share polynomial
+  // and evaluated per party, whatever its shape. Each must open to the
+  // committed value, publicly and toward private receivers, with shares
+  // rewritten on the wire: long ones (hundreds of terms from several
+  // dealers, repeated terms, a constant) next to a one-term value, an
+  // n-term value with a repeated ref, a constant-only value and a value
+  // touching a disqualified dealer.
   const auto [kind, n] = GetParam();
+  const std::size_t t = scheme_max_t(kind, n);
   for (std::size_t lanes : {1u, 4u}) {
     net::Network net(n, 91);
     net.set_threads(lanes);
-    net.corrupt_first(scheme_max_t(kind, n));
+    net.corrupt_first(t);
     net.attach_adversary(std::make_shared<net::ShareCorruptingAdversary>());
     auto vss = make_vss(kind, net);
+    vss->set_dealer_behaviour(0, DealerBehaviour::kInconsistentRefuse);
+    // The shares honest senders P_t..P_2t put on the wire toward corrupt P0
+    // (which the adversary does not rewrite) lie on the value's committed
+    // polynomial: they interpolate to the committed value, at full degree t
+    // whenever a qualified dealer's random polynomial is in the value. A
+    // fold that dropped a plane would open the right values through shares
+    // of a lower degree.
+    const auto expect_committed_shares = [&](const LinComb& v,
+                                             std::size_t pos) {
+      std::vector<Fld> xs, ys;
+      for (net::PartyId j = t; j <= 2 * t; ++j) {
+        const auto& msgs = net.delivered().p2p[0][j];
+        ASSERT_EQ(msgs.size(), 1u);
+        xs.push_back(eval_point<64>(j));
+        ys.push_back(msgs.front()[pos]);
+      }
+      const Poly shares = lagrange_interpolate(xs, ys);
+      EXPECT_EQ(shares.eval(Fld::zero()), vss->committed_value(v));
+      const bool random = std::any_of(
+          v.terms().begin(), v.terms().end(),
+          [](const auto& term) { return term.first.dealer != 0; });
+      EXPECT_EQ(shares.coeffs().size(), random ? t + 1 : 1);
+    };
     Rng rng(17);
     std::vector<std::vector<Fld>> batches(n);
     for (auto& b : batches)
       for (std::size_t k = 0; k < 400; ++k) b.push_back(Fld::random(rng));
-    vss->share_all(batches);
-    std::vector<LinComb> values(3);
+    const auto result = vss->share_all(batches);
+    EXPECT_FALSE(result.qualified[0]) << "lanes " << lanes;
+    for (std::size_t d = 1; d < n; ++d)
+      EXPECT_TRUE(result.qualified[d]) << "dealer " << d << " lanes " << lanes;
+    std::vector<LinComb> values(7);
     for (std::size_t k = 0; k < 1200; ++k)
       values[0].add({k % n, k % 400}, Fld::random(rng));
     values[0].add_constant(fe(7));
     values[1].add({0, 3}, fe(2)).add({n - 1, 5}, fe(9));
     for (std::size_t k = 0; k < 300; ++k) values[2].add({1, k % 150}, fe(k));
+    values[3].add({n - 1, 7}, fe(5));
+    for (std::size_t d = 0; d < n; ++d) values[4].add({d, 11}, fe(d + 3));
+    values[4].add({1, 11}, fe(8));
+    values[5].add_constant(fe(42));
+    values[6].add({0, 2}, fe(3)).add({1, 2}, fe(4));
     const auto opened = vss->reconstruct_public(values);
-    for (std::size_t vi = 0; vi < values.size(); ++vi)
-      EXPECT_EQ(opened[vi], vss->committed_value(values[vi]))
-          << "value " << vi << " lanes " << lanes;
+    ASSERT_EQ(opened.size(), values.size());
+    for (std::size_t vi = 0; vi < values.size(); ++vi) {
+      SCOPED_TRACE("public value " + std::to_string(vi) + " lanes " +
+                   std::to_string(lanes));
+      EXPECT_EQ(opened[vi], vss->committed_value(values[vi]));
+      expect_committed_shares(values[vi], vi);
+    }
+    // Two requests to honest P_{n-1} and one to P0, in one round.
+    const std::vector<std::vector<std::size_t>> picks = {
+        {0, 3, 5}, {1, 2, 3, 4, 5, 6}, {4, 6}};
+    std::vector<VssScheme::PrivateRequest> requests;
+    for (std::size_t r = 0; r < picks.size(); ++r) {
+      auto& req = requests.emplace_back();
+      req.receiver = r == 1 ? 0 : n - 1;
+      for (std::size_t vi : picks[r]) req.values.push_back(values[vi]);
+    }
+    const auto received = vss->reconstruct_private_multi(requests);
+    ASSERT_EQ(received.size(), picks.size());
+    for (std::size_t r = 0; r < picks.size(); ++r) {
+      ASSERT_EQ(received[r].size(), picks[r].size());
+      for (std::size_t j = 0; j < picks[r].size(); ++j) {
+        SCOPED_TRACE("request " + std::to_string(r) + " value " +
+                     std::to_string(picks[r][j]) + " lanes " +
+                     std::to_string(lanes));
+        EXPECT_EQ(received[r][j], vss->committed_value(values[picks[r][j]]));
+        if (requests[r].receiver == 0)
+          expect_committed_shares(values[picks[r][j]], j);
+      }
+    }
   }
+}
+
+TEST_P(VssSchemeTest, EmptyValueListReconstructsToEmpty) {
+  const auto [kind, n] = GetParam();
+  net::Network net(n, 93);
+  auto vss = make_vss(kind, net);
+  std::vector<std::vector<Fld>> batches(n);
+  batches[0] = {fe(1)};
+  vss->share_all(batches);
+  EXPECT_TRUE(vss->reconstruct_public({}).empty());
+  EXPECT_TRUE(vss->reconstruct_private(n - 1, {}).empty());
+  const auto received = vss->reconstruct_private_multi({{n - 1, {}}});
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_TRUE(received[0].empty());
 }
 
 TEST_P(VssSchemeTest, SequentialShareAllAppends) {
