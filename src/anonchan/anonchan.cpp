@@ -118,17 +118,17 @@ AnonChan::Proof AnonChan::prove(const std::vector<net::PartyId>& receivers,
         if (is_recv) {
           chunk.resize(params_.sender_batch_size() +
                        params_.receiver_extra_size());
-          for (std::size_t gi = 0; gi < n; ++gi) {
+          for (const vss::Slab& g_slab : zero_based.g) {
             const Permutation gp =
                 identity_g_
                     ? Permutation::identity(params_.ell)
                     : Permutation::random(net_.rng_of(i), params_.ell);
-            std::vector<Fld> enc = gp.to_field();
             if (garbage_g_) {
-              for (auto& f : enc) f = Fld::random(net_.rng_of(i));
+              for (std::size_t k = 0; k < g_slab.size; ++k)
+                chunk[g_slab.base + k] = Fld::random(net_.rng_of(i));
+            } else {
+              write_indices(params_, g_slab, gp.images(), chunk);
             }
-            std::copy(enc.begin(), enc.end(),
-                      chunk.begin() + zero_based.g[gi].base);
           }
         }
         // Shift the layout to the dealer's global batch offsets.
@@ -188,7 +188,8 @@ AnonChan::Proof AnonChan::prove(const std::vector<net::PartyId>& receivers,
     net::PartyId dealer;
     std::size_t session;
     std::size_t copy;
-    std::size_t offset;
+    std::size_t offset;  ///< first opened word of the slab
+    std::size_t words;   ///< its packed words
   };
   // Decoded openings, indexed by [session][dealer][copy].
   std::vector<std::vector<std::vector<std::optional<Opening>>>> opened(
@@ -196,13 +197,14 @@ AnonChan::Proof AnonChan::prove(const std::vector<net::PartyId>& receivers,
              n, std::vector<std::optional<Opening>>(params_.kappa_cc)));
   {
     trace::Span phase("cut_and_choose.open");
-    // Every passing dealer opens, per session, an index list (d values)
-    // or a permutation (ell values) per copy.
+    // Every passing dealer opens, per session, a packed index list or a
+    // packed permutation per copy.
     const std::size_t passing =
         static_cast<std::size_t>(std::count(pass.begin(), pass.end(), true));
     std::size_t per_session = 0;
     for (std::size_t j = 0; j < params_.kappa_cc; ++j)
-      per_session += bits[j] ? params_.d : params_.ell;
+      per_session +=
+          bits[j] ? params_.index_list_words() : params_.perm_words();
     std::vector<vss::LinComb> open_a;
     open_a.reserve(passing * S * per_session);
     std::vector<ARef> a_refs;
@@ -211,9 +213,9 @@ AnonChan::Proof AnonChan::prove(const std::vector<net::PartyId>& receivers,
       if (!pass[i]) continue;
       for (std::size_t s = 0; s < S; ++s) {
         for (std::size_t j = 0; j < params_.kappa_cc; ++j) {
-          a_refs.push_back({i, s, j, open_a.size()});
           const auto& slab =
               bits[j] ? layouts[s][i].idx[j] : layouts[s][i].perm[j];
+          a_refs.push_back({i, s, j, open_a.size(), slab.size});
           for (std::size_t k = 0; k < slab.size; ++k)
             open_a.push_back(slab.lc(k));
         }
@@ -221,11 +223,12 @@ AnonChan::Proof AnonChan::prove(const std::vector<net::PartyId>& receivers,
     }
     const auto opened_a = vss_.reconstruct_public(open_a);
 
+    const IndexCodec codec = params_.codec();
     for (const auto& ref : a_refs) {
       auto& slot = opened[ref.session][ref.dealer][ref.copy];
+      const std::span<const Fld> enc(opened_a.data() + ref.offset, ref.words);
       if (bits[ref.copy]) {
-        std::span<const Fld> enc(opened_a.data() + ref.offset, params_.d);
-        if (auto decoded = decode_index_list(enc, params_.ell)) {
+        if (auto decoded = codec.decode_index_list(enc, params_.d)) {
           slot = std::move(*decoded);
         } else if (pass[ref.dealer]) {
           pass[ref.dealer] = false;
@@ -233,9 +236,7 @@ AnonChan::Proof AnonChan::prove(const std::vector<net::PartyId>& receivers,
                      "anonchan.open.bad_index_list");
         }
       } else {
-        std::vector<Fld> enc(opened_a.begin() + ref.offset,
-                             opened_a.begin() + ref.offset + params_.ell);
-        if (auto decoded = Permutation::from_field(enc)) {
+        if (auto decoded = codec.decode_permutation(enc)) {
           slot = std::move(*decoded);
         } else if (pass[ref.dealer]) {
           pass[ref.dealer] = false;
@@ -346,19 +347,19 @@ ManyOutput AnonChan::run_many_to(
   std::vector<std::vector<Permutation>> g(S, std::vector<Permutation>(n));
   {
     trace::Span phase("deliver.permutations");
+    const std::size_t words = params_.perm_words();
     std::vector<vss::LinComb> g_values;
-    g_values.reserve(S * n * params_.ell);
+    g_values.reserve(S * n * words);
     for (std::size_t s = 0; s < S; ++s)
-      for (std::size_t gi = 0; gi < n; ++gi)
-        for (std::size_t k = 0; k < params_.ell; ++k)
-          g_values.push_back(proof.layouts[s][receivers[s]].g[gi].lc(k));
+      for (const vss::Slab& g_slab : proof.layouts[s][receivers[s]].g)
+        for (std::size_t k = 0; k < words; ++k)
+          g_values.push_back(g_slab.lc(k));
     const auto g_opened = vss_.reconstruct_public(g_values);
+    const IndexCodec codec = params_.codec();
     for (std::size_t s = 0; s < S; ++s) {
       for (std::size_t gi = 0; gi < n; ++gi) {
-        const std::size_t off = (s * n + gi) * params_.ell;
-        std::vector<Fld> enc(g_opened.begin() + off,
-                             g_opened.begin() + off + params_.ell);
-        auto decoded = Permutation::from_field(enc);
+        auto decoded = codec.decode_permutation(std::span<const Fld>(
+            g_opened.data() + (s * n + gi) * words, words));
         // An invalid permutation (only possible for a corrupt receiver) is
         // replaced by the identity: the protocol stays total, and the random
         // relocation only protected against adversarially placed indices,

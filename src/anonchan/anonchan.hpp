@@ -5,7 +5,8 @@
 //   step 1   r_VSS-share rounds  — every party VSS-shares v, the kappa
 //            permuted copies w_j, the permutations pi_j, the non-zero index
 //            lists, r^(i) and rho^(i); the receiver additionally shares
-//            g_1..g_n;
+//            g_1..g_n. pi_j, the index lists and g_i are only ever opened,
+//            so they are packed several indices per word (IndexCodec);
 //   step 2   1 round             — public VSS-Rec of r = sum r^(i) and
 //            rho = sum rho^(i);
 //   step 3   2 rounds            — cut-and-choose: open pi_j or the index

@@ -67,12 +67,12 @@ SenderCommitment DenseVectorAttack::build(const Params& params,
   const auto v_a = slab_values(params, layout.v_a, c.secrets);
   for (std::size_t j = 0; j < params.kappa_cc; ++j) {
     const Permutation pi = Permutation::random(rng, params.ell);
-    write_permutation(layout.perm[j], pi, c.secrets);
+    write_indices(params, layout.perm[j], pi.images(), c.secrets);
     write_consistent_copy(params, layout, j, v_x, v_a, pi, c.secrets);
     const auto w_x = slab_values(params, layout.w_x[j], c.secrets);
     const auto w_a = slab_values(params, layout.w_a[j], c.secrets);
-    write_index_list(layout.idx[j], first_d_nonzero(params, w_x, w_a),
-                     c.secrets);
+    write_indices(params, layout.idx[j], first_d_nonzero(params, w_x, w_a),
+                  c.secrets);
   }
   c.secrets[layout.r.base] = Fld::random(rng);
   // v_indices left empty: no meaningful ground truth for a garbage vector.
@@ -99,10 +99,10 @@ SenderCommitment UnequalEntriesAttack::build(const Params& params,
   const auto v_a = slab_values(params, layout.v_a, c.secrets);
   for (std::size_t j = 0; j < params.kappa_cc; ++j) {
     const Permutation pi = Permutation::random(rng, params.ell);
-    write_permutation(layout.perm[j], pi, c.secrets);
+    write_indices(params, layout.perm[j], pi.images(), c.secrets);
     write_consistent_copy(params, layout, j, v_x, v_a, pi, c.secrets);
-    write_index_list(layout.idx[j],
-                     permuted_indices(pi, indices, params.ell), c.secrets);
+    write_indices(params, layout.idx[j],
+                  permuted_indices(pi, indices, params.ell), c.secrets);
   }
   c.secrets[layout.r.base] = Fld::random(rng);
   return c;
@@ -124,7 +124,7 @@ SenderCommitment WrongCopyAttack::build(const Params& params,
     std::sort(w_idx.begin(), w_idx.end());
     write_sparse_vector(params, layout.w_x[j], layout.w_a[j], w_idx, input,
                         c.tag, c.secrets);
-    write_index_list(layout.idx[j], w_idx, c.secrets);
+    write_indices(params, layout.idx[j], w_idx, c.secrets);
   }
   return c;
 }
@@ -146,7 +146,7 @@ SenderCommitment GuessingAttack::build(const Params& params,
   const Fld fake_msg = Fld::random(rng);
   for (std::size_t j = 0; j < params.kappa_cc; ++j) {
     const Permutation pi = Permutation::random(rng, params.ell);
-    write_permutation(layout.perm[j], pi, c.secrets);
+    write_indices(params, layout.perm[j], pi.images(), c.secrets);
     if (rng.next_bool()) {
       // Guess b_j = 1: commit a PROPER independent w_j with a truthful
       // index list — passes the sparseness branch, fails the permutation
@@ -155,15 +155,15 @@ SenderCommitment GuessingAttack::build(const Params& params,
       std::sort(w_idx.begin(), w_idx.end());
       write_sparse_vector(params, layout.w_x[j], layout.w_a[j], w_idx,
                           fake_msg, fake_tag, c.secrets);
-      write_index_list(layout.idx[j], w_idx, c.secrets);
+      write_indices(params, layout.idx[j], w_idx, c.secrets);
     } else {
       // Guess b_j = 0: commit the consistent permuted copy — passes the
       // permutation branch, fails the sparseness branch.
       write_consistent_copy(params, layout, j, v_x, v_a, pi, c.secrets);
       const auto w_x = slab_values(params, layout.w_x[j], c.secrets);
       const auto w_a = slab_values(params, layout.w_a[j], c.secrets);
-      write_index_list(layout.idx[j], first_d_nonzero(params, w_x, w_a),
-                       c.secrets);
+      write_indices(params, layout.idx[j], first_d_nonzero(params, w_x, w_a),
+                    c.secrets);
     }
   }
   c.secrets[layout.r.base] = Fld::random(rng);
@@ -182,11 +182,11 @@ SenderCommitment FixedPositionSender::build(const Params& params,
                       c.tag, c.secrets);
   for (std::size_t j = 0; j < params.kappa_cc; ++j) {
     const Permutation pi = Permutation::random(rng, params.ell);
-    write_permutation(layout.perm[j], pi, c.secrets);
+    write_indices(params, layout.perm[j], pi.images(), c.secrets);
     const auto w_idx = permuted_indices(pi, c.v_indices, params.ell);
     write_sparse_vector(params, layout.w_x[j], layout.w_a[j], w_idx, input,
                         c.tag, c.secrets);
-    write_index_list(layout.idx[j], w_idx, c.secrets);
+    write_indices(params, layout.idx[j], w_idx, c.secrets);
   }
   c.secrets[layout.r.base] = Fld::random(rng);
   return c;

@@ -8,23 +8,6 @@
 
 namespace gfor14::anonchan {
 
-std::optional<std::vector<std::size_t>> decode_index_list(
-    std::span<const Fld> enc, std::size_t ell) {
-  std::vector<std::size_t> out;
-  out.reserve(enc.size());
-  std::uint64_t prev = 0;  // encoded values are >= 1, so 0 is "none yet"
-  for (const Fld& f : enc) {
-    const std::uint64_t v = f.to_u64();
-    // Reject non-canonical field elements, out-of-range and non-increasing
-    // values (strict increase enforces distinctness).
-    if (f != Fld::from_u64(v) || v == 0 || v > ell || v <= prev)
-      return std::nullopt;
-    prev = v;
-    out.push_back(static_cast<std::size_t>(v - 1));
-  }
-  return out;
-}
-
 vss::LinComb zero_test(const Params& params, const BatchLayout& layout,
                        std::size_t j, const Opening& opened, Fld rho) {
   GFOR14_EXPECTS(j < params.kappa_cc);

@@ -4,11 +4,10 @@
 // Everything here is expressed as linear combinations over sharings, so
 // each check is a VSS-Rec of a public LinComb — exactly what the Linearity
 // property licenses. Step 3 needs two reconstruction rounds: the opened
-// permutation / index list first (round A), then one batched zero test per
-// copy that depends on it (round B).
+// permutation / index list first (round A, decoded by Params::codec()),
+// then one batched zero test per copy that depends on it (round B).
 #pragma once
 
-#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -18,13 +17,6 @@
 #include "vss/share_algebra.hpp"
 
 namespace gfor14::anonchan {
-
-/// Decodes a reconstructed index list: d strictly increasing values in
-/// [1, ell] (encoding is index + 1). nullopt on any violation — the dealer
-/// is then disqualified, matching "if the result is not a valid list of d
-/// distinct indices in [ell]".
-std::optional<std::vector<std::size_t>> decode_index_list(
-    std::span<const Fld> enc, std::size_t ell);
 
 /// What round A opened for copy j: the permutation pi_j (challenge bit 0)
 /// or the non-zero index list of w_j (challenge bit 1).

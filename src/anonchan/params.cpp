@@ -63,13 +63,18 @@ double Params::expected_total_collisions() const {
          expected_pair_collisions(d, ell);
 }
 
+std::size_t Params::perm_words() const { return codec().words(ell); }
+
+std::size_t Params::index_list_words() const { return codec().words(d); }
+
 std::size_t Params::sender_batch_size() const {
-  // v (2*ell) + kappa copies of w (2*ell) + kappa permutations (ell) +
-  // kappa index lists (d) + r (1).
-  return 2 * ell + kappa_cc * (2 * ell + ell + d) + 1;
+  // v (2*ell) + kappa copies of w (2*ell) + kappa packed permutations +
+  // kappa packed index lists + r (1).
+  return 2 * ell + kappa_cc * (2 * ell + perm_words() + index_list_words()) +
+         1;
 }
 
-std::size_t Params::receiver_extra_size() const { return n * ell; }
+std::size_t Params::receiver_extra_size() const { return n * perm_words(); }
 
 std::string Params::describe() const {
   std::ostringstream os;
@@ -96,14 +101,14 @@ BatchLayout BatchLayout::make(const Params& params, std::size_t dealer,
     layout.w_a.push_back(alloc.take(params.ell));
   }
   for (std::size_t j = 0; j < params.kappa_cc; ++j)
-    layout.perm.push_back(alloc.take(params.ell));
+    layout.perm.push_back(alloc.take(params.perm_words()));
   for (std::size_t j = 0; j < params.kappa_cc; ++j)
-    layout.idx.push_back(alloc.take(params.d));
+    layout.idx.push_back(alloc.take(params.index_list_words()));
   layout.r = alloc.take(1);
   GFOR14_ENSURES(alloc.allocated() == params.sender_batch_size());
   if (is_receiver) {
     for (std::size_t i = 0; i < params.n; ++i)
-      layout.g.push_back(alloc.take(params.ell));
+      layout.g.push_back(alloc.take(params.perm_words()));
   }
   return layout;
 }

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <string>
 
+#include "math/index_codec.hpp"
 #include "vss/batch.hpp"
 
 namespace gfor14::anonchan {
@@ -60,6 +61,14 @@ struct Params {
   /// Expected total pairwise collisions n (n-1) d^2 / ell.
   double expected_total_collisions() const;
 
+  /// The packed encoding of the opened-only slabs: pi_j, the index lists
+  /// and g_1..g_n hold IndexCodec(ell) words.
+  IndexCodec codec() const { return IndexCodec(ell); }
+  /// Words of one packed permutation (pi_j or g_i): ceil(ell / k).
+  std::size_t perm_words() const;
+  /// Words of one packed index list: ceil(d / k).
+  std::size_t index_list_words() const;
+
   /// Per-dealer sharing counts.
   std::size_t sender_batch_size() const;    // v, w's, perms, index lists, r
   std::size_t receiver_extra_size() const;  // the n permutations g_i
@@ -72,10 +81,10 @@ struct Params {
 struct BatchLayout {
   vss::Slab v_x, v_a;             ///< the two components of v
   std::vector<vss::Slab> w_x, w_a;  ///< per copy j
-  std::vector<vss::Slab> perm;      ///< field-encoded pi_j image lists
-  std::vector<vss::Slab> idx;       ///< field-encoded non-zero index lists
+  std::vector<vss::Slab> perm;      ///< packed pi_j images (perm_words)
+  std::vector<vss::Slab> idx;       ///< packed non-zero index lists
   vss::Slab r;                      ///< challenge contribution
-  std::vector<vss::Slab> g;         ///< receiver only: g_1..g_n
+  std::vector<vss::Slab> g;         ///< receiver only: packed g_1..g_n
 
   static BatchLayout make(const Params& params, std::size_t dealer,
                           bool is_receiver);

@@ -18,20 +18,12 @@ void write_sparse_vector(const Params& params, const vss::Slab& slab_x,
   }
 }
 
-void write_permutation(const vss::Slab& slab, const Permutation& pi,
-                       std::vector<Fld>& secrets) {
-  GFOR14_EXPECTS(slab.size == pi.size());
-  const auto enc = pi.to_field();
-  std::copy(enc.begin(), enc.end(), secrets.begin() + slab.base);
-}
-
-void write_index_list(const vss::Slab& slab,
-                      const std::vector<std::size_t>& indices,
-                      std::vector<Fld>& secrets) {
-  GFOR14_EXPECTS(slab.size == indices.size());
-  for (std::size_t m = 0; m < indices.size(); ++m)
-    secrets[slab.base + m] =
-        Fld::from_u64(static_cast<std::uint64_t>(indices[m]) + 1);
+void write_indices(const Params& params, const vss::Slab& slab,
+                   std::span<const std::size_t> indices,
+                   std::vector<Fld>& secrets) {
+  GFOR14_EXPECTS(slab.base + slab.size <= secrets.size());
+  params.codec().encode(
+      indices, std::span<Fld>(secrets).subspan(slab.base, slab.size));
 }
 
 std::vector<std::size_t> permuted_indices(
@@ -62,11 +54,11 @@ SenderCommitment HonestSender::build(const Params& params,
                       c.tag, c.secrets);
   for (std::size_t j = 0; j < params.kappa_cc; ++j) {
     const Permutation pi = Permutation::random(rng, params.ell);
-    write_permutation(layout.perm[j], pi, c.secrets);
+    write_indices(params, layout.perm[j], pi.images(), c.secrets);
     const auto w_idx = permuted_indices(pi, c.v_indices, params.ell);
     write_sparse_vector(params, layout.w_x[j], layout.w_a[j], w_idx, input,
                         c.tag, c.secrets);
-    write_index_list(layout.idx[j], w_idx, c.secrets);
+    write_indices(params, layout.idx[j], w_idx, c.secrets);
   }
   c.secrets[layout.r.base] = Fld::random(rng);
   return c;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "anonchan/params.hpp"
@@ -50,14 +51,11 @@ void write_sparse_vector(const Params& params, const vss::Slab& slab_x,
                          const std::vector<std::size_t>& indices, Fld x,
                          Fld a, std::vector<Fld>& secrets);
 
-/// Writes permutation pi's field encoding into the perm slab.
-void write_permutation(const vss::Slab& slab, const Permutation& pi,
-                       std::vector<Fld>& secrets);
-
-/// Writes the sorted non-zero index list (encoded +1) into the idx slab.
-void write_index_list(const vss::Slab& slab,
-                      const std::vector<std::size_t>& indices,
-                      std::vector<Fld>& secrets);
+/// Packs `indices` — a permutation's images or a sorted index list — into
+/// an opened-only slab (pi_j, an index list or g_i) with params.codec().
+void write_indices(const Params& params, const vss::Slab& slab,
+                   std::span<const std::size_t> indices,
+                   std::vector<Fld>& secrets);
 
 /// Sorted non-zero positions of w = pi(v): { k : pi(k) in v_indices }.
 std::vector<std::size_t> permuted_indices(const Permutation& pi,

@@ -20,7 +20,7 @@ BufferRecycler& BufferRecycler::instance() {
   return *recycler;
 }
 
-std::vector<Fld> BufferRecycler::take(std::size_t n) {
+std::vector<Fld> BufferRecycler::take(std::size_t n, bool zero) {
   std::vector<Fld> v;
   const std::size_t bytes = n * sizeof(Fld);
   std::vector<std::vector<Fld>> freed;  // released after the lock
@@ -49,6 +49,9 @@ std::vector<Fld> BufferRecycler::take(std::size_t n) {
     lent_.insert_or_assign(v.data(), capacity_bytes(v));
   }
   freed.clear();
+  // resize value-initialises (zeroes) the entries past v's old size: all of
+  // them for a fresh buffer, and all of them for a cleared pooled one.
+  if (zero) v.clear();
   v.resize(n);
   return v;
 }

@@ -42,10 +42,11 @@ class BufferRecycler {
  public:
   static BufferRecycler& instance();
 
-  /// A buffer of size n whose contents are unspecified: the smallest pooled
-  /// buffer with room for n (a hit) or a fresh one (a miss). Requests below
-  /// the floor are always fresh and are not tallied.
-  std::vector<Fld> take(std::size_t n);
+  /// A buffer of size n: the smallest pooled buffer with room for n (a hit)
+  /// or a fresh one (a miss). Its entries are zero if `zero` is set, and
+  /// otherwise unspecified; either way they are written at most once here.
+  /// Requests below the floor are always fresh and are not tallied.
+  std::vector<Fld> take(std::size_t n, bool zero = false);
   /// Hands v's storage back; storage below the floor, or not lent by take,
   /// is simply freed.
   void give(std::vector<Fld> v);
@@ -72,7 +73,8 @@ class BufferRecycler {
 class Recycled {
  public:
   Recycled() = default;
-  explicit Recycled(std::size_t n) : v_(BufferRecycler::instance().take(n)) {}
+  explicit Recycled(std::size_t n, bool zero = false)
+      : v_(BufferRecycler::instance().take(n, zero)) {}
   Recycled(Recycled&& o) noexcept : v_(std::move(o.v_)) {}
   /// The old buffer goes back when `o` dies.
   Recycled& operator=(Recycled&& o) noexcept {

@@ -49,23 +49,4 @@ Permutation Permutation::compose(const Permutation& b) const {
   return p;
 }
 
-std::vector<Fld> Permutation::to_field() const {
-  std::vector<Fld> out(images_.size());
-  for (std::size_t k = 0; k < images_.size(); ++k)
-    out[k] = Fld::from_u64(static_cast<std::uint64_t>(images_[k]) + 1);
-  return out;
-}
-
-std::optional<Permutation> Permutation::from_field(
-    const std::vector<Fld>& enc) {
-  std::vector<std::size_t> images(enc.size());
-  for (std::size_t k = 0; k < enc.size(); ++k) {
-    const std::uint64_t v = enc[k].to_u64();
-    // Reject anything out of the [1, n] range.
-    if (v == 0 || v > enc.size()) return std::nullopt;
-    images[k] = static_cast<std::size_t>(v - 1);
-  }
-  return from_images(std::move(images));
-}
-
 }  // namespace gfor14

@@ -1,17 +1,17 @@
 // Permutations of [0, n): uniform sampling (Fisher–Yates), composition,
-// inversion, action on vectors, and the field encoding/decoding used when a
-// permutation is VSS-shared coordinate-wise (AnonChan shares each image
-// pi(k) as a field element; a reconstructed list that is not a valid
-// permutation disqualifies its dealer — Figure 1, step 3).
+// inversion and action on vectors. AnonChan VSS-shares a permutation's
+// images packed by IndexCodec (math/index_codec.hpp); a reconstructed list
+// that is not a valid permutation disqualifies its dealer (Figure 1,
+// step 3).
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
-#include "ff/gf2e.hpp"
 
 namespace gfor14 {
 
@@ -31,6 +31,8 @@ class Permutation {
   static std::optional<Permutation> from_images(std::vector<std::size_t> images);
 
   std::size_t size() const { return images_.size(); }
+  /// The image table: images()[k] == (*this)(k).
+  std::span<const std::size_t> images() const { return images_; }
   std::size_t operator()(std::size_t k) const {
     GFOR14_EXPECTS(k < images_.size());
     return images_[k];
@@ -50,14 +52,6 @@ class Permutation {
     for (std::size_t k = 0; k < in.size(); ++k) out[k] = in[images_[k]];
     return out;
   }
-
-  /// Field encoding of the image list: element k is from_u64(pi(k) + 1).
-  /// The +1 keeps images non-zero so a missing/default VSS value (zero) can
-  /// never decode to a valid image.
-  std::vector<Fld> to_field() const;
-
-  /// Decodes and validates; nullopt on any out-of-range or repeated image.
-  static std::optional<Permutation> from_field(const std::vector<Fld>& enc);
 
   friend bool operator==(const Permutation&, const Permutation&) = default;
 

@@ -713,8 +713,8 @@ ShareResult BivariateEngine::share_all(
     result.qualified[d] = ok;
     if (!ok) qualified_[d] = false;
     pools_[d].configure(t + 1);
-    base[d] = pools_[d].append_zero(batches[d].size());  // zero columns
-                                                         // until interpolated
+    // Zero columns until interpolated: a disqualified dealer's stay zero.
+    base[d] = pools_[d].append(batches[d].size(), /*zero=*/true);
   }
   // Finalize faults found on the worker lanes (one byte per dealer slot, so
   // concurrent writers never share a byte): 1 = too few content parties,
@@ -816,7 +816,7 @@ std::vector<SharePool> BivariateEngine::fold(
   for (std::size_t r = 0; r < lists.size(); ++r) {
     const std::vector<LinComb>& values = *lists[r];
     blocks[r].configure(profile_.t + 1);
-    blocks[r].append_zero(values.size());
+    blocks[r].append(values.size(), /*zero=*/false);  // the fold writes all
     std::size_t lo = 0, terms = 0;
     for (std::size_t vi = 0; vi < values.size(); ++vi) {
       terms += values[vi].terms().size() + 1;

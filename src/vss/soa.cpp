@@ -111,18 +111,17 @@ void SharePool::configure(std::size_t coeffs_per_poly) {
   GFOR14_EXPECTS(planes_.size() == coeffs_per_poly);
 }
 
-std::size_t SharePool::append_zero(std::size_t m) {
+std::size_t SharePool::append(std::size_t m, bool zero) {
   const std::size_t base = count_;
   count_ += m;
   for (Recycled& p : planes_) {
     if (p->capacity() < count_) {  // grow through the recycler
-      Recycled grown(count_);
+      Recycled grown(count_, zero);
       std::copy(p->begin(), p->end(), grown->begin());
       p = std::move(grown);
+    } else {
+      p->resize(count_);  // value-initialises (zeroes) the new entries
     }
-    p->resize(count_);
-    std::fill(p->begin() + static_cast<std::ptrdiff_t>(base), p->end(),
-              Fld::zero());
   }
   return base;
 }

@@ -116,8 +116,10 @@ class SharePool {
   std::size_t count() const { return count_; }
   std::size_t coeffs_per_poly() const { return planes_.size(); }
 
-  /// Appends m zero polynomials; returns the base index of the new block.
-  std::size_t append_zero(std::size_t m);
+  /// Appends m polynomials; returns the base index of the new block. Their
+  /// coefficients are zero if `zero` is set (each written once), otherwise
+  /// unspecified, for a caller that overwrites every one.
+  std::size_t append(std::size_t m, bool zero);
 
   std::span<Fld> plane(std::size_t c) { return *planes_[c]; }
   std::span<const Fld> plane(std::size_t c) const { return *planes_[c]; }

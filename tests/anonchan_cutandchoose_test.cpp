@@ -5,10 +5,13 @@
 // information-checking layer, and the only way past the proof is guessing
 // every one of the kappa_cc challenge bits — probability 2^-kappa_cc.
 // Round B's batched zero test catches a single bad entry wherever it sits,
-// and two equal errors that a plain sum would cancel.
+// and two equal errors that a plain sum would cancel. A malformed packed
+// word of an opened slab (pi_j, an index list, g_i) disqualifies or blames
+// its dealer wherever it sits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -60,12 +63,12 @@ struct SharedCommitment {
 
   /// Round A, challenge bit 0: the opened permutation of copy j.
   std::optional<Permutation> open_permutation(std::size_t j) {
-    return Permutation::from_field(open(layout.perm[j].all()));
+    return params.codec().decode_permutation(open(layout.perm[j].all()));
   }
   /// Round A, challenge bit 1: the opened index list of copy j.
   std::optional<std::vector<std::size_t>> open_index_list(std::size_t j) {
-    return anonchan::decode_index_list(
-        std::span<const Fld>(open(layout.idx[j].all())), params.ell);
+    return params.codec().decode_index_list(open(layout.idx[j].all()),
+                                            params.d);
   }
 
   /// Round B for copy j: whether the zero test over `opened` opens to zero.
@@ -307,6 +310,197 @@ TEST(CutAndChooseZeroTest, EqualErrorsThatCancelInAPlainSumAreCaught) {
   }
   EXPECT_TRUE(disqualified_by_zero_test(
       std::make_shared<TamperedCopies>(pick, Fld::from_u64(0xC0FFEE)), 64001));
+}
+
+// --- Malformed packed words --------------------------------------------------
+
+/// Forwards to a real scheme, but rewrites chosen words of one dealer's
+/// batch before the sharing phase: that dealer then commits, consistently,
+/// to the rewritten words.
+class TamperedDealing final : public vss::VssScheme {
+ public:
+  using Rewrite = std::function<std::uint64_t(std::uint64_t)>;
+  TamperedDealing(std::unique_ptr<vss::VssScheme> inner, net::PartyId dealer,
+                  std::vector<std::size_t> words, Rewrite rewrite)
+      : inner_(std::move(inner)),
+        dealer_(dealer),
+        words_(std::move(words)),
+        rewrite_(std::move(rewrite)) {}
+
+  std::size_t n() const override { return inner_->n(); }
+  std::size_t t() const override { return inner_->t(); }
+  const char* name() const override { return inner_->name(); }
+  void set_dealer_behaviour(net::PartyId d, vss::DealerBehaviour b) override {
+    inner_->set_dealer_behaviour(d, b);
+  }
+  void set_false_complaints(bool enabled) override {
+    inner_->set_false_complaints(enabled);
+  }
+  vss::ShareResult share_all(
+      const std::vector<std::vector<Fld>>& batches) override {
+    auto tampered = batches;
+    for (std::size_t w : words_) {
+      Fld& f = tampered[dealer_].at(w);
+      f = Fld::from_u64(rewrite_(f.to_u64()));
+    }
+    return inner_->share_all(tampered);
+  }
+  std::size_t count(net::PartyId d) const override { return inner_->count(d); }
+  std::vector<Fld> reconstruct_public(
+      const std::vector<vss::LinComb>& values) override {
+    return inner_->reconstruct_public(values);
+  }
+  std::vector<Fld> reconstruct_private(
+      net::PartyId receiver, const std::vector<vss::LinComb>& values) override {
+    return inner_->reconstruct_private(receiver, values);
+  }
+  std::vector<std::vector<Fld>> reconstruct_private_multi(
+      const std::vector<PrivateRequest>& requests) override {
+    return inner_->reconstruct_private_multi(requests);
+  }
+  Fld committed_value(const vss::LinComb& v) const override {
+    return inner_->committed_value(v);
+  }
+  std::size_t share_rounds() const override { return inner_->share_rounds(); }
+  std::size_t share_broadcast_rounds() const override {
+    return inner_->share_broadcast_rounds();
+  }
+
+ private:
+  std::unique_ptr<vss::VssScheme> inner_;
+  net::PartyId dealer_;
+  std::vector<std::size_t> words_;
+  Rewrite rewrite_;
+};
+
+/// perfbench chan_n6_rb's shape: n = 6, RB, kappa = 2, d = 16, ell = 2304
+/// (12-bit slots, 5 per word, bits 60-63 padding).
+Params chan_shape() {
+  Params params = Params::practical(6, 2);
+  params.d = 16;
+  params.ell = 4 * 6 * 6 * params.d;
+  return params;
+}
+
+/// A malformation at the first, a middle and the last word of a slab of
+/// `words` words holding `count` indices: a padding bit, an out-of-range
+/// slot, a non-zero unused slot (or, in a full last word, a zero slot).
+struct Malformation {
+  std::size_t word;
+  TamperedDealing::Rewrite rewrite;
+  std::string what;
+};
+std::vector<Malformation> malformations(const Params& params,
+                                        std::size_t count) {
+  const IndexCodec codec = params.codec();
+  const unsigned b = codec.slot_bits();
+  const std::uint64_t slot = (std::uint64_t{1} << b) - 1;
+  const std::size_t words = codec.words(count);
+  const std::size_t last_used = count - (words - 1) * codec.per_word();
+  const std::uint64_t ell_plus_one = params.ell + 1;
+  std::vector<Malformation> out;
+  out.push_back({0, [](std::uint64_t w) { return w | std::uint64_t{1} << 63; },
+                 "padding bit"});
+  out.push_back({words / 2,
+                 [=](std::uint64_t w) { return (w & ~slot) | ell_plus_one; },
+                 "slot > ell"});
+  if (last_used < codec.per_word()) {
+    out.push_back({words - 1,
+                   [=](std::uint64_t w) { return w | 1ULL << (last_used * b); },
+                   "unused slot set"});
+  } else {
+    out.push_back({words - 1, [=](std::uint64_t w) { return w & ~slot; },
+                   "zero slot"});
+  }
+  return out;
+}
+
+/// Runs chan-shape channels with `rewrite` applied to word `word` of every
+/// copy's slab (`slab_of` picks pi_j or the index list) of corrupt dealer
+/// P0, over the first seeds from `seed` until the challenge opens one of
+/// those slabs; expects P0 disqualified with exactly `blame` and every
+/// honest input delivered.
+void expect_dealer_disqualified(
+    const std::function<const vss::Slab&(const BatchLayout&, std::size_t)>&
+        slab_of,
+    bool opened_on_bit, const Malformation& m, const std::string& blame,
+    std::uint64_t seed) {
+  SCOPED_TRACE(m.what + " in word " + std::to_string(m.word));
+  const Params params = chan_shape();
+  const BatchLayout layout = BatchLayout::make(params, 0, false);
+  std::vector<std::size_t> words;
+  for (std::size_t j = 0; j < params.kappa_cc; ++j)
+    words.push_back(slab_of(layout, j).base + m.word);
+  for (std::uint64_t s = seed; s < seed + 8; ++s) {
+    net::Network net(6, s);
+    net.set_corrupt(0, true);
+    TamperedDealing vss(vss::make_vss(SchemeKind::kRB, net), 0, words,
+                        m.rewrite);
+    AnonChan chan(net, vss, params);
+    std::vector<Fld> inputs;
+    for (std::uint64_t i = 0; i < 6; ++i) inputs.push_back(Fld::from_u64(300 + i));
+    inputs[5] = Fld::zero();
+    const auto out = chan.run(5, inputs);
+    const auto& bits = out.challenge_bits;
+    if (std::find(bits.begin(), bits.end(), opened_on_bit) == bits.end())
+      continue;  // neither tampered slab was opened: try the next seed
+    EXPECT_FALSE(out.pass[0]);
+    for (std::size_t i = 1; i < 5; ++i)
+      EXPECT_TRUE(out.delivered(inputs[i])) << "honest input " << i;
+    const auto blames = net.blames();
+    ASSERT_EQ(blames.size(), 1u);
+    EXPECT_EQ(blames[0].accused, 0u);
+    EXPECT_EQ(blames[0].reason, blame);
+    return;
+  }
+  ADD_FAILURE() << "no seed opened the tampered slab";
+}
+
+TEST(CutAndChooseOpen, MalformedPermutationWordDisqualifiesAtAnyPosition) {
+  const Params params = chan_shape();
+  for (const auto& m : malformations(params, params.ell))
+    expect_dealer_disqualified(
+        [](const BatchLayout& l, std::size_t j) -> const vss::Slab& {
+          return l.perm[j];
+        },
+        /*opened_on_bit=*/false, m, "anonchan.open.bad_permutation", 70000);
+}
+
+TEST(CutAndChooseOpen, MalformedIndexListWordDisqualifiesAtAnyPosition) {
+  const Params params = chan_shape();
+  for (const auto& m : malformations(params, params.d))
+    expect_dealer_disqualified(
+        [](const BatchLayout& l, std::size_t j) -> const vss::Slab& {
+          return l.idx[j];
+        },
+        /*opened_on_bit=*/true, m, "anonchan.open.bad_index_list", 71000);
+}
+
+TEST(CutAndChooseOpen, MalformedGWordIsBlamedOnTheReceiver) {
+  // g is always opened; a corrupt receiver whose g_i does not decode is
+  // blamed publicly, the identity stands in, and every input arrives.
+  const Params params = chan_shape();
+  const BatchLayout layout = BatchLayout::make(params, 5, true);
+  std::size_t gi = 0;
+  for (const auto& m : malformations(params, params.ell)) {
+    SCOPED_TRACE(m.what + " in word " + std::to_string(m.word) + " of g_" +
+                 std::to_string(gi));
+    net::Network net(6, 72000 + gi);
+    net.set_corrupt(5, true);
+    TamperedDealing vss(vss::make_vss(SchemeKind::kRB, net), 5,
+                        {layout.g[gi].base + m.word}, m.rewrite);
+    AnonChan chan(net, vss, params);
+    std::vector<Fld> inputs;
+    for (std::uint64_t i = 0; i < 6; ++i) inputs.push_back(Fld::from_u64(300 + i));
+    const auto out = chan.run(5, inputs);
+    for (std::size_t i = 0; i < 6; ++i)
+      EXPECT_TRUE(out.delivered(inputs[i])) << "input " << i;
+    const auto blames = net.blames();
+    ASSERT_EQ(blames.size(), 1u);
+    EXPECT_EQ(blames[0].accused, 5u);
+    EXPECT_EQ(blames[0].reason, "anonchan.deliver.bad_g_permutation");
+    gi = (gi + 2) % params.n;
+  }
 }
 
 TEST(CutAndChooseOpen, EscapePathIsExactlyGuessingEveryChallengeBit) {

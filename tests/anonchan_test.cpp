@@ -459,35 +459,91 @@ TEST(AnonChanWireWords, PerfbenchChanShapePerRound) {
   inputs[5] = Fld::zero();
   const auto out = chan.run(5, inputs);
   EXPECT_EQ(out.y.size(), 6u);
+  // pi_j, the index lists and g are packed 5 indices per word; the rounds
+  // that carry them match PredictedByParams below.
   const std::vector<std::pair<std::size_t, std::size_t>> expected = {
-      {1869315, 0},  // VSS R1: 124,620 secrets x 3 x 5 words + 15 challenges
+      {1369545, 0},  // VSS R1: 91,302 secrets x 3 x 5 words + 15 challenges
       {180, 0},      // VSS R2: one check word per (dealer, link)
       {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0},
       {0, 36},       // VSS votes
       {60, 0},       // challenge: r and rho
-      {829440, 0},   // round A: 27,648 opened values x 30 links
+      {165960, 0},   // round A: 12 packed permutations of 461 words x 30
       {360, 0},      // round B: one zero test per (dealer, copy) x 30 links
-      {414720, 0},   // deliver.permutations: n ell values x 30 links
+      {82980, 0},    // deliver.permutations: n x 461 words x 30 links
       {23040, 0},    // private delivery: 2 ell shares from 5 parties
   };
   EXPECT_EQ(words->words, expected);
 }
 
+TEST(AnonChanWireWords, PredictedByParams) {
+  // The words of the rounds that carry the packed slabs, predicted from
+  // Params' closed forms and the run's challenge bits before any pin:
+  //   R1       every dealt secret as t + 1 words to each of n - 1 parties,
+  //            plus one pair challenge per pair;
+  //   round A  per dealer and copy, a packed index list (bit 1) or a
+  //            packed permutation (bit 0), sent over n (n - 1) links;
+  //   deliver  the receiver's n packed g_i, over n (n - 1) links.
+  for (std::size_t n : {4u, 5u, 6u}) {
+    for (std::size_t kappa : {1u, 2u}) {
+      for (std::size_t d : {8u, 16u}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " kappa=" +
+                     std::to_string(kappa) + " d=" + std::to_string(d));
+        Params params = Params::practical(n, kappa);
+        params.d = d;
+        params.ell = 4 * n * n * d;
+        net::Network net(n, 1);
+        auto words = std::make_shared<RoundWords>();
+        net.attach_observer(words);
+        auto vss = vss::make_vss(SchemeKind::kRB, net);
+        AnonChan chan(net, *vss, params);
+        std::vector<Fld> inputs = distinct_inputs(n);
+        inputs[n - 1] = Fld::zero();
+        const auto out = chan.run(n - 1, inputs);
+        EXPECT_EQ(out.y.size(), n);
+        ASSERT_EQ(words->words.size(), chan.expected_rounds());
+
+        const std::size_t links = n * (n - 1);
+        const std::size_t dealt =
+            n * (params.sender_batch_size() + 1) + params.receiver_extra_size();
+        std::size_t opened = 0;
+        for (bool bit : out.challenge_bits)
+          opened += bit ? params.index_list_words() : params.perm_words();
+        // Round 0 is R1; the challenge, rounds A and B and the g opening
+        // follow the sharing phase.
+        const std::size_t round_a = vss->share_rounds() + 1;
+        const std::size_t deliver_g = vss->share_rounds() + 3;
+        EXPECT_EQ(words->words[0].first,
+                  dealt * (vss->t() + 1) * (n - 1) + links / 2);
+        EXPECT_EQ(words->words[round_a].first, links * n * opened);
+        EXPECT_EQ(words->words[deliver_g].first,
+                  links * params.receiver_extra_size());
+      }
+    }
+  }
+}
+
 // --- Cut-and-choose helpers -------------------------------------------------
 
 TEST(CutAndChoose, IndexListDecoding) {
+  // ell = 8: 4-bit slots, 16 per word; indices are stored + 1.
+  const IndexCodec codec = Params::light(2).codec();
   auto enc = [](std::initializer_list<std::uint64_t> vals) {
-    std::vector<Fld> out;
-    for (auto v : vals) out.push_back(fe(v));
-    return out;
+    std::uint64_t word = 0;
+    unsigned shift = 0;
+    for (auto v : vals) {
+      word |= v << shift;
+      shift += 4;
+    }
+    return std::vector<Fld>{fe(word)};
   };
-  const auto ok = decode_index_list(enc({1, 3, 7}), 8);
+  const auto ok = codec.decode_index_list(enc({1, 3, 7}), 3);
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(*ok, (std::vector<std::size_t>{0, 2, 6}));
-  EXPECT_FALSE(decode_index_list(enc({0, 3, 7}), 8));   // zero encoding
-  EXPECT_FALSE(decode_index_list(enc({1, 3, 9}), 8));   // out of range
-  EXPECT_FALSE(decode_index_list(enc({3, 3, 7}), 8));   // duplicate
-  EXPECT_FALSE(decode_index_list(enc({3, 1, 7}), 8));   // unsorted
+  EXPECT_FALSE(codec.decode_index_list(enc({0, 3, 7}), 3));  // zero slot
+  EXPECT_FALSE(codec.decode_index_list(enc({1, 3, 9}), 3));  // out of range
+  EXPECT_FALSE(codec.decode_index_list(enc({3, 3, 7}), 3));  // duplicate
+  EXPECT_FALSE(codec.decode_index_list(enc({3, 1, 7}), 3));  // unsorted
+  EXPECT_FALSE(codec.decode_index_list(enc({1, 3, 7, 2}), 3));  // 4th slot
 }
 
 TEST(CutAndChoose, ExtractOutputThreshold) {

@@ -102,16 +102,16 @@ std::pair<std::uint64_t, std::size_t> publish_transcript(
 
 TEST(AnonPublish, GoldenTranscript) {
   // The publication's full transcript at 1 and 4 lanes. Re-pinned when
-  // round B became one batched zero test per (dealer, copy): every party
-  // shares one more secret, step 2 opens two values and round B one per
-  // copy, while the delivered multiset, challenge bits and PASS set stay
-  // those of the per-entry checks.
+  // round B became one batched zero test per (dealer, copy), and again when
+  // pi_j and the index lists were packed several indices per shared word:
+  // fewer secrets are dealt and round A opens fewer words, while the
+  // delivered multiset, challenge bits and PASS set stay the same.
   const struct {
     vss::SchemeKind kind;
     std::uint64_t digest;
     std::size_t rounds;
-  } cases[] = {{vss::SchemeKind::kRB, 0xf9bed882d5b71cd2ULL, 13},
-               {vss::SchemeKind::kGGOR13, 0x7a36937f3866fb07ULL, 25}};
+  } cases[] = {{vss::SchemeKind::kRB, 0x12c57e5e696c8bf5ULL, 13},
+               {vss::SchemeKind::kGGOR13, 0xae0e9b8d9c3692e8ULL, 25}};
   for (const auto& c : cases) {
     for (std::size_t lanes : {1u, 4u}) {
       const auto [digest, rounds] = publish_transcript(c.kind, lanes);

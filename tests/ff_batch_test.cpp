@@ -285,8 +285,8 @@ TEST(SoaContainers, SharePoolEvalRangeMatchesEvalOne) {
   Rng rng(251);
   vss::SharePool pool;
   pool.configure(3);
-  EXPECT_EQ(pool.append_zero(8), 0u);
-  EXPECT_EQ(pool.append_zero(5), 8u);
+  EXPECT_EQ(pool.append(8, /*zero=*/true), 0u);
+  EXPECT_EQ(pool.append(5, /*zero=*/false), 8u);
   ASSERT_EQ(pool.count(), 13u);
   for (std::size_t k = 0; k < pool.count(); ++k) {
     const auto coeffs = random_vec<Fld>(rng, 3);

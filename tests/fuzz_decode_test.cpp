@@ -4,9 +4,12 @@
 // payloads mid-execution (the default-message convention of Section 2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "anonchan/anonchan.hpp"
 #include "anonchan/cut_and_choose.hpp"
-#include "math/permutation.hpp"
+#include "math/index_codec.hpp"
 #include "net/adversary.hpp"
 #include "net/faultplan.hpp"
 #include "pseudosig/pseudosig.hpp"
@@ -27,43 +30,87 @@ std::vector<Fld> random_payload(Rng& rng, std::size_t max_len) {
   return out;
 }
 
-TEST(FuzzDecode, PermutationFromFieldNeverCrashes) {
+/// Random words for an IndexCodec: raw random elements, small "plausible"
+/// integers, and canonical words with only padding or unused-slot bits
+/// added, to hit every rejection path.
+std::vector<Fld> random_packed(Rng& rng, const IndexCodec& codec,
+                               std::size_t count) {
+  std::vector<Fld> out(codec.words(count));
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    const std::size_t slots =
+        std::min(codec.per_word(), count - w * codec.per_word());
+    const unsigned filled = static_cast<unsigned>(slots) * codec.slot_bits();
+    switch (rng.next_below(3)) {
+      case 0:
+        out[w] = Fld::random(rng);
+        break;
+      case 1:
+        out[w] = Fld::from_u64(rng.next_below(64));
+        break;
+      default: {
+        // A canonical word: slots in [1, ell], ...
+        std::uint64_t word = 0;
+        for (std::size_t s = 0; s < slots; ++s)
+          word |= (1 + rng.next_below(codec.ell())) << (s * codec.slot_bits());
+        // ... sometimes with random bits at or above the used slots.
+        if (rng.next_bool() && filled < 64)
+          word |= rng.next_u64() & ~((std::uint64_t{1} << filled) - 1);
+        out[w] = Fld::from_u64(word);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FuzzDecode, PackedPermutationDecoderNeverCrashes) {
   Rng rng(1);
-  std::size_t accepted = 0;
   for (int trial = 0; trial < 2000; ++trial) {
-    const auto enc = random_payload(rng, 12);
-    if (auto p = Permutation::from_field(enc)) {
-      ++accepted;
-      // Anything accepted must be a genuine bijection.
+    const IndexCodec codec(1 + rng.next_below(12));
+    // Mostly the right word count, sometimes one off.
+    std::size_t count = codec.ell();
+    if (rng.next_below(8) == 0) count += codec.per_word();
+    const auto enc = random_packed(rng, codec, count);
+    if (auto p = codec.decode_permutation(enc)) {
+      // Anything accepted must be a genuine bijection of [0, ell) whose
+      // encoding is exactly the input (canonical words only).
+      ASSERT_EQ(p->size(), codec.ell());
       std::vector<bool> seen(p->size(), false);
       for (std::size_t k = 0; k < p->size(); ++k) {
         ASSERT_LT((*p)(k), p->size());
         ASSERT_FALSE(seen[(*p)(k)]);
         seen[(*p)(k)] = true;
       }
+      std::vector<Fld> again(enc.size());
+      codec.encode(p->images(), std::span<Fld>(again));
+      ASSERT_EQ(again, enc);
     }
   }
-  // Random payloads essentially never decode to valid permutations beyond
-  // trivial sizes; the check is that accepted ones are valid.
-  (void)accepted;
 }
 
 TEST(FuzzDecode, IndexListDecoderNeverCrashesAndValidates) {
   Rng rng(2);
+  std::size_t accepted = 0;
   for (int trial = 0; trial < 2000; ++trial) {
-    const auto enc = random_payload(rng, 10);
-    const std::size_t ell = 1 + rng.next_below(32);
-    if (auto idx = anonchan::decode_index_list(enc, ell)) {
+    const IndexCodec codec(1 + rng.next_below(32));
+    const std::size_t count = 1 + rng.next_below(10);
+    const auto enc = random_packed(rng, codec, count);
+    if (auto idx = codec.decode_index_list(enc, count)) {
+      ++accepted;
+      ASSERT_EQ(idx->size(), count);
       std::size_t prev = SIZE_MAX;
       for (std::size_t v : *idx) {
-        ASSERT_LT(v, ell);
+        ASSERT_LT(v, codec.ell());
         if (prev != SIZE_MAX) {
           ASSERT_GT(v, prev);
         }
         prev = v;
       }
+      std::vector<Fld> again(enc.size());
+      codec.encode(*idx, std::span<Fld>(again));
+      ASSERT_EQ(again, enc);
     }
   }
+  EXPECT_GT(accepted, 0u);  // the canonical inputs reach the accept path
 }
 
 TEST(FuzzDecode, PseudosignatureDeserializeNeverCrashes) {

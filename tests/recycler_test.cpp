@@ -5,6 +5,7 @@
 // be served entirely from the pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "common/recycler.hpp"
 #include "net/recorder.hpp"
 #include "vss/schemes.hpp"
+#include "vss/soa.hpp"
 
 namespace gfor14 {
 namespace {
@@ -72,6 +74,34 @@ TEST(BufferRecycler, BestFitWithinTheHighWater) {
   EXPECT_EQ(r.tally().pooled_bytes, t.pooled_bytes);
   r.clear();
   EXPECT_EQ(r.tally().pooled_bytes, 0u);
+}
+
+TEST(BufferRecycler, ZeroedTakesClearPooledBuffers) {
+  // A pooled buffer keeps its last owner's words; a zeroed take (and a
+  // share pool appending zero polynomials through one) must not show them.
+  BufferRecycler& r = BufferRecycler::instance();
+  r.clear();
+  const auto dirty = [&r](std::size_t n) {
+    std::vector<Fld> v = r.take(n);
+    std::fill(v.begin(), v.end(), Fld::from_u64(7));
+    const Fld* data = v.data();
+    r.give(std::move(v));
+    return data;
+  };
+  const Fld* data = dirty(2 * kFloorWords);
+  std::vector<Fld> v = r.take(kFloorWords + 1, /*zero=*/true);
+  EXPECT_EQ(v.data(), data);  // a hit
+  EXPECT_EQ(std::count(v.begin(), v.end(), Fld::zero()),
+            static_cast<std::ptrdiff_t>(v.size()));
+  r.give(std::move(v));
+
+  dirty(2 * kFloorWords);
+  vss::SharePool pool;
+  pool.configure(2);
+  EXPECT_EQ(pool.append(kFloorWords + 1, /*zero=*/true), 0u);
+  for (std::size_t c = 0; c < 2; ++c)
+    for (Fld f : pool.plane(c)) ASSERT_TRUE(f.is_zero()) << "plane " << c;
+  r.clear();
 }
 
 /// Everything a run's callers and auditors see.
