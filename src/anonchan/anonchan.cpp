@@ -5,6 +5,7 @@
 
 #include "common/expect.hpp"
 #include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 
 namespace gfor14::anonchan {
@@ -253,20 +254,21 @@ AnonChan::Proof AnonChan::prove(const std::vector<net::PartyId>& receivers,
     const std::size_t tests =
         static_cast<std::size_t>(std::count(pass.begin(), pass.end(), true)) *
         S * params_.kappa_cc;
-    std::vector<vss::LinComb> open_b;
-    open_b.reserve(tests);
+    // Slot b of open_b is test (b_dealers[b], session, copy) in (dealer,
+    // session, copy) order; each is built on the lanes into its own slot.
     std::vector<net::PartyId> b_dealers;
     b_dealers.reserve(tests);
-    for (net::PartyId i = 0; i < n; ++i) {
-      if (!pass[i]) continue;
-      for (std::size_t s = 0; s < S; ++s) {
-        for (std::size_t j = 0; j < params_.kappa_cc; ++j) {
-          open_b.push_back(
-              zero_test(params_, layouts[s][i], j, *opened[s][i][j], rho));
-          b_dealers.push_back(i);
-        }
-      }
-    }
+    for (net::PartyId i = 0; i < n; ++i)
+      if (pass[i]) b_dealers.insert(b_dealers.end(), S * params_.kappa_cc, i);
+    std::vector<vss::LinComb> open_b(tests);
+    ThreadPool::instance().parallel_for(
+        0, tests, net_.threads(), [&](std::size_t b) {
+          const net::PartyId i = b_dealers[b];
+          const std::size_t s = b / params_.kappa_cc % S;
+          const std::size_t j = b % params_.kappa_cc;
+          open_b[b] =
+              zero_test(params_, layouts[s][i], j, *opened[s][i][j], rho);
+        });
     const auto z = vss_.reconstruct_public(open_b);
     for (std::size_t bi = 0; bi < z.size(); ++bi) {
       const net::PartyId dealer = b_dealers[bi];
@@ -297,16 +299,21 @@ ManyOutput AnonChan::finish(const Proof& proof,
     out.v_x.assign(v_x.begin(), v_x.end());
     out.v_a.assign(v_a.begin(), v_a.end());
 
-    // Ground-truth collision diagnostics (Claim 2's quantity) per session.
+    // Ground-truth collision diagnostics (Claim 2's quantity) per session:
+    // entry k of g_i(v^(i)) is occupied iff g_i(k) is one of v^(i)'s
+    // non-zero positions, read from a per-dealer bitmap of them.
     const auto& commitments = proof.commitments[s];
     std::vector<std::size_t> occupancy(params_.ell, 0);
+    std::vector<std::uint8_t> mark(params_.ell, 0);
     for (net::PartyId i = 0; i < n; ++i) {
-      if (!result.pass[i] || commitments[i].v_indices.empty()) continue;
-      for (std::size_t k = 0; k < params_.ell; ++k) {
-        if (std::binary_search(commitments[i].v_indices.begin(),
-                               commitments[i].v_indices.end(), g[s][i](k)))
-          occupancy[k] += 1;
-      }
+      const auto& v_indices = commitments[i].v_indices;
+      if (!result.pass[i] || v_indices.empty()) continue;
+      for (std::size_t idx : v_indices)
+        if (idx < params_.ell) mark[idx] = 1;
+      for (std::size_t k = 0; k < params_.ell; ++k)
+        occupancy[k] += mark[g[s][i](k)];
+      for (std::size_t idx : v_indices)
+        if (idx < params_.ell) mark[idx] = 0;
     }
     for (std::size_t o : occupancy)
       if (o > 1) out.pairwise_collisions += o * (o - 1);
@@ -378,8 +385,9 @@ ManyOutput AnonChan::run_many_to(
   std::vector<vss::VssScheme::PrivateRequest> requests;
   requests.reserve(S);
   for (std::size_t s = 0; s < S; ++s)
-    requests.push_back({receivers[s], delivery_values(params_, proof.layouts[s],
-                                                      proof.pass, g[s])});
+    requests.push_back(
+        {receivers[s], delivery_values(params_, proof.layouts[s], proof.pass,
+                                       g[s], net_.threads())});
   return finish(proof, vss_.reconstruct_private_multi(requests), g, run_span);
 }
 
@@ -399,7 +407,8 @@ Output AnonChan::publish(const std::vector<Fld>& inputs) {
   std::vector<Permutation> g(n);
   for (auto& gp : g) gp = Permutation::random(g_rng, params_.ell);
   std::vector<Fld> v = vss_.reconstruct_public(
-      delivery_values(params_, proof.layouts[0], proof.pass, g));
+      delivery_values(params_, proof.layouts[0], proof.pass, g,
+                      net_.threads()));
   return only_session(finish(proof, {std::move(v)}, {std::move(g)}, run_span));
 }
 

@@ -5,8 +5,16 @@
 #include <map>
 
 #include "common/expect.hpp"
+#include "common/thread_pool.hpp"
 
 namespace gfor14::anonchan {
+
+namespace {
+
+/// Delivery values per parallel_for index.
+constexpr std::size_t kDeliveryChunk = 256;
+
+}  // namespace
 
 vss::LinComb zero_test(const Params& params, const BatchLayout& layout,
                        std::size_t j, const Opening& opened, Fld rho) {
@@ -48,19 +56,38 @@ vss::LinComb zero_test(const Params& params, const BatchLayout& layout,
 
 std::vector<vss::LinComb> delivery_values(
     const Params& params, const std::vector<BatchLayout>& layouts,
-    const std::vector<bool>& pass, const std::vector<Permutation>& g) {
+    const std::vector<bool>& pass, const std::vector<Permutation>& g,
+    std::size_t lanes) {
   GFOR14_EXPECTS(layouts.size() == params.n && pass.size() == params.n &&
                  g.size() == params.n);
-  std::vector<vss::LinComb> out(2 * params.ell);
+  std::vector<std::size_t> passing;
   for (std::size_t i = 0; i < params.n; ++i) {
     if (!pass[i]) continue;
     GFOR14_EXPECTS(g[i].size() == params.ell);
-    for (std::size_t k = 0; k < params.ell; ++k) {
-      // Entry k of g_i(v^(i)) is v^(i)[g_i(k)].
-      out[k].add(layouts[i].v_x.ref(g[i](k)), Fld::one());
-      out[params.ell + k].add(layouts[i].v_a.ref(g[i](k)), Fld::one());
-    }
+    passing.push_back(i);
   }
+  // Value chunks on the lanes, each value written by exactly one task with
+  // its terms in PASS order, so the result is the same at any lane count.
+  const std::size_t values = 2 * params.ell;
+  std::vector<vss::LinComb> out(values);
+  ThreadPool::instance().parallel_for(
+      0, (values + kDeliveryChunk - 1) / kDeliveryChunk, lanes,
+      [&](std::size_t chunk) {
+        const std::size_t hi =
+            std::min(values, (chunk + 1) * kDeliveryChunk);
+        for (std::size_t v = chunk * kDeliveryChunk; v < hi; ++v) {
+          // Value k (< ell) is entry k of sum g_i(v_x^(i)), value ell + k
+          // entry k of sum g_i(v_a^(i)); entry k of g_i(v^(i)) is
+          // v^(i)[g_i(k)].
+          const bool x = v < params.ell;
+          const std::size_t k = x ? v : v - params.ell;
+          out[v].reserve(passing.size());
+          for (std::size_t i : passing) {
+            const vss::Slab& slab = x ? layouts[i].v_x : layouts[i].v_a;
+            out[v].add(slab.ref(g[i](k)), Fld::one());
+          }
+        }
+      });
   return out;
 }
 

@@ -33,10 +33,14 @@ vss::LinComb zero_test(const Params& params, const BatchLayout& layout,
                        std::size_t j, const Opening& opened, Fld rho);
 
 /// Step 4: the 2*ell linear combinations of the delivered vector
-/// v = sum_{i in PASS} g_i(v^(i)) — x components first, then a components.
+/// v = sum_{i in PASS} g_i(v^(i)) — x components first, then a components,
+/// each with its terms in ascending dealer order. Built on up to `lanes`
+/// lanes (the caller's Network::threads()); the result does not depend on
+/// the lane count.
 std::vector<vss::LinComb> delivery_values(
     const Params& params, const std::vector<BatchLayout>& layouts,
-    const std::vector<bool>& pass, const std::vector<Permutation>& g);
+    const std::vector<bool>& pass, const std::vector<Permutation>& g,
+    std::size_t lanes);
 
 /// Step 4 receiver logic: pairs appearing at least d/2 times among the
 /// non-zero entries (the set T), and the output multiset Y (tags stripped).

@@ -87,7 +87,7 @@ Network::Network(std::size_t n, std::uint64_t seed)
   meters_.round_wall = &registry_->histogram("net.round_wall_us");
   Rng root(seed);
   party_rng_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) party_rng_.push_back(root.fork(i));
+  for (std::size_t i = 0; i < n; ++i) party_rng_.push_back({root.fork(i)});
   pending_.reset(n);
   delivered_ = std::make_shared<const RoundTraffic>(pending_);  // empty
 }
@@ -116,7 +116,7 @@ void Network::corrupt_first(std::size_t t) {
 
 Rng& Network::rng_of(PartyId p) {
   GFOR14_EXPECTS(p < n_);
-  return party_rng_[p];
+  return party_rng_[p].rng;
 }
 
 void Network::set_threads(std::size_t threads) {

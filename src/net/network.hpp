@@ -228,7 +228,10 @@ class Network {
   /// Marks parties 0..t-1 corrupt (tests often use this static choice).
   void corrupt_first(std::size_t t);
 
+  /// Party p's private stream. Each sits on its own kCacheLine-byte line.
   Rng& rng_of(PartyId p);
+  /// The line size the per-party streams are padded to.
+  static constexpr std::size_t kCacheLine = 64;
   Rng& adversary_rng() { return adv_rng_; }
 
   void attach_adversary(std::shared_ptr<Adversary> adv) { adversary_ = std::move(adv); }
@@ -375,7 +378,15 @@ class Network {
   std::shared_ptr<metrics::Registry> registry_;
   Meters meters_;
   std::vector<bool> corrupt_;
-  std::vector<Rng> party_rng_;
+  /// One party's stream alone on its cache line. Parties draw from their
+  /// streams at the same time on different lanes (dealing, commitments,
+  /// pair challenges); two 32-byte states on one line would make every draw
+  /// of one party invalidate the other's line (DESIGN.md §8).
+  struct alignas(kCacheLine) LaneRng {
+    Rng rng;
+  };
+  static_assert(sizeof(LaneRng) == kCacheLine && alignof(LaneRng) == kCacheLine);
+  std::vector<LaneRng> party_rng_;
   Rng adv_rng_;
   std::shared_ptr<Adversary> adversary_;
   std::shared_ptr<FaultEngine> fault_engine_;

@@ -25,8 +25,9 @@ std::optional<std::size_t> dec(Fld f, std::size_t bound) {
   return static_cast<std::size_t>(v);
 }
 
-// Work per parallel_for index in reconstruction — values in the decoder,
-// terms in the fold: large enough that the pool's shared cursor is touched
+// Work per parallel_for index in finalize and reconstruction — batch
+// indices in finalize, values in the decoder, terms in the fold: large
+// enough that the pool's shared cursor is touched
 // a few times per call, not once per value, small enough that a call
 // splits into many more chunks than lanes.
 constexpr std::size_t kReconChunk = 2048;
@@ -702,92 +703,111 @@ ShareResult BivariateEngine::share_all(
   ctx.bivariate.clear();
 
   // Finalize: append sharings, derive committed share polynomials. The
-  // qualification flags live in vector<bool> (adjacent bits share a byte),
-  // so they are set serially; the interpolation work — all of the cost —
-  // then runs per dealer, each writing only its own pre-sized slots.
+  // serial part fixes, per dealer, the qualification flag (vector<bool>:
+  // adjacent bits share a byte), the zeroed pool columns, and the content
+  // honest parties (those without a private conflict) with the Lagrange
+  // basis of the first t + 1 of them — the same for every index k of the
+  // batch, so g(y) = sum_p y_p * L_p(y) is one basis per dealer. The
+  // interpolation work, all of the cost, then runs on the lanes in
+  // (dealer, value chunk) tasks, each writing only its own columns.
   ShareResult result;
   result.qualified.assign(n, true);
-  std::vector<std::size_t> base(n, 0);
+  // Finalize faults (one byte per dealer): 1 = too few content parties,
+  // 2 = a content share off the interpolated polynomial. Either one means
+  // the sharing is unusable; the dealer is disqualified below and every
+  // affected share polynomial stays the default zero — degradation instead
+  // of an abort, per the paper's convention.
+  std::vector<std::uint8_t> finalize_fault(n, 0);
+  struct Interp {
+    std::size_t base = 0;
+    std::vector<Fld> xs;  ///< content parties' points, basis ones first
+    std::vector<net::PartyId> content;
+    std::vector<Poly> basis;
+  };
+  std::vector<Interp> interp(n);
+  struct Task {
+    net::PartyId d;
+    std::size_t lo, hi;  ///< batch indices of the chunk
+  };
+  std::vector<Task> tasks;
   for (net::PartyId d : ctx.dealers) {
     const bool ok = accepts[d] >= n - profile_.t;
     result.qualified[d] = ok;
     if (!ok) qualified_[d] = false;
     pools_[d].configure(t + 1);
     // Zero columns until interpolated: a disqualified dealer's stay zero.
-    base[d] = pools_[d].append(batches[d].size(), /*zero=*/true);
-  }
-  // Finalize faults found on the worker lanes (one byte per dealer slot, so
-  // concurrent writers never share a byte): 1 = too few content parties,
-  // 2 = a content share off the interpolated polynomial. Either one means
-  // the sharing is unusable; the dealer is disqualified below and every
-  // affected share polynomial stays the default zero — degradation instead
-  // of an abort, per the paper's convention.
-  std::vector<std::uint8_t> finalize_fault(n, 0);
-  net_.for_each_party([&](net::PartyId d) {
+    Interp& in = interp[d];
     const std::size_t m = batches[d].size();
-    if (m == 0 || !result.qualified[d]) return;
-    // The content honest parties (those without a private conflict) are
-    // the same for every index k of this dealer's batch, so the Lagrange
-    // basis polynomials L_p(y) of the first t + 1 of them are computed
-    // once: g(y) = sum_p y_p * L_p(y).
-    std::vector<net::PartyId> content;
-    std::vector<Fld> xs;
+    in.base = pools_[d].append(m, /*zero=*/true);
+    if (m == 0 || !ok) continue;
     for (net::PartyId p = 0; p < n; ++p) {
       if (net_.is_corrupt(p) || ctx.conflicted[p][d]) continue;
-      content.push_back(p);
-      xs.push_back(eval_point<64>(p));
+      in.content.push_back(p);
+      in.xs.push_back(eval_point<64>(p));
     }
-    if (content.size() < t + 1) {
+    if (in.content.size() < t + 1) {
       finalize_fault[d] = 1;
-      return;
+      continue;
     }
     std::vector<Fld> denoms(t + 1, Fld::one());
     for (std::size_t i = 0; i <= t; ++i)
       for (std::size_t jj = 0; jj <= t; ++jj)
-        if (jj != i) denoms[i] *= xs[i] - xs[jj];
+        if (jj != i) denoms[i] *= in.xs[i] - in.xs[jj];
     ff::batch_inverse(std::span<Fld>(denoms));  // one inversion for the basis
-    std::vector<Poly> basis;
-    basis.reserve(t + 1);
+    in.basis.reserve(t + 1);
     for (std::size_t i = 0; i <= t; ++i) {
       Poly b = Poly::constant(Fld::one());
       for (std::size_t jj = 0; jj <= t; ++jj) {
         if (jj == i) continue;
-        b = b * Poly{{xs[jj], Fld::one()}};
+        b = b * Poly{{in.xs[jj], Fld::one()}};
       }
-      basis.push_back(denoms[i] * b);
+      in.basis.push_back(denoms[i] * b);
     }
-    // Interpolate the committed share polynomials g(y) = F(0, y) for the
-    // whole batch at once: a party's final share of index k is its slice
-    // evaluated at y = 0 — exactly the x^0 column of its slices, gathered
-    // into `yrow` — so g's coefficient planes are t + 1 span axpys, and the
-    // consistency sweep (every other content honest share lies on g, the
-    // qualification invariant) is one batched Horner per tail party.
-    // g accumulates straight into the dealer's zeroed pool columns.
-    const auto gplane = [&](std::size_t c) {
-      return pools_[d].plane(c).subspan(base[d], m);
-    };
-    Recycled yrow(m), pred(m);
-    for (std::size_t i = 0; i <= t; ++i) {
-      ctx.recv[content[i]][d].column(0, 0, *yrow);
-      const auto& bc = basis[i].coeffs();
-      for (std::size_t c = 0; c < bc.size(); ++c)
-        ff::batch::axpy<64>(bc[c], std::span<const Fld>(*yrow), gplane(c));
-    }
-    std::vector<std::uint8_t> ok_k(m, 1);
-    for (std::size_t i = t + 1; i < content.size(); ++i) {
-      pools_[d].eval_range(xs[i], base[d], *pred);
-      ctx.recv[content[i]][d].column(0, 0, *yrow);
-      for (std::size_t k = 0; k < m; ++k)
-        if ((*pred)[k] != (*yrow)[k]) ok_k[k] = 0;
-    }
-    // Inconsistent columns go back to the default zero and mark the dealer
-    // faulty (same degradation as before).
-    for (std::size_t k = 0; k < m; ++k) {
-      if (ok_k[k]) continue;
-      finalize_fault[d] = 2;
-      for (std::size_t c = 0; c <= t; ++c) gplane(c)[k] = Fld::zero();
-    }
-  });
+    for (std::size_t lo = 0; lo < m; lo += kReconChunk)
+      tasks.push_back({d, lo, std::min(m, lo + kReconChunk)});
+  }
+  // Interpolate the committed share polynomials g(y) = F(0, y) chunk by
+  // chunk: a party's final share of index k is its slice evaluated at
+  // y = 0 — exactly the x^0 column of its slices, gathered into `yrow` —
+  // so g's coefficient planes are t + 1 span axpys, and the consistency
+  // sweep (every other content honest share lies on g, the qualification
+  // invariant) is one batched Horner per tail party. g accumulates straight
+  // into the dealer's zeroed pool columns. A chunk flags its own fault; the
+  // flags are merged per dealer after the barrier.
+  std::vector<std::uint8_t> chunk_fault(tasks.size(), 0);
+  ThreadPool::instance().parallel_for(
+      0, tasks.size(), net_.threads(), [&](std::size_t ti) {
+        const Task& task = tasks[ti];
+        const Interp& in = interp[task.d];
+        const std::size_t len = task.hi - task.lo;
+        const std::size_t at = in.base + task.lo;
+        SharePool& pool = pools_[task.d];
+        std::vector<Fld> yrow(len), pred(len);
+        for (std::size_t i = 0; i <= t; ++i) {
+          ctx.recv[in.content[i]][task.d].column(0, task.lo, yrow);
+          const auto& bc = in.basis[i].coeffs();
+          for (std::size_t c = 0; c < bc.size(); ++c)
+            ff::batch::axpy<64>(bc[c], std::span<const Fld>(yrow),
+                                pool.plane(c).subspan(at, len));
+        }
+        std::vector<std::uint8_t> ok_k(len, 1);
+        for (std::size_t i = t + 1; i < in.content.size(); ++i) {
+          pool.eval_range(in.xs[i], at, pred);
+          ctx.recv[in.content[i]][task.d].column(0, task.lo, yrow);
+          for (std::size_t k = 0; k < len; ++k)
+            if (pred[k] != yrow[k]) ok_k[k] = 0;
+        }
+        // Inconsistent columns go back to the default zero and mark the
+        // dealer faulty (same degradation as before).
+        for (std::size_t k = 0; k < len; ++k) {
+          if (ok_k[k]) continue;
+          chunk_fault[ti] = 1;
+          for (std::size_t c = 0; c <= t; ++c)
+            pool.plane(c)[at + k] = Fld::zero();
+        }
+      });
+  for (std::size_t ti = 0; ti < tasks.size(); ++ti)
+    if (chunk_fault[ti]) finalize_fault[tasks[ti].d] = 2;
   for (net::PartyId d : ctx.dealers) {
     if (finalize_fault[d] == 0) continue;
     result.qualified[d] = false;
@@ -836,16 +856,27 @@ std::vector<SharePool> BivariateEngine::fold(
           const auto& terms = v.terms();
           weights.resize(terms.size());
           gathered.resize(terms.size());
+          bool all_one = true;
           for (std::size_t k = 0; k < terms.size(); ++k) {
             const SharingRef ref = terms[k].first;
             GFOR14_EXPECTS(ref.dealer < net_.n());
             GFOR14_EXPECTS(ref.index < pools_[ref.dealer].count());
             weights[k] = terms[k].second;
+            all_one = all_one && weights[k] == Fld::one();
           }
           // Coefficient c of the value's share polynomial is the
           // combination of every term's x^c coefficient: one gather and one
-          // dot per plane.
+          // dot per plane. With every coefficient one (the opened slabs and
+          // the delivery sums) the dot is a plain sum, and addition in
+          // GF(2^64) is XOR: the same value, exactly, without the dot.
           for (std::size_t c = 0; c <= profile_.t; ++c) {
+            if (all_one) {
+              Fld sum = Fld::zero();
+              for (const auto& [ref, coeff] : terms)
+                sum += pools_[ref.dealer].plane(c)[ref.index];
+              block.plane(c)[vi] = sum;
+              continue;
+            }
             for (std::size_t k = 0; k < terms.size(); ++k)
               gathered[k] = pools_[terms[k].first.dealer].plane(c)
                                 [terms[k].first.index];

@@ -7,7 +7,8 @@
 // Round B's batched zero test catches a single bad entry wherever it sits,
 // and two equal errors that a plain sum would cancel. A malformed packed
 // word of an opened slab (pi_j, an index list, g_i) disqualifies or blames
-// its dealer wherever it sits.
+// its dealer wherever it sits. Step 4's delivery values, built on the
+// lanes, hold the same terms in the same order at any lane count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -530,6 +531,40 @@ TEST(CutAndChooseOpen, EscapePathIsExactlyGuessingEveryChallengeBit) {
   const auto ci = wilson_interval(escapes, trials);
   EXPECT_LT(ci.lo, 1.0 / 8.0);
   EXPECT_GT(ci.hi, 1.0 / 8.0);
+}
+
+TEST(DeliveryValues, LaneCountDoesNotChangeAnyTerm) {
+  // The perfbench chan shape (n = 6, kappa = 2, d = 16): 2 ell = 4,608
+  // values, many delivery chunks. PASS has holes, so the term lists skip
+  // dealers; every value must hold its PASS terms in ascending dealer
+  // order, at any lane count.
+  Params params = Params::practical(6, 2);
+  params.d = 16;
+  params.ell = 4 * params.n * params.n * params.d;
+  const std::vector<bool> pass = {true, false, true, true, false, true};
+  std::vector<BatchLayout> layouts;
+  std::vector<Permutation> g;
+  Rng rng(35);
+  for (std::size_t i = 0; i < params.n; ++i) {
+    layouts.push_back(BatchLayout::make(params, i, /*is_receiver=*/i == 2));
+    g.push_back(Permutation::random(rng, params.ell));
+  }
+  const auto serial = anonchan::delivery_values(params, layouts, pass, g, 1);
+  const auto lanes = anonchan::delivery_values(params, layouts, pass, g, 4);
+  ASSERT_EQ(serial.size(), 2 * params.ell);
+  ASSERT_EQ(lanes.size(), serial.size());
+  for (std::size_t v = 0; v < serial.size(); ++v) {
+    const bool x = v < params.ell;
+    const std::size_t k = x ? v : v - params.ell;
+    std::vector<std::pair<vss::SharingRef, Fld>> expected;
+    for (std::size_t i = 0; i < params.n; ++i)
+      if (pass[i])
+        expected.emplace_back(
+            (x ? layouts[i].v_x : layouts[i].v_a).ref(g[i](k)), Fld::one());
+    ASSERT_EQ(serial[v].terms(), expected) << "value " << v;
+    ASSERT_EQ(lanes[v].terms(), expected) << "value " << v;
+    ASSERT_TRUE(lanes[v].constant_term().is_zero());
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // adversary semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "anonchan/anonchan.hpp"
 #include "net/adversary.hpp"
 #include "net/network.hpp"
@@ -388,6 +392,22 @@ TEST(Network, PartyRngsAreIndependentAndDeterministic) {
   EXPECT_EQ(a.rng_of(0).next_u64(), b.rng_of(0).next_u64());
   Network c(3, 99);
   EXPECT_NE(c.rng_of(0).next_u64(), c.rng_of(1).next_u64());
+}
+
+TEST(Network, PartyRngsSitOnTheirOwnCacheLines) {
+  // Parties draw concurrently on different lanes; no two streams may share
+  // a line, or each draw invalidates a neighbour's line.
+  static_assert(Network::kCacheLine == 64);
+  static_assert(sizeof(Rng) <= Network::kCacheLine);
+  Network net(6, 7);
+  std::vector<std::uintptr_t> lines;
+  for (PartyId p = 0; p < net.n(); ++p) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(&net.rng_of(p));
+    EXPECT_EQ(addr % Network::kCacheLine, 0u) << "party " << p;
+    lines.push_back(addr / Network::kCacheLine);
+  }
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(std::adjacent_find(lines.begin(), lines.end()), lines.end());
 }
 
 // Regression for the PendingView dangling-reference hazard: the seed

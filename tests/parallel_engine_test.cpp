@@ -15,14 +15,21 @@
 // full fidelity and audit::first_divergence pins any mismatch to its exact
 // (round, channel, from, to, byte offset) — far better failure output than
 // the string diff this suite originally used.
+//
+// One case runs the benchmark's chan shape (n = 6, RB, kappa = 2, d = 16),
+// large enough that round B's zero tests, Step 4's delivery values and
+// share_all's finalize each split into many lane tasks, with honest and
+// cheating senders and a cheating dealer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "anonchan/anonchan.hpp"
+#include "anonchan/attacks.hpp"
 #include "audit/replay.hpp"
 #include "baselines/dcnet.hpp"
 #include "baselines/pw96.hpp"
@@ -282,6 +289,80 @@ TEST_F(ParallelEngineTest, OversubscribedLanesStayDeterministic) {
   EXPECT_TRUE(identical(serial.recording, wide.recording));
   EXPECT_EQ(serial.output, wide.output);
   EXPECT_EQ(serial.costs, wide.costs);
+}
+
+// One AnonChan run at the benchmark's chan shape: n = 6, RB, kappa = 2 and
+// d raised to 16 (ell = 4 n^2 d = 2,304), so round B builds 24 zero tests,
+// Step 4 builds 4,608 delivery values (18 chunks) and finalize splits each
+// dealer's batch into several chunks.
+struct ChanShapeRun {
+  std::string output;  ///< Y, PASS and the challenge bits
+  std::string blames;  ///< every blame record, in filing order
+  std::uint64_t digest = 0;  ///< the recording's final digest
+};
+
+enum class ChanCheat { kNone, kSenders, kGuessingAndDealer };
+
+ChanShapeRun run_chan_shape(ChanCheat cheat, std::size_t threads) {
+  constexpr std::size_t kN = 6;
+  net::Network net(kN, 35);
+  net.set_threads(threads);
+  auto recorder = std::make_shared<net::Recorder>();
+  net.attach_observer(recorder);
+  auto vss = vss::make_vss(vss::SchemeKind::kRB, net);
+  anonchan::Params params = anonchan::Params::practical(kN, 2);
+  params.d = std::max<std::size_t>(params.d, 16);
+  params.ell = 4 * kN * kN * params.d;
+  anonchan::AnonChan chan(net, *vss, params);
+  if (cheat != ChanCheat::kNone) {
+    net.set_corrupt(0, true);
+    net.set_corrupt(1, true);
+  }
+  if (cheat == ChanCheat::kSenders) {
+    chan.set_strategy(0, std::make_shared<anonchan::DenseVectorAttack>());
+    chan.set_strategy(1, std::make_shared<anonchan::WrongCopyAttack>());
+  } else if (cheat == ChanCheat::kGuessingAndDealer) {
+    chan.set_strategy(0, std::make_shared<anonchan::GuessingAttack>());
+    vss->set_dealer_behaviour(1,
+                              vss::DealerBehaviour::kInconsistentOneSecret);
+  }
+  std::vector<Fld> inputs;
+  for (std::size_t i = 0; i < kN; ++i)
+    inputs.push_back(i + 1 < kN ? Fld::from_u64(700 + i) : Fld::zero());
+  const anonchan::Output out = chan.run(kN - 1, inputs);
+  ChanShapeRun r;
+  r.output = serialize_anonchan(out) + " bits:";
+  for (bool b : out.challenge_bits) r.output += b ? '1' : '0';
+  for (const net::BlameRecord& b : net.blames()) {
+    append_u64(r.blames, b.accuser);
+    append_u64(r.blames, b.accused);
+    append_u64(r.blames, b.round);
+    r.blames += b.reason + ";";
+  }
+  r.digest = recorder->recording().final_digest;
+  return r;
+}
+
+TEST_F(ParallelEngineTest, ChanShapeIsIdenticalAtOneTwoAndFourLanes) {
+  for (ChanCheat cheat : {ChanCheat::kNone, ChanCheat::kSenders,
+                          ChanCheat::kGuessingAndDealer}) {
+    SCOPED_TRACE("cheat=" + std::to_string(static_cast<int>(cheat)));
+    const ChanShapeRun serial = run_chan_shape(cheat, 1);
+    if (cheat == ChanCheat::kSenders) {
+      // Both cheating senders are caught, so the blames that leave them
+      // out of PASS come from zero tests or openings built on the lanes.
+      EXPECT_NE(serial.output.find("pass:001111"), std::string::npos)
+          << serial.output.substr(serial.output.find("pass:"));
+      EXPECT_FALSE(serial.blames.empty());
+    }
+    for (std::size_t threads : {2, 4}) {
+      const ChanShapeRun lanes = run_chan_shape(cheat, threads);
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      EXPECT_EQ(serial.output, lanes.output);
+      EXPECT_EQ(serial.blames, lanes.blames);
+      EXPECT_EQ(serial.digest, lanes.digest);
+    }
+  }
 }
 
 TEST_F(ParallelEngineTest, ThreadSettingDoesNotLeakAcrossNetworks) {
